@@ -1,20 +1,17 @@
-//! Homomorphic-aggregation hot-path benchmark: the pre-PR Paillier pipeline
-//! vs. the Montgomery-resident one, at the same key size.
+//! Homomorphic-aggregation hot-path benchmark: the Montgomery-resident
+//! Paillier pipeline, checked against the in-tree reference paths at the same
+//! key size.
 //!
-//! Server side (the paper's §5.3 per-row cost): the seed's `paillier_sum`
-//! folded each row with a schoolbook multiply followed by bit-at-a-time
-//! long-division remainder; the new path keeps the accumulator in Montgomery
-//! form and pays one in-place CIOS multiply per row plus a single `R^k` fixup
-//! per group.
+//! Server side (the paper's §5.3 per-row cost): `paillier_sum` keeps the
+//! accumulator in Montgomery form and pays one in-place CIOS multiply per row
+//! plus a single `R^k` fixup per group; the reference fold is a plain
+//! multiply followed by a Knuth-D remainder per row, and both must produce
+//! the same ciphertext.
 //!
-//! Client side (the paper's Fig 7 bottleneck): the seed's classic decrypt
-//! (one full-width `c^λ mod n²` via unwindowed square-and-multiply over the
-//! two-pass Montgomery multiply) vs. the CRT split (two half-width windowed
-//! exponentiations mod p² / q²).
-//!
-//! Like `scan_micro`, the *pre-PR* primitives are replicated in [`seed`] so
-//! the baseline stays fixed even as the library improves; the current
-//! non-CRT `decrypt_classic` is reported alongside for reference.
+//! Client side (the paper's Fig 7 bottleneck): the CRT split (two half-width
+//! windowed exponentiations mod p² / q²) against the non-CRT
+//! `decrypt_classic` oracle (one full-width `c^λ mod n²`), which must decrypt
+//! to the same plaintext.
 //!
 //! With `MONOMI_BENCH_JSON=<path>` the measured numbers are also written as a
 //! JSON snapshot (see `scripts/bench_snapshot.sh`), seeding the perf
@@ -29,176 +26,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Faithful replicas of the seed's (pre-PR) arithmetic, so the baseline is
-/// the code this PR replaced rather than the already-improved library.
-mod seed {
-    use monomi_math::BigUint;
-
-    /// Little-endian 64-bit limbs of a value (the seed worked on the crate
-    /// internal limb vector; the bench reconstructs it through bytes).
-    pub fn limbs_le(x: &BigUint) -> Vec<u64> {
-        let bytes = x.to_bytes_be();
-        let mut limbs: Vec<u64> = bytes
-            .rchunks(8)
-            .map(|chunk| chunk.iter().fold(0u64, |acc, &b| (acc << 8) | b as u64))
-            .collect();
-        while limbs.last() == Some(&0) {
-            limbs.pop();
-        }
-        limbs
-    }
-
-    fn from_limbs_le(limbs: &[u64]) -> BigUint {
-        let mut bytes = Vec::with_capacity(limbs.len() * 8);
-        for &l in limbs.iter().rev() {
-            bytes.extend_from_slice(&l.to_be_bytes());
-        }
-        BigUint::from_bytes_be(&bytes)
-    }
-
-    fn cmp_limbs(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
-        let a_len = a.iter().rposition(|&l| l != 0).map_or(0, |i| i + 1);
-        let b_len = b.iter().rposition(|&l| l != 0).map_or(0, |i| i + 1);
-        if a_len != b_len {
-            return a_len.cmp(&b_len);
-        }
-        for i in (0..a_len).rev() {
-            match a[i].cmp(&b[i]) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        std::cmp::Ordering::Equal
-    }
-
-    fn sub_assign_limbs(a: &mut [u64], b: &[u64]) {
-        let mut borrow = 0u64;
-        for (i, ai) in a.iter_mut().enumerate() {
-            let bi = b.get(i).copied().unwrap_or(0);
-            let (d1, b1) = ai.overflowing_sub(bi);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *ai = d2;
-            borrow = (b1 as u64) + (b2 as u64);
-        }
-    }
-
-    /// The seed's `div_rem`: bit-at-a-time subtract-and-shift long division
-    /// (allocating a shifted divisor copy per bit via `shr`).
-    pub fn div_rem_bitwise(a: &BigUint, divisor: &BigUint) -> (BigUint, BigUint) {
-        if a < divisor {
-            return (BigUint::zero(), a.clone());
-        }
-        let shift = a.bits() - divisor.bits();
-        let mut remainder = a.clone();
-        let mut quotient_limbs = vec![0u64; shift / 64 + 1];
-        let mut shifted = divisor.shl(shift);
-        let mut i = shift as isize;
-        while i >= 0 {
-            if remainder >= shifted {
-                remainder = remainder.sub(&shifted);
-                quotient_limbs[(i as usize) / 64] |= 1u64 << ((i as usize) % 64);
-            }
-            shifted = shifted.shr(1);
-            i -= 1;
-        }
-        (from_limbs_le(&quotient_limbs), remainder)
-    }
-
-    pub fn rem_bitwise(a: &BigUint, divisor: &BigUint) -> BigUint {
-        div_rem_bitwise(a, divisor).1
-    }
-
-    /// The seed's Montgomery context: separate multiply-then-reduce passes
-    /// over a `2k+1` limb temporary, allocated per multiplication.
-    pub struct SeedMontCtx {
-        mod_limbs: Vec<u64>,
-        k: usize,
-        n0_inv: u64,
-        r1: Vec<u64>,
-        r2: Vec<u64>,
-    }
-
-    impl SeedMontCtx {
-        pub fn new(modulus: &BigUint) -> Self {
-            let mod_limbs = limbs_le(modulus);
-            let k = mod_limbs.len();
-            let mut x = mod_limbs[0];
-            for _ in 0..6 {
-                x = x.wrapping_mul(2u64.wrapping_sub(mod_limbs[0].wrapping_mul(x)));
-            }
-            let r = BigUint::one().shl(64 * k);
-            let r1 = r.rem(modulus);
-            let r2 = r.mul(&r).rem(modulus);
-            SeedMontCtx {
-                mod_limbs,
-                k,
-                n0_inv: x.wrapping_neg(),
-                r1: limbs_le(&r1),
-                r2: limbs_le(&r2),
-            }
-        }
-
-        /// The seed's two-pass `mont_mul` (full product, then interleaved
-        /// reduction), fresh temporary per call.
-        fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-            let k = self.k;
-            let mut t = vec![0u64; 2 * k + 1];
-            for (i, &ai) in a.iter().enumerate() {
-                let mut carry: u128 = 0;
-                for j in 0..k {
-                    let bj = b.get(j).copied().unwrap_or(0);
-                    let cur = t[i + j] as u128 + (ai as u128) * (bj as u128) + carry;
-                    t[i + j] = cur as u64;
-                    carry = cur >> 64;
-                }
-                let mut idx = i + k;
-                while carry > 0 {
-                    let cur = t[idx] as u128 + carry;
-                    t[idx] = cur as u64;
-                    carry = cur >> 64;
-                    idx += 1;
-                }
-            }
-            for i in 0..k {
-                let m = t[i].wrapping_mul(self.n0_inv);
-                let mut carry: u128 = 0;
-                for j in 0..k {
-                    let nj = self.mod_limbs[j];
-                    let cur = t[i + j] as u128 + (m as u128) * (nj as u128) + carry;
-                    t[i + j] = cur as u64;
-                    carry = cur >> 64;
-                }
-                let mut idx = i + k;
-                while carry > 0 {
-                    let cur = t[idx] as u128 + carry;
-                    t[idx] = cur as u64;
-                    carry = cur >> 64;
-                    idx += 1;
-                }
-            }
-            let mut result: Vec<u64> = t[k..].to_vec();
-            if cmp_limbs(&result, &self.mod_limbs) != std::cmp::Ordering::Less {
-                sub_assign_limbs(&mut result, &self.mod_limbs);
-            }
-            result
-        }
-
-        /// The seed's `mod_pow`: unwindowed left-to-right square-and-multiply
-        /// with a fresh allocation per step.
-        pub fn mod_pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-            let base_m = self.mont_mul(&limbs_le(base), &self.r2);
-            let mut acc = self.r1.clone();
-            for i in (0..exponent.bits()).rev() {
-                acc = self.mont_mul(&acc, &acc);
-                if exponent.bit(i) {
-                    acc = self.mont_mul(&acc, &base_m);
-                }
-            }
-            from_limbs_le(&self.mont_mul(&acc, &[1]))
-        }
-    }
-}
-
 /// Best-of-N wall-clock measurement of `f`, returning seconds.
 fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
@@ -212,7 +39,7 @@ fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
 
 fn main() {
     print_header(
-        "Homomorphic aggregation hot path: pre-PR vs Montgomery-resident",
+        "Homomorphic aggregation hot path: Montgomery-resident fold, CRT decrypt",
         "§5.3 server cost and Fig 7 client decrypt cost",
     );
     let bits = env_usize("MONOMI_PAILLIER_BITS", 512);
@@ -241,81 +68,42 @@ fn main() {
     let expected_sum: u64 = (0..rows as u64).map(|i| i % 997).sum();
 
     // --- Server side: fold one group of `rows` ciphertexts. ---
-    // Pre-PR path (the seed's exec.rs): schoolbook mul + bit-at-a-time
-    // long-division rem per row, allocating fresh BigUints throughout.
-    let mut old_result = BigUint::one();
-    let old_secs = best_of(3, || {
-        let mut acc = BigUint::one();
-        for c in &cts {
-            acc = seed::rem_bitwise(&acc.mul(c), &n_squared);
-        }
-        old_result = acc;
-    });
-
-    // Intermediate: same fold but with the now-Knuth `rem` (shows how much of
-    // the win comes from division vs Montgomery residency).
+    // Reference: a plain multiply + Knuth-D `rem` per row (shows what
+    // Montgomery residency saves over reducing after every multiply).
+    let mut mid_result = BigUint::one();
     let mid_secs = best_of(3, || {
         let mut acc = BigUint::one();
         for c in &cts {
             acc = acc.mul(c).rem(&n_squared);
         }
-        std::hint::black_box(&acc);
+        mid_result = acc;
     });
 
-    // New path: Montgomery-resident accumulator, one in-place CIOS multiply
-    // per row, single R^k fixup (what AggState::PaillierSum now does).
+    // Montgomery-resident accumulator, one in-place CIOS multiply per row,
+    // single R^k fixup (what AggState::PaillierSum does).
     let mut new_result = BigUint::one();
     let new_secs = best_of(3, || {
         new_result = key.sum_ciphertexts(&cts);
     });
 
-    assert_eq!(old_result, new_result, "old and new paths must agree");
+    assert_eq!(mid_result, new_result, "both folds must agree");
     assert_eq!(key.decrypt_u64(&new_result), expected_sum);
 
-    let old_rows_sec = rows as f64 / old_secs;
     let mid_rows_sec = rows as f64 / mid_secs;
     let new_rows_sec = rows as f64 / new_secs;
     println!("server paillier_sum ({rows} rows/group):");
-    println!("  pre-PR (mul + bitwise rem):   {old_rows_sec:>12.0} rows/s  ({old_secs:.4}s)");
     println!("  mul + Knuth-D rem:            {mid_rows_sec:>12.0} rows/s  ({mid_secs:.4}s)");
-    println!("  Montgomery-resident CIOS:     {new_rows_sec:>12.0} rows/s  ({new_secs:.4}s)");
-    println!(
-        "  speedup vs pre-PR:            {:>11.2}x\n",
-        new_rows_sec / old_rows_sec
-    );
+    println!("  Montgomery-resident CIOS:     {new_rows_sec:>12.0} rows/s  ({new_secs:.4}s)\n");
 
     // --- Client side: decrypt the aggregate. ---
-    // Pre-PR decrypt replica: c^λ mod n² with the seed's unwindowed two-pass
-    // Montgomery exponentiation, then L and the final µ multiplication with
-    // bitwise division. λ and µ are private to the key, so same-cost stand-ins
-    // of identical bit widths are used (the work depends only on operand
-    // sizes, not values).
-    let seed_ctx = seed::SeedMontCtx::new(&n_squared);
-    let lambda_proxy = {
-        // λ = lcm(p-1, q-1) has ~n.bits() bits; use an odd dense value.
-        let mut v = BigUint::one();
-        for _ in 0..key.n().bits() / 64 {
-            v = v.shl(64).add(&BigUint::from_u64(0xdead_beef_cafe_f00d));
-        }
-        v
-    };
-    let mu_proxy = key.n().sub(&BigUint::from_u64(3));
-    let old_decrypt_secs = best_of(2, || {
-        for _ in 0..decrypt_ops {
-            let u = seed_ctx.mod_pow(&new_result, &lambda_proxy);
-            let l = seed::div_rem_bitwise(&u.sub(&BigUint::one()), key.n()).0;
-            std::hint::black_box(seed::rem_bitwise(&l.mul(&mu_proxy), key.n()));
-        }
-    }) / decrypt_ops as f64;
-
-    // Current non-CRT path (windowed CIOS, for reference).
+    // Non-CRT oracle (windowed CIOS, one full-width exponentiation).
     let classic_secs = best_of(3, || {
         for _ in 0..decrypt_ops {
             std::hint::black_box(key.decrypt_classic(&new_result));
         }
     }) / decrypt_ops as f64;
 
-    // New CRT path.
+    // CRT path.
     let crt_secs = best_of(3, || {
         for _ in 0..decrypt_ops {
             std::hint::black_box(key.decrypt(&new_result));
@@ -323,16 +111,13 @@ fn main() {
     }) / decrypt_ops as f64;
     assert_eq!(key.decrypt(&new_result), key.decrypt_classic(&new_result));
 
-    let old_ops = 1.0 / old_decrypt_secs;
     let classic_ops = 1.0 / classic_secs;
     let crt_ops = 1.0 / crt_secs;
     println!("client Paillier decrypt:");
-    println!("  pre-PR classic (replica):     {old_ops:>12.0} ops/s");
     println!("  classic, windowed CIOS:       {classic_ops:>12.0} ops/s");
     println!("  CRT (mod p², q²):             {crt_ops:>12.0} ops/s");
     println!(
-        "  speedup vs pre-PR:            {:>11.2}x  (vs current classic: {:.2}x)\n",
-        crt_ops / old_ops,
+        "  CRT vs classic:               {:>11.2}x\n",
         crt_ops / classic_ops
     );
     println!(
@@ -345,17 +130,11 @@ fn main() {
     if let Ok(path) = std::env::var("MONOMI_BENCH_JSON") {
         let json = format!(
             "{{\n  \"bench\": \"hom_agg\",\n  \"paillier_bits\": {bits},\n  \"rows\": {rows},\n  \
-             \"server_rows_per_sec_pre_pr\": {old_rows_sec:.1},\n  \
              \"server_rows_per_sec_knuth_rem\": {mid_rows_sec:.1},\n  \
              \"server_rows_per_sec_mont\": {new_rows_sec:.1},\n  \
-             \"server_speedup\": {:.2},\n  \
-             \"decrypt_ops_per_sec_pre_pr\": {old_ops:.1},\n  \
              \"decrypt_ops_per_sec_classic\": {classic_ops:.1},\n  \
              \"decrypt_ops_per_sec_crt\": {crt_ops:.1},\n  \
-             \"decrypt_speedup\": {:.2},\n  \
              \"encrypt_ops_per_sec\": {:.1}\n}}\n",
-            new_rows_sec / old_rows_sec,
-            crt_ops / old_ops,
             rows as f64 / encrypt_secs,
         );
         std::fs::write(&path, json).expect("write bench snapshot JSON");

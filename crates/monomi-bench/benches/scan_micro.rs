@@ -1,12 +1,11 @@
-//! Scan microbenchmark: the seed's row-materializing base-table scan vs. the
-//! vectorized selection-vector scan with late materialization, on TPC-H
-//! Q1/Q6-shaped single-table filters over `lineitem`.
+//! Scan microbenchmark: the vectorized selection-vector scan with late
+//! materialization, on TPC-H Q1/Q6-shaped single-table filters over
+//! `lineitem`.
 //!
-//! The old scan clones every `Value` of every row before a single predicate
-//! runs; the new scan evaluates compiled predicates directly over the column
-//! slices and clones only the survivors' referenced columns. Prints per-scan
-//! timings and the speedup (the PR's acceptance bar is ≥2x on the selective
-//! Q6-shaped filter).
+//! The scan evaluates compiled predicates directly over the column slices
+//! and clones only the survivors' referenced columns. Before timing, its
+//! output is checked against the row-at-a-time evaluator (`expr::eval` over
+//! every materialized row), the engine's in-tree oracle.
 
 use monomi_bench::print_header;
 use monomi_engine::expr::eval;
@@ -49,17 +48,18 @@ const CASES: &[ScanCase] = &[
     },
 ];
 
-/// The seed's scan: materialize every row of the table, filter row-at-a-time,
-/// then keep only the referenced columns of the survivors.
-fn old_scan(
+/// The oracle: materialize every row of the table, filter row-at-a-time, then
+/// keep only the referenced columns of the survivors.
+fn row_at_a_time_scan(
     table: &Table,
     schema: &RowSchema,
     pred: &monomi_sql::ast::Expr,
     referenced: &[usize],
 ) -> Vec<Vec<Value>> {
     let ctx = EvalContext::with_params(&[]);
-    let rows: Vec<Vec<Value>> = (0..table.row_count()).map(|i| table.row(i)).collect();
-    rows.into_iter()
+    table
+        .rows()
+        .into_iter()
         .filter(|row| {
             eval(pred, schema, row, &ctx)
                 .expect("predicate evaluates")
@@ -72,14 +72,14 @@ fn old_scan(
 
 /// The vectorized scan: compiled predicate over column slices, then late
 /// materialization of the survivors' referenced columns.
-fn new_scan(
+fn vectorized_scan(
     table: &Table,
     schema: &RowSchema,
     pred: &monomi_sql::ast::Expr,
     referenced: &[usize],
 ) -> Vec<Vec<Value>> {
     let ctx = EvalContext::with_params(&[]);
-    let batch = table.batch();
+    let batch = table.tail_batch();
     let compiled = compile_predicate(pred, schema, &ctx);
     let selection = apply_predicate(
         &compiled,
@@ -99,7 +99,7 @@ fn median_seconds(mut samples: Vec<f64>) -> f64 {
 
 fn main() {
     print_header(
-        "Scan microbenchmark: row-materializing vs. vectorized scan",
+        "Scan microbenchmark: vectorized scan with late materialization",
         "the §8 server-side scan substrate",
     );
     let scale = std::env::var("MONOMI_SCALE")
@@ -114,20 +114,14 @@ fn main() {
         scale_factor: scale,
         ..Default::default()
     });
-    let table = db.table("lineitem").expect("lineitem exists");
-    // This bench measures the *in-memory* scan substrate (`Table::batch`);
-    // under MONOMI_STORAGE=disk the generated table lives in the segment
-    // store, so copy it back into a memory table first (the disk path has
-    // its own bench: storage_micro).
-    let mem_copy;
-    let table = if db.is_disk_backed() {
-        let mut t = Table::new(table.schema().clone());
-        t.bulk_load(table.rows()).expect("memory copy");
-        mem_copy = t;
-        &mem_copy
-    } else {
-        table
-    };
+    let generated = db.table("lineitem").expect("lineitem exists");
+    // This bench measures the scan over in-memory columns
+    // (`Table::tail_batch`), so copy the generated rows into a table without
+    // a store — under MONOMI_STORAGE=disk they were committed to segments
+    // (that path has its own bench: storage_micro).
+    let mut table = Table::new(generated.schema().clone());
+    table.bulk_load(generated.rows()).expect("memory copy");
+    let table = &table;
     let schema = RowSchema::new(
         table
             .schema()
@@ -141,12 +135,8 @@ fn main() {
         table.row_count(),
         table.size_bytes() as f64 / 1e6
     );
-    println!(
-        "{:<28} {:>10} {:>12} {:>12} {:>9}",
-        "filter", "rows out", "old scan", "new scan", "speedup"
-    );
+    println!("{:<28} {:>10} {:>12}", "filter", "rows out", "scan");
 
-    let mut q6_speedup = None;
     for case in CASES {
         let parsed = parse_query(&format!(
             "SELECT l_orderkey FROM lineitem WHERE {}",
@@ -167,40 +157,26 @@ fn main() {
             })
             .collect();
 
-        // Correctness first: both scans must select the same rows.
-        let expected = old_scan(table, &schema, &pred, &referenced);
-        let got = new_scan(table, &schema, &pred, &referenced);
-        assert_eq!(expected, got, "scans disagree on {}", case.name);
+        // Correctness first: the scan must select what the oracle selects.
+        let expected = row_at_a_time_scan(table, &schema, &pred, &referenced);
+        let got = vectorized_scan(table, &schema, &pred, &referenced);
+        assert_eq!(
+            expected, got,
+            "scan disagrees with the oracle on {}",
+            case.name
+        );
 
-        let mut old_samples = Vec::with_capacity(iters);
-        let mut new_samples = Vec::with_capacity(iters);
+        let mut samples = Vec::with_capacity(iters);
         for _ in 0..iters {
             let start = Instant::now();
-            std::hint::black_box(old_scan(table, &schema, &pred, &referenced));
-            old_samples.push(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            std::hint::black_box(new_scan(table, &schema, &pred, &referenced));
-            new_samples.push(start.elapsed().as_secs_f64());
-        }
-        let (old_s, new_s) = (median_seconds(old_samples), median_seconds(new_samples));
-        let speedup = old_s / new_s.max(1e-12);
-        if case.name.starts_with("Q6") {
-            q6_speedup = Some(speedup);
+            std::hint::black_box(vectorized_scan(table, &schema, &pred, &referenced));
+            samples.push(start.elapsed().as_secs_f64());
         }
         println!(
-            "{:<28} {:>10} {:>10.3}ms {:>10.3}ms {:>8.2}x",
+            "{:<28} {:>10} {:>10.3}ms",
             case.name,
             expected.len(),
-            old_s * 1e3,
-            new_s * 1e3,
-            speedup
-        );
-    }
-
-    if let Some(s) = q6_speedup {
-        println!(
-            "\nQ6-shaped selective scan speedup: {s:.2}x (acceptance bar: >= 2x){}",
-            if s >= 2.0 { "" } else { "  ** BELOW BAR **" }
+            median_seconds(samples) * 1e3
         );
     }
 }

@@ -8,6 +8,7 @@ use crate::plan::{DecryptSpec, RemotePlan, SplitPlan};
 use crate::schemes::EncScheme;
 use monomi_engine::{Database, Value};
 use monomi_sql::ast::{Expr, Query, TableRef};
+use monomi_store::INDEX_SELECTIVITY_CROSSOVER;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -191,17 +192,15 @@ const CLIENT_ROW_SECONDS: f64 = 2e-6;
 /// post-filter rows just like they widen the scan, so this term is scaled by
 /// the same expansion factor; selective queries pay proportionally less.
 const MATERIALIZE_BYTE_SECONDS: f64 = 1e-9;
-/// Selectivity above which the engine's runtime planner keeps the full
-/// vectorized scan instead of probing secondary indexes — the same crossover
-/// `monomi-engine` applies, mirrored here so estimates and execution pick the
-/// same access path.
-pub const INDEX_SELECTIVITY_CROSSOVER: f64 = 0.25;
 /// Fixed overhead of one index probe: the per-segment binary searches over
 /// the sorted key blocks plus reading the posting headers.
 const INDEX_PROBE_BASE_SECONDS: f64 = 2e-6;
 /// Per fetched row: posting-list read plus the late-materializing gather's
-/// random access, priced at 3× the sequential per-tuple scan cost.
-const INDEX_PROBE_ROW_SECONDS: f64 = 3.0 * SCAN_ROW_SECONDS;
+/// random access, priced so a probe breaks even with the sequential scan at
+/// the selectivity where the engine's runtime planner stops probing (3× the
+/// per-tuple scan cost at a 0.25 crossover) — estimates and execution pick
+/// the same access path.
+const INDEX_PROBE_ROW_SECONDS: f64 = (1.0 / INDEX_SELECTIVITY_CROSSOVER - 1.0) * SCAN_ROW_SECONDS;
 /// Sequential scan cost per tuple in seconds: the engine estimator's
 /// `CPU_TUPLE_COST` through the same abstract-unit conversion, so the probe
 /// vs scan comparison is made in the scan term's own currency.

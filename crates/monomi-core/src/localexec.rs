@@ -64,11 +64,12 @@ pub struct QueryTimings {
     pub client_seconds: f64,
     /// Bytes shipped from server to client.
     pub transfer_bytes: u64,
-    /// Bytes the server read from storage. On the disk backend
-    /// (`MONOMI_STORAGE=disk`) these are *stored* (encoded) bytes of the
-    /// segments scans actually decoded — real I/O, not modeled width.
+    /// Bytes the server read from storage. For committed segments these
+    /// are the *stored* (encoded) bytes of the segments scans actually
+    /// decoded — real I/O, not modeled width.
     pub server_bytes_scanned: u64,
-    /// Disk segments the server's scans read (0 on the memory backend).
+    /// Committed segments the server's scans read (0 when its tables have
+    /// no store).
     pub server_segments_read: u64,
     /// Disk segments zone-map pruning skipped before any predicate ran.
     pub server_segments_pruned: u64,
@@ -182,8 +183,35 @@ impl<'a> SplitExecutor<'a> {
         spans: &mut Vec<Span>,
     ) -> Result<(ResultSet, QueryTimings), CoreError> {
         let mut timings = QueryTimings::default();
-        // Materialize every child into a local plaintext database.
-        let mut local_db = Database::new();
+        let local_db = self.residual_database(children, trace, spans, &mut timings)?;
+        let started = Stopwatch::start();
+        let (rs, _) = local_db
+            .execute_with(query, &[], &self.exec_options)
+            .map_err(|e| CoreError::new(e.to_string()))?;
+        let residual_seconds = started.seconds();
+        timings.client_seconds += residual_seconds;
+        if !trace.is_zero() {
+            spans.push(Span::leaf(
+                "ClientResidual",
+                residual_seconds,
+                rs.rows.len() as u64,
+            ));
+        }
+        Ok((rs, timings))
+    }
+
+    /// Materializes every child of a client-side step into the plaintext
+    /// database its residual query runs over. Always storeless: decrypted
+    /// intermediates must never be written to disk by the trusted side,
+    /// whatever `MONOMI_STORAGE` says.
+    fn residual_database(
+        &self,
+        children: &[(String, SplitPlan)],
+        trace: TraceId,
+        spans: &mut Vec<Span>,
+        timings: &mut QueryTimings,
+    ) -> Result<Database, CoreError> {
+        let mut local_db = Database::in_memory();
         for (binding, child) in children {
             let mut child_spans = Vec::new();
             let (rs, t) = self.dispatch(child, trace, &mut child_spans)?;
@@ -224,20 +252,7 @@ impl<'a> SplitExecutor<'a> {
                 .map_err(|e| CoreError::new(e.to_string()))?;
             timings.client_seconds += started.seconds();
         }
-        let started = Stopwatch::start();
-        let (rs, _) = local_db
-            .execute_with(query, &[], &self.exec_options)
-            .map_err(|e| CoreError::new(e.to_string()))?;
-        let residual_seconds = started.seconds();
-        timings.client_seconds += residual_seconds;
-        if !trace.is_zero() {
-            spans.push(Span::leaf(
-                "ClientResidual",
-                residual_seconds,
-                rs.rows.len() as u64,
-            ));
-        }
-        Ok((rs, timings))
+        Ok(local_db)
     }
 
     fn execute_remote(
@@ -1082,5 +1097,46 @@ fn value_column_type(v: &Value) -> Option<ColumnType> {
         Value::Str(_) => Some(ColumnType::Str),
         Value::Date(_) => Some(ColumnType::Date),
         Value::Bytes(_) | Value::List(_) => Some(ColumnType::Bytes),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::design::PhysicalDesign;
+    use crate::transport::InProcessTransport;
+    use monomi_crypto::MasterKey;
+    use monomi_sql::parse_query;
+
+    /// The client's residual database holds decrypted intermediates, so it
+    /// must not get a segment store even in a process started with
+    /// `MONOMI_STORAGE=disk` (where `Database::new()` would create one under
+    /// `$TMPDIR`).
+    #[test]
+    fn residual_database_of_a_client_step_is_never_disk_backed() {
+        let server = InProcessTransport::new(Database::in_memory());
+        let encryptor = Encryptor::new(MasterKey::from_bytes([7; 32]), PhysicalDesign::new(128), 1);
+        let network = NetworkModel::paper_default();
+        let executor = SplitExecutor {
+            server: &server,
+            encryptor: &encryptor,
+            network: &network,
+            exec_options: ExecOptions::serial(),
+        };
+        let child = SplitPlan::Client {
+            query: parse_query("SELECT 7 AS x").unwrap(),
+            children: Vec::new(),
+        };
+        let children = vec![("c".to_string(), child)];
+
+        let mut timings = QueryTimings::default();
+        let db = executor
+            .residual_database(&children, TraceId::ZERO, &mut Vec::new(), &mut timings)
+            .unwrap();
+        assert!(!db.is_disk_backed());
+        let table = db.table("c").expect("child materialized");
+        assert_eq!(table.backing_name(), "memory");
+        assert_eq!(table.stored_bytes(), 0);
+        assert_eq!(table.rows(), vec![vec![Value::Int(7)]]);
     }
 }

@@ -24,9 +24,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Environment knob selecting the backend [`Database::new`] uses:
-/// `memory` (default) or `disk` (a fresh temporary segment store, removed
-/// when the database is dropped). Sampled once per process.
+/// Environment knob selecting whether [`Database::new`] gives its tables a
+/// segment store: `memory` (default, none) or `disk` (a fresh temporary
+/// store, removed when the database is dropped). Sampled once per process.
 pub const STORAGE_ENV: &str = "MONOMI_STORAGE";
 
 fn env_default_is_disk() -> bool {
@@ -84,11 +84,11 @@ impl PaillierServerCtx {
     }
 }
 
-/// An analytical database over one of two storage backends: purely in-memory
-/// tables (the original engine) or a persistent columnar segment store
-/// ([`monomi_store::Store`]) with zone-map pruning, a crash-safe catalog, and
-/// a byte-budgeted segment cache. Query results are byte-identical across
-/// backends at every thread count.
+/// An analytical database. Its tables commit their rows to a persistent
+/// columnar segment store ([`monomi_store::Store`]: zone-map pruning, a
+/// crash-safe catalog, a byte-budgeted segment cache) when the database has
+/// one, and keep them in memory when it does not; query results are
+/// byte-identical either way, at every thread count.
 pub struct Database {
     catalog: Catalog,
     /// Tables by lowercased name. A BTreeMap, not a HashMap: `persist` walks
@@ -98,7 +98,7 @@ pub struct Database {
     tables: BTreeMap<String, Table>,
     paillier: Option<Arc<PaillierServerCtx>>,
     stats_cache: RwLock<Option<HashMap<String, TableStats>>>,
-    /// The segment store of a disk-backed database.
+    /// The segment store new tables commit their rows to, if any.
     store: Option<Arc<Store>>,
     /// A temporary store directory this database owns (removed on drop).
     temp_dir: Option<PathBuf>,
@@ -122,8 +122,8 @@ impl Drop for Database {
 }
 
 impl Database {
-    /// Creates an empty database on the backend `MONOMI_STORAGE` selects:
-    /// in-memory by default, or a fresh temporary segment store under
+    /// Creates an empty database as `MONOMI_STORAGE` selects: without a store
+    /// by default, or over a fresh temporary segment store under
     /// `MONOMI_STORAGE=disk` (removed when the database is dropped). For an
     /// explicit choice use [`in_memory`](Self::in_memory) or
     /// [`open`](Self::open).
@@ -140,8 +140,8 @@ impl Database {
         }
     }
 
-    /// Creates an empty database with purely in-memory tables, regardless of
-    /// the environment.
+    /// Creates an empty database without a segment store — every table stays
+    /// in memory — regardless of the environment.
     pub fn in_memory() -> Self {
         Database {
             catalog: Catalog::new(),
@@ -177,7 +177,7 @@ impl Database {
             );
             db.catalog.register(schema.clone());
             db.tables
-                .insert(name, Table::new_disk(schema, Arc::clone(&store)));
+                .insert(name, Table::with_store(schema, Some(Arc::clone(&store))));
         }
         db.store = Some(store);
         db
@@ -195,7 +195,7 @@ impl Database {
     }
 
     /// Flushes every table's unflushed tail into committed segments (no-op
-    /// for memory databases). After this returns, [`Database::open`] on the
+    /// without a store). After this returns, [`Database::open`] on the
     /// same path sees every row.
     ///
     /// Tables flush in name order (the map is a `BTreeMap`), so two databases
@@ -209,12 +209,12 @@ impl Database {
     }
 
     /// Creates a table from a schema (replacing any existing table of that
-    /// name). On the disk backend the schema is committed to the store's
-    /// catalog before the table becomes usable.
+    /// name). With a store, the schema is committed to the store's catalog
+    /// before the table becomes usable.
     ///
     /// # Panics
     ///
-    /// On the disk backend, panics if the catalog commit fails (e.g. the
+    /// Panics if that catalog commit fails (e.g. the
     /// store directory became unwritable or the disk filled up) — the
     /// infallible signature is part of the original engine API; storage
     /// errors after setup surface as `Result`s (`insert`, `bulk_load`,
@@ -227,29 +227,26 @@ impl Database {
     /// of secondary-index builds. An index file materializes a column's
     /// ciphertext equality (DET) or ordering (OPE) structure at rest; the
     /// opt-out trades lookup speed for not storing that structure. Only
-    /// meaningful on the disk backend (memory tables build no indexes);
+    /// meaningful with a store (indexes are built per committed segment);
     /// unknown names are harmless.
     pub fn create_table_with(&mut self, schema: TableSchema, unindexed: Vec<String>) {
         let key = schema.name.to_lowercase();
         self.catalog.register(schema.clone());
-        let table = match &self.store {
-            Some(store) => {
-                store
-                    .create_table_with(
-                        &key,
-                        schema
-                            .columns
-                            .iter()
-                            .map(|c| (c.name.clone(), c.ty))
-                            .collect(),
-                        unindexed,
-                    )
-                    .expect("catalog commit succeeds");
-                Table::new_disk(schema, Arc::clone(store))
-            }
-            None => Table::new(schema),
-        };
-        self.tables.insert(key, table);
+        if let Some(store) = &self.store {
+            store
+                .create_table_with(
+                    &key,
+                    schema
+                        .columns
+                        .iter()
+                        .map(|c| (c.name.clone(), c.ty))
+                        .collect(),
+                    unindexed,
+                )
+                .expect("catalog commit succeeds");
+        }
+        self.tables
+            .insert(key, Table::with_store(schema, self.store.clone()));
         self.invalidate_stats();
     }
 
@@ -317,15 +314,15 @@ impl Database {
         &self.catalog
     }
 
-    /// Total logical size of all tables in bytes — identical across backends
-    /// (the space-overhead experiments depend on that). The disk backend's
-    /// physical footprint is [`total_stored_bytes`](Self::total_stored_bytes).
+    /// Total logical size of all tables in bytes — the same with or without
+    /// a store (the space-overhead experiments depend on that). The physical
+    /// footprint is [`total_stored_bytes`](Self::total_stored_bytes).
     pub fn total_size_bytes(&self) -> usize {
         self.tables.values().map(Table::size_bytes).sum()
     }
 
     /// Total stored (encoded) bytes of committed segments — the real on-disk
-    /// footprint of a disk-backed database (0 for memory databases).
+    /// footprint (0 without a store).
     pub fn total_stored_bytes(&self) -> usize {
         self.tables.values().map(Table::stored_bytes).sum()
     }
@@ -353,20 +350,9 @@ impl Database {
         self.execute_with(&query, params, opts)
     }
 
-    /// Executes a parsed query with positional parameters, using the
-    /// environment-derived execution options. Thread count defaults to
-    /// `MONOMI_THREADS` (or all available cores); results are bit-identical
-    /// at every thread count.
-    pub fn execute(
-        &self,
-        query: &Query,
-        params: &[Value],
-    ) -> Result<(ResultSet, ExecStats), EngineError> {
-        self.execute_with(query, params, &ExecOptions::env_cached())
-    }
-
     /// Executes a parsed query with explicit execution options (worker thread
-    /// count and morsel size).
+    /// count and morsel size); results are bit-identical at every thread
+    /// count.
     pub fn execute_with(
         &self,
         query: &Query,
@@ -376,22 +362,11 @@ impl Database {
         execute_query(self, query, params, opts)
     }
 
-    /// Executes a SQL string like [`Database::execute_sql_with`], additionally
-    /// collecting one span per named operator (see
-    /// [`execute_query_traced`]). Results and work counters are identical to
-    /// the untraced path; only wall-clock observability is added.
-    pub fn execute_sql_traced(
-        &self,
-        sql: &str,
-        params: &[Value],
-        opts: &ExecOptions,
-    ) -> Result<(ResultSet, ExecStats, Vec<monomi_obs::Span>), EngineError> {
-        let query = parse_query(sql).map_err(|e| EngineError::new(e.to_string()))?;
-        self.execute_with_traced(&query, params, opts)
-    }
-
     /// Executes a parsed query like [`Database::execute_with`], additionally
-    /// collecting per-operator spans.
+    /// collecting one span per named operator (`ScanFilter`, `HashJoin`,
+    /// `MorselAggregate`, `Sort`) in execution order. Results and work
+    /// counters are identical to the untraced path; only wall-clock
+    /// observability is added.
     pub fn execute_with_traced(
         &self,
         query: &Query,

@@ -31,6 +31,7 @@ use crate::value::Value;
 use crate::EngineError;
 use monomi_obs::Span;
 use monomi_sql::ast::*;
+use monomi_store::INDEX_SELECTIVITY_CROSSOVER;
 use std::collections::HashMap;
 
 /// A query result: named columns and materialized rows.
@@ -85,16 +86,16 @@ pub struct ExecStats {
     pub result_rows: u64,
     /// Bytes produced.
     pub result_bytes: u64,
-    /// Disk segments decoded (or served from the segment cache) by scans.
-    /// Always 0 on the memory backing.
+    /// Committed segments decoded (or served from the segment cache) by
+    /// scans. Always 0 for tables without a store.
     pub segments_read: u64,
-    /// Disk segments skipped before any predicate ran — by zone-map pruning
+    /// Committed segments skipped before any predicate ran — by zone-map pruning
     /// or by an index-probe intersection coming back empty. Pruned segments
     /// contribute nothing to `rows_scanned`/`bytes_scanned` — they were
     /// never read.
     pub segments_pruned: u64,
     /// Index postings lookups (one per probeable conjunct per indexed
-    /// segment). Always 0 on the memory backing and with `MONOMI_INDEXES=off`.
+    /// segment). Always 0 for tables without a store and with `MONOMI_INDEXES=off`.
     pub index_probes: u64,
     /// Row ids returned by index probes, before conjunct intersection. A
     /// probed segment's `rows_scanned` is its *seeded* row count, so the
@@ -200,7 +201,7 @@ impl ExecStats {
 }
 
 /// Executes a query against a database with the given execution options.
-pub fn execute_query(
+pub(crate) fn execute_query(
     db: &Database,
     query: &Query,
     params: &[Value],
@@ -219,7 +220,7 @@ pub fn execute_query(
 /// in a stopwatch, it never reorders or alters work. When tracing is off the
 /// executor makes zero clock calls (the `timed` helper short-circuits), so
 /// the untraced hot path pays nothing.
-pub fn execute_query_traced(
+pub(crate) fn execute_query_traced(
     db: &Database,
     query: &Query,
     params: &[Value],
@@ -377,13 +378,6 @@ fn make_subquery_fn<'a>(
         Ok(rs.rows)
     }
 }
-
-/// Fraction of a table a probed conjunct may be estimated to select before a
-/// full vectorized scan is considered cheaper than gathering and intersecting
-/// postings. Probing is only a win when the seed it produces is small: every
-/// compiled predicate still runs over the seeded rows, so a low-selectivity
-/// probe pays the posting fetch *and* nearly the whole column pass.
-const INDEX_SELECTIVITY_CROSSOVER: f64 = 0.25;
 
 /// Assumed selectivity for a range whose bounds don't interpolate numerically
 /// (strings, bytes): above the crossover, so such ranges scan by default.

@@ -1252,7 +1252,7 @@ mod tests {
             let ctx = EvalContext::with_params(params);
             let compiled = compile_predicate(&pred, &schema, &ctx);
             let t = table();
-            let batch = t.batch();
+            let batch = t.tail_batch();
             let sel = apply_predicate(
                 &compiled,
                 &batch,
@@ -1374,7 +1374,7 @@ mod tests {
             let q = parse_query("SELECT a FROM t WHERE a LIKE 'A%'").unwrap();
             let compiled = compile_predicate(&q.where_clause.unwrap(), &schema, &ctx);
             let t = table();
-            let batch = t.batch();
+            let batch = t.tail_batch();
             let err = apply_predicate(
                 &compiled,
                 &batch,

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! # monomi-engine
 //!
-//! An in-memory columnar analytical database engine: the stand-in for the
+//! A columnar analytical database engine: the stand-in for the
 //! "unmodified DBMS (Postgres)" that MONOMI (Tu et al., VLDB 2013) uses as its
 //! untrusted server.
 //!
@@ -42,7 +42,7 @@ pub mod storage;
 pub mod value;
 
 pub use database::{Database, PaillierServerCtx, STORAGE_ENV};
-pub use exec::{execute_query_traced, ExecStats, ResultSet};
+pub use exec::{ExecStats, ResultSet};
 pub use expr::{
     apply_predicate, compile_predicate, decode_hex, encode_hex, zone_may_match, ColumnarPredicate,
     EvalContext, RowSchema,

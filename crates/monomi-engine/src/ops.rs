@@ -369,16 +369,15 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// slices of one base-table partition and late-materializes the survivors'
 /// referenced columns. The only operator that reads base-table storage.
 ///
-/// Partitioning comes from [`Table::scan_plan`]: fixed morsel-row ranges for
-/// the memory backing, *segment-aligned* partitions for the disk backing
-/// (plus morsel ranges over the unflushed tail). Before a segment partition
-/// is decoded, its zone map is consulted
-/// ([`zone_may_match`](crate::expr::zone_may_match)) — a segment no row of
-/// which can satisfy the conjuncts is skipped entirely, contributing neither
-/// rows nor bytes to the scan counters (it was never read). Pruning is
-/// result-invisible: skipping is exactly equivalent to evaluating the
-/// predicates and finding zero survivors, so disk results stay byte-identical
-/// to memory results.
+/// Partitioning comes from [`Table::scan_plan`]: one *segment-aligned*
+/// partition per committed segment, then fixed morsel-row ranges over the
+/// in-memory tail. Before a segment partition is decoded, its zone map is
+/// consulted ([`zone_may_match`](crate::expr::zone_may_match)) — a segment no
+/// row of which can satisfy the conjuncts is skipped entirely, contributing
+/// neither rows nor bytes to the scan counters (it was never read). Pruning
+/// is result-invisible: skipping is exactly equivalent to evaluating the
+/// predicates and finding zero survivors, so results do not depend on which
+/// rows are committed and which are in the tail.
 pub(crate) struct ScanFilter<'a> {
     pub table: &'a crate::storage::Table,
     pub schema: &'a RowSchema,
@@ -436,9 +435,8 @@ impl ScanFilter<'_> {
         use crate::storage::ScanPartition;
         match partition {
             ScanPartition::Range { start, end } => {
-                // In-memory rows (whole table or disk tail): logical bytes,
-                // exactly the original morsel scan.
-                let batch = self.table.range_batch();
+                // Tail rows are in memory: logical bytes.
+                let batch = self.table.tail_batch();
                 let bytes_scanned: usize = (0..batch.column_count())
                     .map(|c| {
                         batch.column(c)[start..end]
@@ -574,8 +572,8 @@ impl ScanFilter<'_> {
         opts: &ExecOptions,
     ) -> Result<(Vec<Vec<Value>>, crate::exec::ExecStats), EngineError> {
         let plan = self.table.scan_plan(opts.morsel_rows);
-        // One claim per partition: partitions already embody the morsel
-        // granularity (ranges) or the segment alignment (disk).
+        // One claim per partition: partitions already embody the segment
+        // alignment or the morsel granularity (tail ranges).
         let claim_opts = ExecOptions {
             morsel_rows: 1,
             ..*opts

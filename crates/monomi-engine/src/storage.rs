@@ -1,27 +1,32 @@
-//! Columnar table storage with byte-size accounting — over two backends.
+//! Columnar table storage with byte-size accounting.
 //!
-//! A [`Table`] is either **memory-backed** (column-major `Vec<Value>`s, the
-//! original engine) or **disk-backed**: committed rows live in write-once
-//! columnar segments managed by [`monomi_store::Store`] (encodings, zone
-//! maps, crash-safe catalog, byte-budgeted cache), plus an in-memory *tail*
-//! of rows not yet flushed to a segment. `Database` picks the backend
-//! (`MONOMI_STORAGE=memory|disk`, `Database::open`); everything above the
-//! scan treats both identically, and results are byte-identical across
-//! backends because segment encodings round-trip values exactly.
+//! A [`Table`] is *zero or more committed segments followed by an in-memory
+//! tail*. Committed rows live in write-once columnar segments managed by a
+//! [`monomi_store::Store`] (encodings, zone maps, crash-safe catalog,
+//! byte-budgeted cache); the tail holds, column-major, the rows not yet
+//! flushed to a segment. A table without a store — what `Database::in_memory`
+//! creates, and the trusted client's residual tables always are — has no
+//! committed part and a tail that never flushes: every accessor reads
+//! "committed part (empty without a store), then tail", so there is one
+//! table type and one code path. Which tables get a store is decided by
+//! `Database` (`Database::{in_memory, open, with_store}`); results are
+//! byte-identical either way because segment encodings round-trip values
+//! exactly.
 //!
-//! Scans are vectorized on both backends: a [`ColumnBatch`] exposes columns
-//! as borrowed slices, predicates narrow a [`SelectionVector`] of surviving
-//! row indices, and only the survivors' referenced columns are materialized
-//! ("late materialization"). Disk scans are *segment-granular*: the scan
-//! plan ([`Table::scan_plan`]) aligns partitions to segment boundaries so
-//! each worker decodes (or cache-hits) whole segments, and the executor
-//! consults each segment's zone map to skip it before any predicate runs.
+//! Scans are vectorized: a [`ColumnBatch`] exposes columns as borrowed
+//! slices, predicates narrow a [`SelectionVector`] of surviving row indices,
+//! and only the survivors' referenced columns are materialized ("late
+//! materialization"). The scan plan ([`Table::scan_plan`]) has one partition
+//! per committed segment — each worker decodes (or cache-hits) whole
+//! segments, and the executor consults the segment's zone map to skip it
+//! before any predicate runs — followed by morsel-sized row ranges over the
+//! tail.
 //!
 //! Byte accounting is two-level: [`Table::size_bytes`] stays *logical*
-//! (`Value::size_bytes`, identical across backends — the space experiments
-//! depend on it), while the scan's `bytes_scanned` reports *stored* bytes
-//! for segments actually read — the honest disk I/O the cost model's
-//! `disk_seconds` now prices.
+//! (`Value::size_bytes`, the same number wherever the rows live — the space
+//! experiments depend on it), while the scan's `bytes_scanned` reports
+//! *stored* bytes for segments actually read — the honest disk I/O the cost
+//! model's `disk_seconds` prices.
 
 use crate::schema::TableSchema;
 use crate::value::Value;
@@ -164,31 +169,10 @@ struct ColumnMemo {
     min_max: Option<(Value, Value)>,
 }
 
-/// Where a table's rows live.
-enum Backing {
-    /// The original in-memory engine: one `Vec<Value>` per column.
-    Memory {
-        columns: Vec<Vec<Value>>,
-        row_count: usize,
-    },
-    /// Committed segments in a [`Store`] plus an in-memory tail of rows not
-    /// yet flushed (flushed automatically once it reaches the segment size,
-    /// or explicitly via [`Table::flush`]).
-    Disk {
-        store: Arc<Store>,
-        /// Lower-cased manifest key.
-        key: String,
-        /// Column-major unflushed rows.
-        tail: Vec<Vec<Value>>,
-        tail_rows: usize,
-    },
-}
-
-/// One unit of scan work, aligned to the backing's natural boundaries.
+/// One unit of scan work.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ScanPartition {
-    /// A row range of the in-memory columns (the whole table for the memory
-    /// backing, the unflushed tail for the disk backing).
+    /// A row range of the in-memory tail.
     Range { start: usize, end: usize },
     /// One committed segment (index into [`ScanPlan::segments`]).
     Segment(usize),
@@ -215,10 +199,17 @@ impl ScanPlan {
     }
 }
 
-/// A columnar table over one of the two backings.
+/// A columnar table: committed segments in a [`Store`], then an in-memory
+/// tail.
 pub struct Table {
     schema: TableSchema,
-    backing: Backing,
+    /// Where committed segments live, with this table's lower-cased manifest
+    /// key. `None`: the table has no committed part and its tail never
+    /// flushes.
+    store: Option<(Arc<Store>, String)>,
+    /// Column-major rows not (yet) flushed to a segment.
+    tail: Vec<Vec<Value>>,
+    tail_rows: usize,
     /// Lazily computed per-column statistics; `None` = not yet computed.
     stats_memo: RwLock<Vec<Option<ColumnMemo>>>,
 }
@@ -227,23 +218,9 @@ impl Clone for Table {
     fn clone(&self) -> Self {
         Table {
             schema: self.schema.clone(),
-            backing: match &self.backing {
-                Backing::Memory { columns, row_count } => Backing::Memory {
-                    columns: columns.clone(),
-                    row_count: *row_count,
-                },
-                Backing::Disk {
-                    store,
-                    key,
-                    tail,
-                    tail_rows,
-                } => Backing::Disk {
-                    store: Arc::clone(store),
-                    key: key.clone(),
-                    tail: tail.clone(),
-                    tail_rows: *tail_rows,
-                },
-            },
+            store: self.store.clone(),
+            tail: self.tail.clone(),
+            tail_rows: self.tail_rows,
             stats_memo: RwLock::new(self.stats_memo.read().clone()),
         }
     }
@@ -259,41 +236,36 @@ impl std::fmt::Debug for Table {
     }
 }
 
+fn logical_bytes(column: &[Value]) -> usize {
+    column.iter().map(Value::size_bytes).sum()
+}
+
 impl Table {
-    /// Creates an empty in-memory table with the given schema.
+    /// Creates an empty table with no store: all rows stay in memory.
     pub fn new(schema: TableSchema) -> Self {
-        let columns = vec![Vec::new(); schema.columns.len()];
+        Self::with_store(schema, None)
+    }
+
+    /// Creates an empty table whose tail flushes into `store`, if there is
+    /// one (the caller — `Database` — has already committed the schema to
+    /// the store's catalog).
+    pub(crate) fn with_store(schema: TableSchema, store: Option<Arc<Store>>) -> Self {
         Table {
+            store: store.map(|store| (store, schema.name.to_lowercase())),
+            tail: vec![Vec::new(); schema.columns.len()],
+            tail_rows: 0,
             stats_memo: RwLock::new(vec![None; schema.columns.len()]),
-            backing: Backing::Memory {
-                columns,
-                row_count: 0,
-            },
             schema,
         }
     }
 
-    /// Creates an empty disk-backed table registered in `store` (the caller —
-    /// `Database` — has already committed the schema to the store's catalog).
-    pub(crate) fn new_disk(schema: TableSchema, store: Arc<Store>) -> Self {
-        let key = schema.name.to_lowercase();
-        Table {
-            stats_memo: RwLock::new(vec![None; schema.columns.len()]),
-            backing: Backing::Disk {
-                store,
-                key,
-                tail: vec![Vec::new(); schema.columns.len()],
-                tail_rows: 0,
-            },
-            schema,
-        }
-    }
-
-    /// `"memory"` or `"disk"` — which backing holds this table.
+    /// `"disk"` when flushed rows are committed to a segment store,
+    /// `"memory"` when the table has none.
     pub fn backing_name(&self) -> &'static str {
-        match &self.backing {
-            Backing::Memory { .. } => "memory",
-            Backing::Disk { .. } => "disk",
+        if self.store.is_some() {
+            "disk"
+        } else {
+            "memory"
         }
     }
 
@@ -302,132 +274,100 @@ impl Table {
         &self.schema
     }
 
-    /// Number of rows.
-    pub fn row_count(&self) -> usize {
-        match &self.backing {
-            Backing::Memory { row_count, .. } => *row_count,
-            Backing::Disk {
-                store,
-                key,
-                tail_rows,
-                ..
-            } => store.table_rows(key) as usize + tail_rows,
+    /// Runs `f` over a borrowed view of the committed segments' catalog
+    /// entries — empty for a table without a store. The store's manifest
+    /// lock is held for the duration of `f`: no segment decoding inside.
+    fn with_segments<R>(&self, f: impl FnOnce(&[SegmentMeta]) -> R) -> R {
+        match &self.store {
+            Some((store, key)) => store.with_table_meta(key, |meta| {
+                f(meta.map(|m| m.segments.as_slice()).unwrap_or_default())
+            }),
+            None => f(&[]),
         }
     }
 
-    /// Appends a row after validating it against the schema. On the disk
-    /// backing the row joins the in-memory tail, which is flushed into a
-    /// committed segment once it reaches the store's segment size.
+    /// An owned snapshot of the committed segments' catalog entries.
+    fn segments(&self) -> Vec<SegmentMeta> {
+        self.with_segments(<[SegmentMeta]>::to_vec)
+    }
+
+    /// Number of rows.
+    pub fn row_count(&self) -> usize {
+        self.with_segments(|segs| segs.iter().map(|s| s.rows as usize).sum::<usize>())
+            + self.tail_rows
+    }
+
+    /// Appends a row after validating it against the schema. The row joins
+    /// the tail, which is flushed into a committed segment once it reaches
+    /// the store's segment size.
     pub fn insert(&mut self, row: Vec<Value>) -> Result<(), String> {
         self.schema.check_row(&row)?;
         self.invalidate_stats();
-        match &mut self.backing {
-            Backing::Memory { columns, row_count } => {
-                for (col, v) in columns.iter_mut().zip(row) {
-                    col.push(v);
-                }
-                *row_count += 1;
-            }
-            Backing::Disk {
-                tail, tail_rows, ..
-            } => {
-                for (col, v) in tail.iter_mut().zip(row) {
-                    col.push(v);
-                }
-                *tail_rows += 1;
-                if *tail_rows >= self.segment_rows() {
-                    self.flush()?;
-                }
-            }
+        self.push_row(row);
+        if self
+            .store
+            .as_ref()
+            .is_some_and(|(store, _)| self.tail_rows >= store.segment_rows())
+        {
+            self.flush()?;
         }
         Ok(())
     }
 
     /// Bulk-loads rows; stops at the first invalid row (the valid prefix is
-    /// kept, matching single-row `insert` semantics). On the disk backing the
-    /// whole load — tail included — is flushed into segments and published
-    /// with one atomic catalog commit, so zone maps exist as soon as the load
+    /// kept, matching single-row `insert` semantics). The whole load — any
+    /// earlier tail included — is flushed into segments and published with
+    /// one atomic catalog commit, so zone maps exist as soon as the load
     /// returns.
     pub fn bulk_load(&mut self, rows: Vec<Vec<Value>>) -> Result<(), String> {
         self.invalidate_stats();
+        for col in &mut self.tail {
+            col.reserve(rows.len());
+        }
         let mut first_error = None;
-        match &mut self.backing {
-            Backing::Memory { columns, row_count } => {
-                for (col, _) in columns.iter_mut().zip(self.schema.columns.iter()) {
-                    col.reserve(rows.len());
-                }
-                for row in rows {
-                    if let Err(e) = self.schema.check_row(&row) {
-                        first_error = Some(e);
-                        break;
-                    }
-                    for (col, v) in columns.iter_mut().zip(row) {
-                        col.push(v);
-                    }
-                    *row_count += 1;
-                }
+        for row in rows {
+            if let Err(e) = self.schema.check_row(&row) {
+                first_error = Some(e);
+                break;
             }
-            Backing::Disk {
-                tail, tail_rows, ..
-            } => {
-                for row in rows {
-                    if let Err(e) = self.schema.check_row(&row) {
-                        first_error = Some(e);
-                        break;
-                    }
-                    for (col, v) in tail.iter_mut().zip(row) {
-                        col.push(v);
-                    }
-                    *tail_rows += 1;
-                }
-                self.flush()?;
-            }
+            self.push_row(row);
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.flush()?;
+        first_error.map_or(Ok(()), Err)
     }
 
-    /// Rows per segment of the disk backing (unused for memory tables).
-    fn segment_rows(&self) -> usize {
-        match &self.backing {
-            Backing::Memory { .. } => usize::MAX,
-            Backing::Disk { store, .. } => store.segment_rows(),
+    /// Appends an already validated row to the tail.
+    fn push_row(&mut self, row: Vec<Value>) {
+        for (col, v) in self.tail.iter_mut().zip(row) {
+            col.push(v);
         }
+        self.tail_rows += 1;
     }
 
-    /// Flushes the disk backing's tail into committed segments (one atomic
-    /// catalog commit); a no-op for memory tables and empty tails.
+    /// Flushes the tail into committed segments (one atomic catalog commit).
+    /// A no-op for an empty tail, and for a table without a store — its rows
+    /// have nowhere to go and stay in the tail.
     pub fn flush(&mut self) -> Result<(), String> {
-        {
-            let Backing::Disk {
-                store,
-                key,
-                tail,
-                tail_rows,
-            } = &mut self.backing
-            else {
-                return Ok(());
-            };
-            if *tail_rows == 0 {
-                return Ok(());
-            }
-            let segment_rows = store.segment_rows();
-            let mut load = store.begin_load(key);
-            let mut start = 0usize;
-            while start < *tail_rows {
-                let end = (start + segment_rows).min(*tail_rows);
-                let chunk: Vec<Vec<Value>> = tail.iter().map(|c| c[start..end].to_vec()).collect();
-                load.add_segment(&chunk).map_err(|e| e.to_string())?;
-                start = end;
-            }
-            load.commit().map_err(|e| e.to_string())?;
-            for col in tail.iter_mut() {
-                col.clear();
-            }
-            *tail_rows = 0;
+        let Some((store, key)) = &self.store else {
+            return Ok(());
+        };
+        if self.tail_rows == 0 {
+            return Ok(());
         }
+        let segment_rows = store.segment_rows();
+        let mut load = store.begin_load(key);
+        let mut start = 0usize;
+        while start < self.tail_rows {
+            let end = (start + segment_rows).min(self.tail_rows);
+            let chunk: Vec<Vec<Value>> = self.tail.iter().map(|c| c[start..end].to_vec()).collect();
+            load.add_segment(&chunk).map_err(|e| e.to_string())?;
+            start = end;
+        }
+        load.commit().map_err(|e| e.to_string())?;
+        for col in &mut self.tail {
+            col.clear();
+        }
+        self.tail_rows = 0;
         // Publication moved rows from the tail into segments: the logical
         // values are unchanged, but the memoized stats must not outlive the
         // state they were computed from — index-vs-scan costing reads them,
@@ -436,159 +376,103 @@ impl Table {
         Ok(())
     }
 
-    /// The value at `(row, column)`. Disk-backed reads go through the segment
-    /// cache (use scans, not point reads, for anything hot).
+    /// Resolves a row index to the committed segment holding it and the
+    /// row's offset there — or `None` and its offset in the tail. Clones one
+    /// `SegmentMeta`, not the whole catalog entry: this runs per row in
+    /// `clone_database`-style table copies.
+    fn locate(&self, row: usize) -> (Option<SegmentMeta>, usize) {
+        let mut offset = row;
+        let seg = self.with_segments(|segs| {
+            for seg in segs {
+                let rows = seg.rows as usize;
+                if offset < rows {
+                    return Some(seg.clone());
+                }
+                offset -= rows;
+            }
+            None
+        });
+        (seg, offset)
+    }
+
+    /// Decodes one committed segment for a point or whole-table read.
+    fn decode(&self, seg: &SegmentMeta) -> Arc<SegmentData> {
+        self.read_segment(seg)
+            .unwrap_or_else(|e| panic!("segment read failed: {e}"))
+    }
+
+    /// The value at `(row, column)`. Committed rows are read through the
+    /// segment cache (use scans, not point reads, for anything hot).
     pub fn value(&self, row: usize, column: usize) -> Value {
-        match &self.backing {
-            Backing::Memory { columns, .. } => columns[column][row].clone(),
-            Backing::Disk { .. } => self.row(row)[column].clone(),
+        match self.locate(row) {
+            (Some(seg), offset) => self.decode(&seg).columns[column][offset].clone(),
+            (None, offset) => self.tail[column][offset].clone(),
         }
     }
 
     /// Materializes one row.
     pub fn row(&self, row: usize) -> Vec<Value> {
-        match &self.backing {
-            Backing::Memory { columns, .. } => columns.iter().map(|c| c[row].clone()).collect(),
-            Backing::Disk {
-                store, key, tail, ..
-            } => {
-                // Locate the owning segment under a borrow (cloning one
-                // `SegmentMeta`, not the whole catalog entry — this runs per
-                // row in `clone_database`-style table copies), then decode
-                // outside the closure.
-                let mut offset = row;
-                let seg = store.with_table_meta(key, |meta| {
-                    for seg in meta.map(|m| m.segments.as_slice()).unwrap_or_default() {
-                        let rows = seg.rows as usize;
-                        if offset < rows {
-                            return Some(seg.clone());
-                        }
-                        offset -= rows;
-                    }
-                    None
-                });
-                match seg {
-                    Some(seg) => {
-                        let data = store
-                            .read_segment(&seg)
-                            .unwrap_or_else(|e| panic!("segment read failed: {e}"));
-                        data.columns.iter().map(|c| c[offset].clone()).collect()
-                    }
-                    None => tail.iter().map(|c| c[offset].clone()).collect(),
-                }
-            }
+        let pick = |columns: &[Vec<Value>], offset: usize| {
+            columns.iter().map(|c| c[offset].clone()).collect()
+        };
+        match self.locate(row) {
+            (Some(seg), offset) => pick(&self.decode(&seg).columns, offset),
+            (None, offset) => pick(&self.tail, offset),
         }
     }
 
-    /// Materializes every row of the table. Memory backing copies the
-    /// columns directly; the disk backing makes **one pass** over the
+    /// Materializes every row of the table in **one pass** over the
     /// committed segments (each decoded once, through the cache) and then
     /// the tail — prefer this over per-index [`row`](Self::row) for
     /// whole-table extraction, which would re-walk the segment catalog on
     /// every call (O(rows × segments)).
     pub fn rows(&self) -> Vec<Vec<Value>> {
         let mut out = Vec::with_capacity(self.row_count());
-        match &self.backing {
-            Backing::Memory { columns, row_count } => {
-                for r in 0..*row_count {
-                    out.push(columns.iter().map(|c| c[r].clone()).collect());
-                }
-            }
-            Backing::Disk {
-                store,
-                key,
-                tail,
-                tail_rows,
-            } => {
-                let segments = store.with_table_meta(key, |meta| {
-                    meta.map(|m| m.segments.clone()).unwrap_or_default()
-                });
-                for seg in &segments {
-                    let data = store
-                        .read_segment(seg)
-                        .unwrap_or_else(|e| panic!("segment read failed: {e}"));
-                    for r in 0..data.rows {
-                        out.push(data.columns.iter().map(|c| c[r].clone()).collect());
-                    }
-                }
-                for r in 0..*tail_rows {
-                    out.push(tail.iter().map(|c| c[r].clone()).collect());
-                }
-            }
+        let mut extend = |columns: &[Vec<Value>], rows: usize| {
+            out.extend((0..rows).map(|r| columns.iter().map(|c| c[r].clone()).collect()));
+        };
+        for seg in &self.segments() {
+            let data = self.decode(seg);
+            extend(&data.columns, data.rows);
         }
+        extend(&self.tail, self.tail_rows);
         out
     }
 
-    /// A borrowed columnar view over the whole table for vectorized scans.
-    /// Memory backing only — disk-backed scans are segment-granular (see
-    /// [`scan_plan`](Self::scan_plan)).
-    pub fn batch(&self) -> ColumnBatch<'_> {
-        match &self.backing {
-            Backing::Memory { columns, row_count } => ColumnBatch::new(columns, *row_count),
-            Backing::Disk { .. } => {
-                panic!("batch() requires the memory backing; disk scans use scan_plan()")
-            }
-        }
+    /// A borrowed columnar view of the in-memory tail — the columns a
+    /// [`ScanPartition::Range`] indexes into, and the whole table when it has
+    /// no store.
+    pub fn tail_batch(&self) -> ColumnBatch<'_> {
+        ColumnBatch::new(&self.tail, self.tail_rows)
     }
 
-    /// The in-memory columns a [`ScanPartition::Range`] indexes into: the
-    /// whole table for the memory backing, the unflushed tail for disk.
-    pub(crate) fn range_batch(&self) -> ColumnBatch<'_> {
-        match &self.backing {
-            Backing::Memory { columns, row_count } => ColumnBatch::new(columns, *row_count),
-            Backing::Disk {
-                tail, tail_rows, ..
-            } => ColumnBatch::new(tail, *tail_rows),
-        }
-    }
-
-    /// Partitions a scan of this table. Memory backing: fixed `morsel_rows`
-    /// ranges (the original morsel partitioning). Disk backing: one
-    /// partition per committed segment — morsels align to segment boundaries
-    /// so zone maps can skip whole partitions — followed by `morsel_rows`
-    /// ranges over the unflushed tail.
+    /// Partitions a scan of this table: one partition per committed segment
+    /// — aligned to segment boundaries so zone maps can skip whole
+    /// partitions — followed by `morsel_rows` ranges over the tail.
     pub(crate) fn scan_plan(&self, morsel_rows: usize) -> ScanPlan {
         let morsel_rows = morsel_rows.max(1);
-        let ranges = |total: usize| -> Vec<ScanPartition> {
-            (0..total.div_ceil(morsel_rows))
-                .map(|i| ScanPartition::Range {
-                    start: i * morsel_rows,
-                    end: ((i + 1) * morsel_rows).min(total),
-                })
-                .collect()
-        };
-        match &self.backing {
-            Backing::Memory { row_count, .. } => ScanPlan {
-                partitions: ranges(*row_count),
-                segments: Vec::new(),
-            },
-            Backing::Disk {
-                store,
-                key,
-                tail_rows,
-                ..
-            } => {
-                let segments = store
-                    .table_meta(key)
-                    .map(|m| m.segments)
-                    .unwrap_or_default();
-                let mut partitions: Vec<ScanPartition> =
-                    (0..segments.len()).map(ScanPartition::Segment).collect();
-                partitions.extend(ranges(*tail_rows));
-                ScanPlan {
-                    partitions,
-                    segments,
-                }
+        let segments = self.segments();
+        let mut partitions: Vec<ScanPartition> =
+            (0..segments.len()).map(ScanPartition::Segment).collect();
+        partitions.extend((0..self.tail_rows.div_ceil(morsel_rows)).map(|i| {
+            ScanPartition::Range {
+                start: i * morsel_rows,
+                end: ((i + 1) * morsel_rows).min(self.tail_rows),
             }
+        }));
+        ScanPlan {
+            partitions,
+            segments,
         }
     }
 
     /// Reads one committed segment through the store's cache.
     pub(crate) fn read_segment(&self, meta: &SegmentMeta) -> Result<Arc<SegmentData>, String> {
-        match &self.backing {
-            Backing::Disk { store, .. } => store.read_segment(meta).map_err(|e| e.to_string()),
-            Backing::Memory { .. } => Err("memory tables have no segments".into()),
-        }
+        let (store, _) = self
+            .store
+            .as_ref()
+            .expect("segment catalog entries only come from a table's store");
+        store.read_segment(meta).map_err(|e| e.to_string())
     }
 
     /// Decoded secondary indexes of one committed segment, or `None` when the
@@ -599,86 +483,39 @@ impl Table {
         &self,
         meta: &SegmentMeta,
     ) -> Option<Arc<monomi_store::SegmentIndexes>> {
-        match &self.backing {
-            Backing::Disk { store, .. } => meta
-                .index
-                .as_ref()
-                .and_then(|index| store.read_indexes(index).ok()),
-            Backing::Memory { .. } => None,
-        }
+        let (store, _) = self.store.as_ref()?;
+        store.read_indexes(meta.index.as_ref()?).ok()
     }
 
     /// Whether any committed segment of this table carries an index file.
-    /// Gates probe planning: when nothing is indexed (memory backing, indexes
-    /// disabled at load time, or the whole table opted out) the planner skips
-    /// the per-column statistics lookups entirely.
+    /// Gates probe planning: when nothing is indexed (no committed segments,
+    /// indexes disabled at load time, or the whole table opted out) the
+    /// planner skips the per-column statistics lookups entirely.
     pub(crate) fn has_segment_indexes(&self) -> bool {
-        match &self.backing {
-            Backing::Disk { store, key, .. } => store.with_table_meta(key, |meta| {
-                meta.is_some_and(|m| m.segments.iter().any(|s| s.index.is_some()))
-            }),
-            Backing::Memory { .. } => false,
-        }
+        self.with_segments(|segs| segs.iter().any(|s| s.index.is_some()))
     }
 
-    /// Total logical bytes across all columns (`Value::size_bytes`) —
-    /// identical across backends; the space-overhead experiments (Table 2)
-    /// depend on this being backend-independent. The physical footprint of
-    /// the disk backing is [`stored_bytes`](Self::stored_bytes).
+    /// Total logical bytes across all columns (`Value::size_bytes`) — the
+    /// same number wherever the rows live; the space-overhead experiments
+    /// (Table 2) depend on that. The physical footprint of the committed
+    /// segments is [`stored_bytes`](Self::stored_bytes).
     pub fn size_bytes(&self) -> usize {
-        match &self.backing {
-            Backing::Memory { columns, .. } => columns
-                .iter()
-                .map(|c| c.iter().map(Value::size_bytes).sum::<usize>())
-                .sum(),
-            Backing::Disk {
-                store, key, tail, ..
-            } => {
-                let committed: u64 = store.with_table_meta(key, |meta| {
-                    meta.map(|m| m.segments.iter().map(|s| s.logical_bytes()).sum())
-                        .unwrap_or(0)
-                });
-                committed as usize
-                    + tail
-                        .iter()
-                        .map(|c| c.iter().map(Value::size_bytes).sum::<usize>())
-                        .sum::<usize>()
-            }
-        }
+        let committed: u64 =
+            self.with_segments(|segs| segs.iter().map(SegmentMeta::logical_bytes).sum());
+        committed as usize + self.tail.iter().map(|c| logical_bytes(c)).sum::<usize>()
     }
 
-    /// Stored (encoded) bytes of the disk backing's committed segments — the
-    /// physical footprint a scan actually reads. 0 for memory tables and
-    /// unflushed tails.
+    /// Stored (encoded) bytes of the committed segments — the physical
+    /// footprint a scan actually reads. Tail rows are not counted.
     pub fn stored_bytes(&self) -> usize {
-        match &self.backing {
-            Backing::Memory { .. } => 0,
-            Backing::Disk { store, key, .. } => store.with_table_meta(key, |meta| {
-                meta.map(|m| m.segments.iter().map(|s| s.stored_bytes).sum::<u64>() as usize)
-                    .unwrap_or(0)
-            }),
-        }
+        self.with_segments(|segs| segs.iter().map(|s| s.stored_bytes).sum::<u64>()) as usize
     }
 
     /// Logical bytes of a single column.
     pub fn column_size_bytes(&self, column: usize) -> usize {
-        match &self.backing {
-            Backing::Memory { columns, .. } => columns[column].iter().map(Value::size_bytes).sum(),
-            Backing::Disk {
-                store, key, tail, ..
-            } => {
-                let committed: u64 = store.with_table_meta(key, |meta| {
-                    meta.map(|m| {
-                        m.segments
-                            .iter()
-                            .map(|s| s.zones[column].logical_bytes)
-                            .sum()
-                    })
-                    .unwrap_or(0)
-                });
-                committed as usize + tail[column].iter().map(Value::size_bytes).sum::<usize>()
-            }
-        }
+        let committed: u64 =
+            self.with_segments(|segs| segs.iter().map(|s| s.zones[column].logical_bytes).sum());
+        committed as usize + logical_bytes(&self.tail[column])
     }
 
     /// Average row width in bytes (0 for an empty table).
@@ -695,8 +532,8 @@ impl Table {
     }
 
     /// Minimum and maximum of a column, ignoring NULLs. Memoized alongside
-    /// [`distinct_count`](Self::distinct_count); on the disk backing the
-    /// bounds fold the segments' zone maps instead of rescanning values.
+    /// [`distinct_count`](Self::distinct_count); the bounds of committed
+    /// rows fold the segments' zone maps instead of rescanning values.
     pub fn min_max(&self, column: usize) -> Option<(Value, Value)> {
         self.column_memo(column).min_max
     }
@@ -726,41 +563,24 @@ impl Table {
                 *max = Some(v.clone());
             }
         };
-        match &self.backing {
-            Backing::Memory { columns, .. } => {
-                for v in &columns[column] {
-                    set.insert(v.clone());
-                    fold_bound(v, &mut min, &mut max);
-                }
+        for seg in &self.segments() {
+            // Bounds come straight from the zone map (computed under the
+            // same total order at load time)...
+            let zone = &seg.zones[column];
+            if let Some(v) = &zone.min {
+                fold_bound(v, &mut min, &mut max);
             }
-            Backing::Disk {
-                store, key, tail, ..
-            } => {
-                if let Some(meta) = store.table_meta(key) {
-                    for seg in &meta.segments {
-                        // Bounds come straight from the zone map (computed
-                        // under the same total order at load time)...
-                        let zone = &seg.zones[column];
-                        if let Some(v) = &zone.min {
-                            fold_bound(v, &mut min, &mut max);
-                        }
-                        if let Some(v) = &zone.max {
-                            fold_bound(v, &mut min, &mut max);
-                        }
-                        // ...while the exact distinct count needs the values.
-                        let data = store
-                            .read_segment(seg)
-                            .unwrap_or_else(|e| panic!("segment read failed: {e}"));
-                        for v in &data.columns[column] {
-                            set.insert(v.clone());
-                        }
-                    }
-                }
-                for v in &tail[column] {
-                    set.insert(v.clone());
-                    fold_bound(v, &mut min, &mut max);
-                }
+            if let Some(v) = &zone.max {
+                fold_bound(v, &mut min, &mut max);
             }
+            // ...while the exact distinct count needs the values.
+            for v in &self.decode(seg).columns[column] {
+                set.insert(v.clone());
+            }
+        }
+        for v in &self.tail[column] {
+            set.insert(v.clone());
+            fold_bound(v, &mut min, &mut max);
         }
         ColumnMemo {
             distinct: set.len(),
@@ -832,7 +652,7 @@ mod tests {
     #[test]
     fn batch_gather_late_materializes_projected_columns() {
         let t = small_table();
-        let batch = t.batch();
+        let batch = t.tail_batch();
         assert_eq!(batch.row_count(), 3);
         assert_eq!(batch.column_count(), 2);
         assert_eq!(batch.column(0)[2], Value::Int(3));
@@ -909,7 +729,7 @@ mod tests {
                 ColumnDef::new("name", ColumnType::Str),
             ],
         );
-        let mut t = Table::new_disk(schema, store);
+        let mut t = Table::with_store(schema, Some(store));
         for i in 0..5 {
             t.insert(vec![Value::Int(i), Value::Str("x".into())])
                 .unwrap();
@@ -940,7 +760,7 @@ mod tests {
             ScanPartition::Range { start, end } => {
                 assert_eq!((start, end), (2, 3));
             }
-            _ => panic!("memory plans contain only ranges"),
+            _ => panic!("a table without a store has only tail ranges"),
         }
     }
 }

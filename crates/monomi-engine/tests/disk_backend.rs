@@ -92,6 +92,36 @@ fn predicate_sql(kind: u8, c1: i64, c2: i64) -> String {
     }
 }
 
+/// Loads `rows` into table `t` by a scripted mix of calls: each `(kind, n)`
+/// step consumes the next `n` rows through single-row `insert`s (kind 0) or
+/// one `bulk_load` (kind 1), or takes none and calls `persist` (kind 2). What
+/// the script leaves over is bulk-loaded — committing everything so far —
+/// except the last `tail_rows` rows, which are inserted one by one and so end
+/// up in the table's in-memory tail.
+fn scripted_load(db: &mut Database, rows: &[Vec<Value>], script: &[(u8, usize)], tail_rows: usize) {
+    let (mut body, tail) = rows.split_at(rows.len() - tail_rows);
+    for &(kind, n) in script {
+        let (chunk, rest) = body.split_at(n.min(body.len()));
+        match kind % 3 {
+            0 => {
+                for row in chunk {
+                    db.insert("t", row.clone()).expect("insert");
+                }
+            }
+            1 => db.bulk_load("t", chunk.to_vec()).expect("bulk load"),
+            _ => {
+                db.persist().expect("persist");
+                continue; // consumed nothing
+            }
+        }
+        body = rest;
+    }
+    db.bulk_load("t", body.to_vec()).expect("bulk load");
+    for row in tail {
+        db.insert("t", row.clone()).expect("tail insert");
+    }
+}
+
 proptest! {
     // Each case does real file I/O; keep the count moderate.
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -101,25 +131,59 @@ proptest! {
     /// threads — with the disk table split over many tiny segments so
     /// zone-map pruning actually fires. Also: pruning never changes counts —
     /// rows_materialized matches the memory scan exactly.
+    ///
+    /// Both tables are filled by the same scripted sequence of `insert` /
+    /// `bulk_load` / `persist` calls, which leaves the store-backed one with
+    /// committed segments *and* a non-empty in-memory tail (whenever the
+    /// segment size allows one) while the store-less one is all tail: every
+    /// accessor must agree across that boundary.
     #[test]
     fn disk_execution_is_byte_identical_to_memory(
         spec in proptest::collection::vec(
             (-40i64..40, -40i64..40, any::<u8>(), -200i16..200), 0..70),
+        script in proptest::collection::vec((any::<u8>(), 0usize..12), 0..6),
         segment_rows in 1usize..9,
         t1 in any::<u8>(), t2 in any::<u8>(),
         c1 in -50i64..50, c2 in -50i64..50,
     ) {
         let rows = rows_from(&spec);
+        // Fewer inserts than a segment holds never trigger the auto-flush.
+        let tail_rows = rows.len().min(segment_rows - 1);
 
         let mut mem = Database::in_memory();
         mem.create_table(lineitem_like_schema());
-        mem.bulk_load("t", rows.clone()).expect("memory load");
+        scripted_load(&mut mem, &rows, &script, tail_rows);
 
         let dir = fresh_dir("ident");
         let store = open_small_store(&dir, segment_rows);
-        let mut disk = Database::with_store(store);
+        let mut disk = Database::with_store(Arc::clone(&store));
         disk.create_table(lineitem_like_schema());
-        disk.bulk_load("t", rows).expect("disk load");
+        scripted_load(&mut disk, &rows, &script, tail_rows);
+
+        let (m, d) = (mem.table("t").unwrap(), disk.table("t").unwrap());
+        // The committed/tail split is where the script put it...
+        prop_assert_eq!(store.table_rows("t") as usize, rows.len() - tail_rows);
+        prop_assert_eq!(d.stored_bytes() > 0, rows.len() > tail_rows);
+        prop_assert_eq!(m.stored_bytes(), 0);
+        // ...and invisible through every accessor.
+        prop_assert_eq!(m.row_count(), rows.len());
+        prop_assert_eq!(d.row_count(), rows.len());
+        prop_assert_eq!(format!("{:?}", m.rows()), format!("{:?}", &rows));
+        prop_assert_eq!(format!("{:?}", d.rows()), format!("{:?}", &rows));
+        for (i, row) in rows.iter().enumerate() {
+            prop_assert_eq!(format!("{:?}", m.row(i)), format!("{:?}", row));
+            prop_assert_eq!(format!("{:?}", d.row(i)), format!("{:?}", row));
+            for (c, v) in row.iter().enumerate() {
+                prop_assert_eq!(format!("{:?}", m.value(i, c)), format!("{:?}", v));
+                prop_assert_eq!(format!("{:?}", d.value(i, c)), format!("{:?}", v));
+            }
+        }
+        prop_assert_eq!(m.size_bytes(), d.size_bytes());
+        for c in 0..m.schema().columns.len() {
+            prop_assert_eq!(m.column_size_bytes(c), d.column_size_bytes(c));
+            prop_assert_eq!(m.distinct_count(c), d.distinct_count(c));
+            prop_assert_eq!(format!("{:?}", m.min_max(c)), format!("{:?}", d.min_max(c)));
+        }
 
         let pred = format!("({}) AND ({})", predicate_sql(t1, c1, c2), predicate_sql(t2, c2, c1));
         let queries = [
@@ -146,6 +210,12 @@ proptest! {
                 prop_assert_eq!(mem_stats.rows_materialized, disk_stats.rows_materialized);
                 prop_assert!(disk_stats.rows_scanned <= mem_stats.rows_scanned);
                 prop_assert_eq!(mem_stats.segments_read, 0);
+                // The counters that do not describe segment layout (rows and
+                // bytes materialized, result rows and bytes) are identical.
+                prop_assert_eq!(
+                    &mem_stats.work_counters()[2..6],
+                    &disk_stats.work_counters()[2..6]
+                );
             }
         }
         std::fs::remove_dir_all(&dir).ok();

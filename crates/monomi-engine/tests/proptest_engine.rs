@@ -186,7 +186,7 @@ proptest! {
 
         // The compiled predicate applied directly over the column batch must
         // select exactly the same row indices.
-        let batch = table.batch();
+        let batch = table.tail_batch();
         let compiled = compile_predicate(&where_clause, &schema, &ctx);
         let sel = apply_predicate(
             &compiled,

@@ -36,9 +36,8 @@
 //! * **graceful drain**: shutdown stops the accept loop, lets in-flight
 //!   requests finish and their responses flush (no mid-frame cuts), and
 //!   answers subsequent requests with a typed [`ErrorCode::ShuttingDown`];
-//! * one shared [`Database`] behind the existing store — `MONOMI_STORAGE`
-//!   picks the in-memory or on-disk backend exactly as in-process execution
-//!   does.
+//! * one shared [`Database`] — `MONOMI_STORAGE` decides whether its tables
+//!   get a segment store, exactly as for in-process execution.
 //!
 //! Every message crossing the wire uses `monomi-proto`'s CRC-64 framed
 //! protocol; a connection must open with a `Hello` carrying a matching

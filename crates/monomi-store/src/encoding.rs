@@ -195,7 +195,9 @@ pub fn read_value(r: &mut Reader<'_>) -> Result<Value, StoreError> {
         VT_BYTES => Value::Bytes(r.blob()?.to_vec()),
         VT_LIST => {
             let n = r.u32()? as usize;
-            let mut items = Vec::with_capacity(n);
+            // Every item takes at least its tag byte, so a count beyond the
+            // bytes left is corrupt: never allocate for it up front.
+            let mut items = Vec::with_capacity(n.min(r.buf.len().saturating_sub(r.pos)));
             for _ in 0..n {
                 items.push(read_value(r)?);
             }

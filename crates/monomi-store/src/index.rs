@@ -136,6 +136,16 @@ impl std::fmt::Display for IndexMode {
     }
 }
 
+/// Fraction of a table a probed conjunct may be estimated to select before a
+/// full vectorized scan is considered cheaper than gathering and intersecting
+/// postings. Probing is only a win when the seed it produces is small: every
+/// compiled predicate still runs over the seeded rows, so a low-selectivity
+/// probe pays the posting fetch *and* nearly the whole column pass. The
+/// engine's scan planner applies it; `monomi-core`'s cost model prices access
+/// paths against the same value, so estimates and execution pick the same
+/// path.
+pub const INDEX_SELECTIVITY_CROSSOVER: f64 = 0.25;
+
 /// The index kind a column would get by naming convention, before the
 /// per-table opt-out list and [`IndexMode`] gating are applied.
 ///

@@ -35,14 +35,15 @@
 //!   (`MONOMI_CACHE_BYTES`), evicting least-recently-used; decoded index
 //!   files get their own budgeted slot (`MONOMI_INDEX_CACHE_BYTES`).
 //!
-//! [`store::Store`] ties the pieces together; `monomi-engine`'s `Database`
-//! selects it as a backend via `MONOMI_STORAGE=disk` or `Database::open`.
+//! [`store::Store`] ties the pieces together; `monomi-engine`'s tables
+//! commit their rows to one when their `Database` has it (`Database::open`,
+//! or `MONOMI_STORAGE=disk` for `Database::new`).
 //!
 //! This crate also homes the engine's runtime [`Value`] model (and
 //! [`ColumnType`]): the store must encode values exactly — variant and bit
-//! pattern included, so disk-backed execution stays byte-identical to the
-//! in-memory backend — which puts the value model at the bottom of the
-//! crate DAG. `monomi-engine` re-exports both, so callers are unaffected.
+//! pattern included, so committed rows read back byte-identical to rows
+//! still in a table's in-memory tail — which puts the value model at the
+//! bottom of the crate DAG. `monomi-engine` re-exports both, so callers are unaffected.
 
 pub mod cache;
 pub mod encoding;
@@ -58,7 +59,7 @@ pub use encoding::{put_blob, read_value, write_value, Reader};
 pub use env::env_knob;
 pub use index::{
     decode_segment_indexes, encode_segment_indexes, planned_index_kind, IndexBlock, IndexKind,
-    IndexMode, SegmentIndexes, INDEX_MODE_ENV,
+    IndexMode, SegmentIndexes, INDEX_MODE_ENV, INDEX_SELECTIVITY_CROSSOVER,
 };
 pub use manifest::{IndexMeta, Manifest, SegmentMeta, TableMeta};
 pub use segment::{ColumnZone, ZoneMap};

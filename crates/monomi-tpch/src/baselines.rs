@@ -20,7 +20,7 @@ use monomi_core::plan::PlanOptions;
 use monomi_core::schemes::EncScheme;
 use monomi_core::{CoreError, NetworkModel};
 use monomi_crypto::{MasterKey, PaillierKey};
-use monomi_engine::{ColumnType, Database, ResultSet};
+use monomi_engine::{ColumnType, Database, ExecOptions, ResultSet};
 use monomi_sql::ast::Expr;
 use monomi_sql::parse_query;
 use rand::rngs::StdRng;
@@ -68,7 +68,7 @@ pub fn run_plaintext(
     let bound = bind_params(&parsed, &query.params);
     let started = Instant::now();
     let (rs, stats) = plain
-        .execute(&bound, &[])
+        .execute_with(&bound, &[], &ExecOptions::env_cached())
         .map_err(|e| CoreError::new(e.to_string()))?;
     let exec = started.elapsed().as_secs_f64();
     let timings = QueryTimings {

@@ -14,8 +14,9 @@
 //! - [`sql`] — lexer, parser, and AST for the supported analytical subset
 //! - [`store`] — persistent columnar segment store: encodings, zone maps,
 //!   crash-safe catalog, segment cache (and the shared `Value` model)
-//! - [`engine`] — columnar engine playing the untrusted server, over an
-//!   in-memory or disk backend (`MONOMI_STORAGE=memory|disk`)
+//! - [`engine`] — columnar engine playing the untrusted server; a table is
+//!   committed store segments plus an in-memory tail (`MONOMI_STORAGE=disk`
+//!   gives `Database::new()` a store)
 //! - [`core`] — the MONOMI client: designer, planner, split executor
 //! - [`tpch`] — TPC-H schema, deterministic datagen, workload, baselines
 //!

@@ -31,8 +31,10 @@ fn fast_config() -> ClientConfig {
     }
 }
 
-/// Spawns a loopback server (in-memory backing, generous connection limit)
-/// and returns its handle.
+/// Spawns a loopback server (generous connection limit) and returns its
+/// handle. Its database follows `MONOMI_STORAGE` like the in-process client's
+/// does, so the two sides' scan counters (stored vs. logical bytes, segments
+/// read) stay comparable on the disk legs too.
 fn loopback_server() -> monomi_server::ServerHandle {
     let server = Server::bind_with_db(
         "127.0.0.1:0",
@@ -40,7 +42,7 @@ fn loopback_server() -> monomi_server::ServerHandle {
             max_conns: 16,
             ..Default::default()
         },
-        monomi_engine::Database::in_memory(),
+        monomi_engine::Database::new(),
     )
     .expect("bind loopback");
     server.spawn().expect("spawn server")
