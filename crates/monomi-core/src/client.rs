@@ -19,7 +19,7 @@ use crate::transport::{
 use crate::CoreError;
 use monomi_crypto::{MasterKey, PaillierKey};
 use monomi_engine::{Database, ExecOptions, ResultSet, Value};
-use monomi_obs::{Span, TraceId, TraceIdGen};
+use monomi_obs::{Span, Stopwatch, TraceId, TraceIdGen};
 use monomi_sql::{parse_query, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -334,12 +334,14 @@ impl MonomiClient {
     ) -> Result<(ResultSet, QueryTimings, TraceId, Vec<Span>), CoreError> {
         let query = parse_query(sql).map_err(|e| CoreError::new(e.to_string()))?;
         let trace = self.trace_ids.next_id();
+        let planning = Stopwatch::start();
         let bound = bind_params(&query, params);
         let (plan, _) = self.planner().best_plan(&bound, &self.encryptor);
+        let plan_seconds = planning.seconds();
         let (result, timings, mut spans) = self.executor().execute_traced(&plan, trace)?;
         // One Plan leaf up front keeps the tree honest about where client
-        // time went; planning reruns here are cheap (statistics only).
-        spans.insert(0, Span::leaf("Plan", 0.0, 0));
+        // time went: binding plus the cost-based choice among the candidates.
+        spans.insert(0, Span::leaf("Plan", plan_seconds, 0));
         Ok((result, timings, trace, spans))
     }
 

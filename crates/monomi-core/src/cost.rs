@@ -2,11 +2,12 @@
 //! network transfer time, and client post-processing (decryption) time, plus
 //! the startup micro-profiler that measures per-scheme decryption costs.
 
-use crate::design::Encryptor;
+use crate::decrypt::DecryptPipeline;
+use crate::design::{Encryptor, PhysicalDesign};
 use crate::network::NetworkModel;
-use crate::plan::{DecryptSpec, RemotePlan, SplitPlan};
+use crate::plan::{DecryptSpec, OutputColumn, RemotePlan, SplitPlan};
 use crate::schemes::EncScheme;
-use monomi_engine::{Database, Value};
+use monomi_engine::{ColumnType, Database, ResultSet, Value};
 use monomi_sql::ast::{Expr, Query, TableRef};
 use monomi_store::INDEX_SELECTIVITY_CROSSOVER;
 use rand::rngs::StdRng;
@@ -61,46 +62,72 @@ impl DecryptProfile {
     /// unrelated one.
     pub fn measure(encryptor: &Encryptor, threads: usize) -> DecryptProfile {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        let master = encryptor.master_key();
-        let fpe = master.det_int("profile", "col", 64);
-        let det_str = master.det_bytes("profile", "col");
-        let rnd = master.rnd("profile", "col");
         let paillier = encryptor.paillier();
 
-        let det_ct: Vec<u64> = (0..64u64).map(|i| fpe.encrypt(i * 977)).collect();
-        let start = Instant::now();
-        for &c in &det_ct {
-            std::hint::black_box(fpe.decrypt(c));
-        }
-        let det_int_seconds = start.elapsed().as_secs_f64() / det_ct.len() as f64;
-
-        let str_ct: Vec<Vec<u8>> = (0..32)
-            .map(|i| det_str.encrypt(format!("profiled string value {i}").as_bytes()))
-            .collect();
-        let start = Instant::now();
-        for c in &str_ct {
-            std::hint::black_box(det_str.decrypt(c));
-        }
-        let det_str_seconds = start.elapsed().as_secs_f64() / str_ct.len() as f64;
-
-        let rnd_ct: Vec<Vec<u8>> = (0..32)
-            .map(|i| rnd.encrypt(&mut rng, format!("profiled string value {i}").as_bytes()))
-            .collect();
-        let start = Instant::now();
-        for c in &rnd_ct {
-            std::hint::black_box(rnd.decrypt(c));
-        }
-        let rnd_seconds = start.elapsed().as_secs_f64() / rnd_ct.len() as f64;
+        // The per-value costs are those of the executor's own LocalDecrypt —
+        // the compiled pipeline, run over a one-column result — under the
+        // client's keys, on a design with one column per priced scheme. The
+        // sampled values are all distinct, so the DET prices are those of a
+        // column the memo does not help: an upper bound for one it does.
+        let mut design = PhysicalDesign::new(encryptor.design().paillier_bits);
+        let td = design.table_mut("profile");
+        td.add(Expr::col("det_int"), ColumnType::Int, EncScheme::Det);
+        td.add(Expr::col("det_str"), ColumnType::Str, EncScheme::Det);
+        td.add(Expr::col("rnd"), ColumnType::Str, EncScheme::Rnd);
+        td.add(Expr::col("hom"), ColumnType::Int, EncScheme::Hom);
+        let profiled =
+            Encryptor::with_keys(encryptor.master_key().clone(), paillier.clone(), design);
+        let mut seconds_per_value = |base: &str, scheme: EncScheme, values: Vec<Value>| {
+            let column = profiled
+                .column("profile", base)
+                .expect("the profile design has the column");
+            let ty = column.design().ty;
+            let enc_rs = ResultSet {
+                columns: vec![base.to_string()],
+                rows: values
+                    .iter()
+                    .map(|v| {
+                        vec![column
+                            .encrypt_value(scheme, v, &mut rng)
+                            .expect("profile values match their column types")]
+                    })
+                    .collect(),
+            };
+            let outputs = [OutputColumn {
+                source: Expr::col(base),
+                server_expr: Expr::col(base),
+                decrypt: DecryptSpec::Column {
+                    table: "profile".into(),
+                    base: base.into(),
+                    scheme,
+                    ty,
+                },
+            }];
+            let pipeline = DecryptPipeline::compile(&profiled, &outputs)
+                .expect("the profile design serves its own outputs");
+            let best = best_of(&mut || {
+                std::hint::black_box(
+                    pipeline
+                        .run(&enc_rs, false)
+                        .expect("own ciphertexts decrypt"),
+                );
+            });
+            best / values.len() as f64
+        };
+        let strings = || (0..64).map(|i| Value::Str(format!("profiled string value {i}")));
+        let det_int_seconds = seconds_per_value(
+            "det_int",
+            EncScheme::Det,
+            (0..256).map(|i| Value::Int(i * 977)).collect(),
+        );
+        let det_str_seconds = seconds_per_value("det_str", EncScheme::Det, strings().collect());
+        let rnd_seconds = seconds_per_value("rnd", EncScheme::Rnd, strings().collect());
+        let hom_seconds =
+            seconds_per_value("hom", EncScheme::Hom, (0..8).map(Value::Int).collect());
 
         let hom_ct: Vec<_> = (0..8u64)
             .map(|i| paillier.encrypt_u64(&mut rng, i))
             .collect();
-        let start = Instant::now();
-        for c in &hom_ct {
-            std::hint::black_box(paillier.decrypt(c));
-        }
-        let hom_seconds = start.elapsed().as_secs_f64() / hom_ct.len() as f64;
-
         // Per-op homomorphic-add cost: one long chained sum amortizes the
         // Montgomery conversions exactly like the server's aggregation loop.
         const HOM_ADD_OPS: usize = 256;
@@ -118,26 +145,16 @@ impl DecryptProfile {
         // the ratio is the factor the planner divides server compute terms
         // by. The region is long enough (FOLDS repeats) that thread
         // spawn/join overhead is amortized, and both sides take the best of
-        // REPS runs so one scheduler hiccup cannot skew the factor that
+        // three runs so one scheduler hiccup cannot skew the factor that
         // scales every server cost term.
         let effective_parallelism = if threads <= 1 {
             1.0
         } else {
             const FOLDS: usize = 8;
-            const REPS: usize = 3;
             let fold_chain = || {
                 for _ in 0..FOLDS {
                     std::hint::black_box(paillier.sum_ciphertexts(chain.iter().copied()));
                 }
-            };
-            let best_of = |f: &mut dyn FnMut()| {
-                let mut best = f64::INFINITY;
-                for _ in 0..REPS {
-                    let start = Instant::now();
-                    f();
-                    best = best.min(start.elapsed().as_secs_f64());
-                }
-                best
             };
             let serial = best_of(&mut || fold_chain());
             let parallel = best_of(&mut || {
@@ -163,6 +180,19 @@ impl DecryptProfile {
             effective_parallelism,
         }
     }
+}
+
+/// Wall seconds of the fastest of three runs of `f`: the first run also warms
+/// the caches, and one scheduler hiccup cannot skew a price every plan is
+/// costed with.
+fn best_of(f: &mut dyn FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        f();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
 }
 
 /// Estimated cost of one candidate plan.

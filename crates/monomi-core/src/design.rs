@@ -5,10 +5,24 @@
 //! expressions, §5.1) and the encryption schemes materialized for each. From a
 //! design we derive the encrypted schema, encrypt and load data, and account
 //! for server-side space (§8.4 / Table 2).
+//!
+//! The [`Encryptor`] pairs a design with the client's keys and owns the keyed
+//! ciphers: one per ⟨table, source, scheme⟩, derived from the master key on
+//! first use and cached in a slot found by the column's position in the
+//! design. A [`ColumnCrypto`] is the handle to one column's slots; resolving
+//! it ([`Encryptor::column`]) is the only by-name lookup, and what a caller
+//! does per value — [`ColumnCrypto::encrypt_value`],
+//! [`ColumnCrypto::decrypt_value`], the rows of
+//! [`Encryptor::encrypt_database`], the decryptors of the `decrypt` module —
+//! derives no key and formats no label. Decryption is fallible throughout:
+//! ciphertexts come back from the untrusted server.
 
 use crate::schemes::EncScheme;
 use crate::CoreError;
-use monomi_crypto::{MasterKey, PaillierKey};
+use monomi_crypto::{
+    CipherError, DetBytes, FormatPreservingCipher, MasterKey, OpeCipher, PaillierKey, RndCipher,
+    SearchScheme,
+};
 use monomi_engine::{ColumnDef, ColumnType, Database, EvalContext, RowSchema, TableSchema, Value};
 use monomi_math::BigUint;
 use monomi_sql::ast::{ColumnRef, Expr};
@@ -16,6 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Bias added to date values before integer encryption so they are
 /// non-negative.
@@ -103,9 +118,9 @@ impl TableDesign {
         self.columns.iter().find(|c| &c.source == source)
     }
 
-    /// Finds the column design by base name.
-    pub fn find_base(&self, base: &str) -> Option<&ColumnDesign> {
-        self.columns.iter().find(|c| c.base_name == base)
+    /// Position in `columns` of the column design with this base name.
+    pub fn base_index(&self, base: &str) -> Option<usize> {
+        self.columns.iter().position(|c| c.base_name == base)
     }
 
     /// Adds (or extends) a ⟨source, scheme⟩ pair; returns the base name.
@@ -438,12 +453,48 @@ pub struct SecuritySummary {
     pub precomputed: [usize; 3],
 }
 
+/// The keyed ciphers of one source column. Each is derived from the master
+/// key (an HMAC and an AES key expansion) the first time a value of the column
+/// needs it and then shared: `OnceLock` makes the later reads a load.
+#[derive(Default)]
+struct ColumnCiphers {
+    det_int: OnceLock<FormatPreservingCipher>,
+    det_bytes: OnceLock<DetBytes>,
+    rnd: OnceLock<RndCipher>,
+    ope: OnceLock<OpeCipher>,
+    search: OnceLock<SearchScheme>,
+}
+
 /// Holds the keys and performs all value-level encryption and decryption for a
 /// design. Lives only on the trusted client.
 pub struct Encryptor {
     master: MasterKey,
     paillier: PaillierKey,
     design: PhysicalDesign,
+    /// One slot set per source column, by position: `ciphers[t][c]` belongs
+    /// to column `c` of the `t`-th table of `design.tables`.
+    ciphers: Vec<Vec<ColumnCiphers>>,
+}
+
+/// One source column of an [`Encryptor`]'s design together with its keyed
+/// ciphers: what every value-level operation goes through. Resolve it once
+/// with [`Encryptor::column`] and use it for as many values as there are.
+#[derive(Clone, Copy)]
+pub struct ColumnCrypto<'a> {
+    encryptor: &'a Encryptor,
+    table: &'a str,
+    design: &'a ColumnDesign,
+    ciphers: &'a ColumnCiphers,
+}
+
+/// The decrypting half of one ⟨column, scheme⟩ pair with everything resolved:
+/// the keyed cipher and the plaintext type to decode to.
+#[derive(Clone, Copy)]
+pub(crate) enum ValueDecryptor<'a> {
+    DetInt(&'a FormatPreservingCipher, ColumnType),
+    DetStr(&'a DetBytes),
+    Rnd(&'a RndCipher),
+    Hom(&'a PaillierKey, ColumnType),
 }
 
 impl Encryptor {
@@ -452,21 +503,29 @@ impl Encryptor {
     pub fn new(master: MasterKey, design: PhysicalDesign, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let paillier = PaillierKey::generate(&mut rng, design.paillier_bits.max(128));
-        Encryptor {
-            master,
-            paillier,
-            design,
-        }
+        Self::with_keys(master, paillier, design)
     }
 
     /// Creates an encryptor reusing existing keys with a different design.
     /// The planner uses this to evaluate candidate designs without paying for
-    /// Paillier key generation per candidate.
+    /// Paillier key generation per candidate; no cipher is keyed until a value
+    /// needs it.
     pub fn with_keys(master: MasterKey, paillier: PaillierKey, design: PhysicalDesign) -> Self {
+        let ciphers = design
+            .tables
+            .values()
+            .map(|td| {
+                td.columns
+                    .iter()
+                    .map(|_| ColumnCiphers::default())
+                    .collect()
+            })
+            .collect();
         Encryptor {
             master,
             paillier,
             design,
+            ciphers,
         }
     }
 
@@ -502,216 +561,75 @@ impl Encryptor {
         &self.design
     }
 
-    fn plain_to_u64(v: &Value, ty: ColumnType, order_preserving: bool) -> Result<u64, CoreError> {
-        match (v, ty) {
-            (Value::Int(i), _) => {
-                if order_preserving {
-                    Ok(monomi_crypto::i64_to_ordered_u64(*i))
-                } else {
-                    Ok(*i as u64)
-                }
-            }
-            (Value::Date(d), _) => {
-                let biased = *d as i64 + DATE_BIAS;
-                if order_preserving {
-                    Ok(monomi_crypto::i64_to_ordered_u64(biased))
-                } else {
-                    Ok(biased as u64)
-                }
-            }
-            (Value::Float(f), _) => {
-                // Scale floats to fixed-point before integer encryption.
-                let scaled = (*f * 100.0).round() as i64;
-                if order_preserving {
-                    Ok(monomi_crypto::i64_to_ordered_u64(scaled))
-                } else {
-                    Ok(scaled as u64)
-                }
-            }
-            (other, ty) => Err(CoreError::new(format!(
-                "cannot encode {other:?} of type {ty:?} as an integer"
-            ))),
-        }
+    /// The source column `base` of `table` with its keyed ciphers. This is
+    /// the one place a column is looked up by name; callers with many values
+    /// keep the handle.
+    pub fn column(&self, table: &str, base: &str) -> Option<ColumnCrypto<'_>> {
+        let key = table.to_lowercase();
+        let (t, (name, td)) = self
+            .design
+            .tables
+            .iter()
+            .enumerate()
+            .find(|(_, (name, _))| **name == key)?;
+        Some(self.column_at(name, td, t, td.base_index(base)?))
     }
 
-    /// Encrypts one plaintext value under a scheme for a column design.
-    pub fn encrypt_value(
-        &self,
-        table: &str,
-        cd: &ColumnDesign,
-        scheme: EncScheme,
-        v: &Value,
-        rng: &mut StdRng,
-    ) -> Result<Value, CoreError> {
-        if v.is_null() {
-            return Ok(Value::Null);
+    fn column_at<'a>(
+        &'a self,
+        table: &'a str,
+        td: &'a TableDesign,
+        t: usize,
+        c: usize,
+    ) -> ColumnCrypto<'a> {
+        ColumnCrypto {
+            encryptor: self,
+            table,
+            design: &td.columns[c],
+            ciphers: &self.ciphers[t][c],
         }
-        match scheme {
-            EncScheme::Det => match cd.ty {
-                ColumnType::Int | ColumnType::Date | ColumnType::Float => {
-                    let u = Self::plain_to_u64(v, cd.ty, false)?;
-                    let fpe =
-                        self.master
-                            .det_int("shared", &Self::det_label(table, &cd.base_name), 64);
-                    Ok(Value::Int(fpe.encrypt(u) as i64))
-                }
-                _ => {
-                    let s = v
-                        .as_str()
-                        .ok_or_else(|| CoreError::new("DET of non-string value"))?;
-                    let det = self
-                        .master
-                        .det_bytes("shared", &Self::det_label(table, &cd.base_name));
-                    Ok(Value::Bytes(det.encrypt(s.as_bytes())))
-                }
-            },
-            EncScheme::Ope => {
-                let u = Self::plain_to_u64(v, cd.ty, true)?;
-                let ope = self.master.ope(table, &cd.base_name);
-                Ok(Value::Bytes(ope.encrypt(u).to_be_bytes().to_vec()))
-            }
-            EncScheme::Rnd => {
-                let payload = encode_plain(v);
-                let rnd = self.master.rnd(table, &cd.base_name);
-                Ok(Value::Bytes(rnd.encrypt(rng, &payload)))
-            }
-            EncScheme::Search => {
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| CoreError::new("SEARCH of non-string value"))?;
-                let search = self.master.search(table, &cd.base_name);
-                Ok(Value::Bytes(search.encrypt(s).to_bytes()))
-            }
-            EncScheme::Hom => {
-                let u = Self::plain_to_u64(v, cd.ty, false)?;
-                let m = BigUint::from_u64(u);
-                Ok(Value::Bytes(
-                    self.paillier
-                        .encrypt(rng, &m)
-                        .to_bytes_be_padded(self.paillier.ciphertext_bytes()),
-                ))
-            }
-        }
-    }
-
-    /// Encrypts a constant for comparison against an encrypted column (used by
-    /// the query rewriter for predicates like `col = 'x'` or `col > 10`).
-    pub fn encrypt_constant(
-        &self,
-        table: &str,
-        cd: &ColumnDesign,
-        scheme: EncScheme,
-        v: &Value,
-    ) -> Result<Value, CoreError> {
-        let mut rng = StdRng::seed_from_u64(0);
-        self.encrypt_value(table, cd, scheme, v, &mut rng)
     }
 
     /// Builds the packed HOM group value for one row of a table (grouped
     /// homomorphic addition, §5.3).
-    pub fn encrypt_hom_group(
-        &self,
-        td: &TableDesign,
-        slot_values: &[u64],
-        rng: &mut StdRng,
-    ) -> Value {
+    pub fn encrypt_hom_group(&self, slot_values: &[u64], rng: &mut StdRng) -> Value {
         let slot_bits = (HOM_VALUE_BITS + HOM_OVERFLOW_BITS) as usize;
         let mut plaintext = BigUint::zero();
         for (i, &v) in slot_values.iter().enumerate() {
             plaintext = plaintext.add(&BigUint::from_u64(v).shl(i * slot_bits));
         }
-        let _ = td;
-        Value::Bytes(
-            self.paillier
-                .encrypt(rng, &plaintext)
-                .to_bytes_be_padded(self.paillier.ciphertext_bytes()),
-        )
+        encrypt_paillier(&self.paillier, &plaintext, rng)
     }
 
-    /// Decrypts a value previously produced by [`encrypt_value`](Self::encrypt_value).
-    pub fn decrypt_value(
-        &self,
-        table: &str,
-        cd: &ColumnDesign,
-        scheme: EncScheme,
-        v: &Value,
-    ) -> Result<Value, CoreError> {
-        if v.is_null() {
-            return Ok(Value::Null);
-        }
-        match scheme {
-            EncScheme::Det => match cd.ty {
-                ColumnType::Int | ColumnType::Date | ColumnType::Float => {
-                    let ct = v
-                        .as_int()
-                        .ok_or_else(|| CoreError::new("DET int ciphertext must be an integer"))?;
-                    let fpe =
-                        self.master
-                            .det_int("shared", &Self::det_label(table, &cd.base_name), 64);
-                    let plain = fpe.decrypt(ct as u64);
-                    Ok(decode_int(plain, cd.ty))
-                }
-                _ => {
-                    let bytes = v
-                        .as_bytes()
-                        .ok_or_else(|| CoreError::new("DET string ciphertext must be bytes"))?;
-                    let det = self
-                        .master
-                        .det_bytes("shared", &Self::det_label(table, &cd.base_name));
-                    let plain = det.decrypt(bytes);
-                    Ok(Value::Str(String::from_utf8_lossy(&plain).into_owned()))
-                }
-            },
-            EncScheme::Rnd => {
-                let bytes = v
-                    .as_bytes()
-                    .ok_or_else(|| CoreError::new("RND ciphertext must be bytes"))?;
-                let rnd = self.master.rnd(table, &cd.base_name);
-                Ok(decode_plain(&rnd.decrypt(bytes)))
-            }
-            EncScheme::Hom => {
-                let bytes = v
-                    .as_bytes()
-                    .ok_or_else(|| CoreError::new("HOM ciphertext must be bytes"))?;
-                let m = self.paillier.decrypt(&BigUint::from_bytes_be(bytes));
-                let u = m
-                    .to_u128()
-                    .ok_or_else(|| CoreError::new("decrypted HOM value exceeds 128 bits"))?;
-                Ok(decode_hom_sum(u as u64, cd.ty))
-            }
-            EncScheme::Ope | EncScheme::Search => Err(CoreError::new(format!(
-                "{scheme} ciphertexts are not client-decryptable"
-            ))),
-        }
-    }
-
-    /// Decrypts a `paillier_sum` aggregate over a packed HOM group column and
-    /// extracts the sum of the slot at `slot_index`.
-    pub fn decrypt_hom_group_sum(
-        &self,
-        v: &Value,
-        slot_index: usize,
-        ty: ColumnType,
-    ) -> Result<Value, CoreError> {
-        if v.is_null() {
-            return Ok(Value::Null);
-        }
-        let bytes = v
-            .as_bytes()
-            .ok_or_else(|| CoreError::new("HOM ciphertext must be bytes"))?;
-        let m = self.paillier.decrypt(&BigUint::from_bytes_be(bytes));
-        let slot_bits = (HOM_VALUE_BITS + HOM_OVERFLOW_BITS) as usize;
-        let slot = m.shr(slot_index * slot_bits).low_bits(slot_bits);
-        let u = slot
-            .to_u128()
-            .ok_or_else(|| CoreError::new("slot exceeds 128 bits"))? as u64;
-        Ok(decode_hom_sum(u, ty))
+    /// Decrypts a `paillier_sum` aggregate over a packed HOM group column to
+    /// the packed plaintext all its slots are read from with
+    /// [`hom_group_slot`].
+    pub(crate) fn decrypt_hom_group(&self, ciphertext: &[u8]) -> Result<BigUint, CoreError> {
+        decrypt_paillier(&self.paillier, ciphertext)
     }
 
     /// Encrypts an entire plaintext database according to the design,
     /// producing the encrypted server database (with the Paillier public
     /// modulus registered so `paillier_sum` works).
+    ///
+    /// Everything that does not depend on the row — which source feeds which
+    /// encrypted column under which cipher — is resolved once per table.
+    /// Cells are still encrypted row by row in schema order, so the draws
+    /// from the seeded RNG, and with them every ciphertext, do not depend on
+    /// how the work is organised.
     pub fn encrypt_database(&self, plain: &Database, seed: u64) -> Result<Database, CoreError> {
+        /// Where one source's plaintext comes from.
+        enum Source<'a> {
+            Column(usize),
+            Computed(&'a Expr),
+        }
+        /// What one encrypted column stores.
+        enum Cell<'a> {
+            Scheme(usize, ColumnCrypto<'a>, EncScheme),
+            /// The packed HOM group: `(source, type)` per slot.
+            HomGroup(Vec<(usize, ColumnType)>),
+        }
+
         let mut rng = StdRng::seed_from_u64(seed);
         let mut enc_db = Database::new();
         for schema in self.design.encrypted_schema(&self.paillier) {
@@ -724,7 +642,7 @@ impl Encryptor {
         }
         enc_db.register_paillier_modulus(self.paillier.n_squared().clone());
 
-        for td in self.design.tables.values() {
+        for (t, (name, td)) in self.design.tables.iter().enumerate() {
             let table = match plain.table(&td.table) {
                 Some(t) => t,
                 None => continue,
@@ -737,48 +655,81 @@ impl Encryptor {
                     .map(|c| (Some(td.table.clone()), c.name.clone()))
                     .collect(),
             );
-            let enc_schema = enc_db
+            let sources: Vec<Source<'_>> = td
+                .columns
+                .iter()
+                .map(|cd| match &cd.source {
+                    Expr::Column(c) => match plain_schema.resolve(c) {
+                        Some(i) => Source::Column(i),
+                        None => Source::Computed(&cd.source),
+                    },
+                    other => Source::Computed(other),
+                })
+                .collect();
+            let source_index = |base: &str| {
+                td.base_index(base)
+                    .ok_or_else(|| CoreError::new(format!("no design for {base}")))
+            };
+            let hom_group_column = td.hom_group_column();
+            let cells = enc_db
                 .table(&td.table)
                 .expect("encrypted table just created")
                 .schema()
-                .clone();
-            let hom_slots = td.hom_slots();
-            let mut enc_rows: Vec<Vec<Value>> = Vec::with_capacity(table.row_count());
-            for ridx in 0..table.row_count() {
-                let row = table.row(ridx);
-                let ctx = EvalContext::with_params(&[]);
-                let mut enc_row: Vec<Value> = Vec::with_capacity(enc_schema.columns.len());
-                let mut hom_slot_values = vec![0u64; hom_slots.len()];
-                // Evaluate each source expression once.
-                let mut source_values: BTreeMap<String, Value> = BTreeMap::new();
-                for cd in &td.columns {
-                    let v = monomi_engine::expr::eval(&cd.source, &plain_schema, &row, &ctx)
-                        .map_err(|e| CoreError::new(e.to_string()))?;
-                    source_values.insert(cd.base_name.clone(), v);
-                }
-                for enc_col in &enc_schema.columns {
-                    if td.col_packing && enc_col.name == td.hom_group_column() {
-                        for (i, base) in hom_slots.iter().enumerate() {
-                            let cd = td.find_base(base).expect("hom slot must exist");
-                            let v = &source_values[base];
-                            hom_slot_values[i] = if v.is_null() {
-                                0
-                            } else {
-                                Self::plain_to_u64(v, cd.ty, false)?
-                            };
-                        }
-                        enc_row.push(self.encrypt_hom_group(td, &hom_slot_values, &mut rng));
-                        continue;
+                .columns
+                .iter()
+                .map(|enc_col| {
+                    if td.col_packing && enc_col.name == hom_group_column {
+                        let slots = td
+                            .hom_slots()
+                            .iter()
+                            .map(|base| source_index(base).map(|c| (c, td.columns[c].ty)))
+                            .collect::<Result<_, _>>()?;
+                        return Ok(Cell::HomGroup(slots));
                     }
-                    // Find the (base, scheme) this encrypted column encodes.
                     let (base, scheme) = parse_enc_name(&enc_col.name).ok_or_else(|| {
                         CoreError::new(format!("bad enc column {}", enc_col.name))
                     })?;
-                    let cd = td
-                        .find_base(&base)
-                        .ok_or_else(|| CoreError::new(format!("no design for {base}")))?;
-                    let v = &source_values[&base];
-                    enc_row.push(self.encrypt_value(&td.table, cd, scheme, v, &mut rng)?);
+                    let c = source_index(&base)?;
+                    Ok(Cell::Scheme(c, self.column_at(name, td, t, c), scheme))
+                })
+                .collect::<Result<Vec<Cell<'_>>, CoreError>>()?;
+
+            let ctx = EvalContext::with_params(&[]);
+            let mut enc_rows: Vec<Vec<Value>> = Vec::with_capacity(table.row_count());
+            let mut source_values: Vec<Value> = Vec::with_capacity(sources.len());
+            let mut hom_slot_values: Vec<u64> = Vec::new();
+            for ridx in 0..table.row_count() {
+                let row = table.row(ridx);
+                // Evaluate each source expression once.
+                source_values.clear();
+                for source in &sources {
+                    source_values.push(match source {
+                        Source::Column(i) => row[*i].clone(),
+                        Source::Computed(expr) => {
+                            monomi_engine::expr::eval(expr, &plain_schema, &row, &ctx)
+                                .map_err(|e| CoreError::new(e.to_string()))?
+                        }
+                    });
+                }
+                let mut enc_row: Vec<Value> = Vec::with_capacity(cells.len());
+                for cell in &cells {
+                    enc_row.push(match cell {
+                        Cell::Scheme(c, column, scheme) => {
+                            column.encrypt_value(*scheme, &source_values[*c], &mut rng)?
+                        }
+                        Cell::HomGroup(slots) => {
+                            hom_slot_values.clear();
+                            for (c, ty) in slots {
+                                let v = &source_values[*c];
+                                hom_slot_values.push(if v.is_null() {
+                                    0
+                                } else {
+                                    plain_to_u64(v, *ty, false)?
+                                });
+                            }
+                            self.encrypt_hom_group(&hom_slot_values, &mut rng)
+                        }
+                    });
                 }
                 enc_rows.push(enc_row);
             }
@@ -788,6 +739,233 @@ impl Encryptor {
         }
         Ok(enc_db)
     }
+}
+
+impl<'a> ColumnCrypto<'a> {
+    /// The column's design entry.
+    pub fn design(&self) -> &'a ColumnDesign {
+        self.design
+    }
+
+    fn is_integer(&self) -> bool {
+        matches!(
+            self.design.ty,
+            ColumnType::Int | ColumnType::Date | ColumnType::Float
+        )
+    }
+
+    fn master(&self) -> &'a MasterKey {
+        &self.encryptor.master
+    }
+
+    fn det_int(&self) -> &'a FormatPreservingCipher {
+        self.ciphers.det_int.get_or_init(|| {
+            let label = Encryptor::det_label(self.table, &self.design.base_name);
+            self.master().det_int("shared", &label, 64)
+        })
+    }
+
+    fn det_bytes(&self) -> &'a DetBytes {
+        self.ciphers.det_bytes.get_or_init(|| {
+            let label = Encryptor::det_label(self.table, &self.design.base_name);
+            self.master().det_bytes("shared", &label)
+        })
+    }
+
+    fn rnd(&self) -> &'a RndCipher {
+        self.ciphers
+            .rnd
+            .get_or_init(|| self.master().rnd(self.table, &self.design.base_name))
+    }
+
+    fn ope(&self) -> &'a OpeCipher {
+        self.ciphers
+            .ope
+            .get_or_init(|| self.master().ope(self.table, &self.design.base_name))
+    }
+
+    /// The column's SEARCH scheme (the rewriter derives trapdoors from it).
+    pub fn search(&self) -> &'a SearchScheme {
+        self.ciphers
+            .search
+            .get_or_init(|| self.master().search(self.table, &self.design.base_name))
+    }
+
+    /// Encrypts one plaintext value of this column under a scheme.
+    pub fn encrypt_value(
+        &self,
+        scheme: EncScheme,
+        v: &Value,
+        rng: &mut StdRng,
+    ) -> Result<Value, CoreError> {
+        if v.is_null() {
+            return Ok(Value::Null);
+        }
+        let ty = self.design.ty;
+        match scheme {
+            EncScheme::Det if self.is_integer() => {
+                let u = plain_to_u64(v, ty, false)?;
+                Ok(Value::Int(self.det_int().encrypt(u) as i64))
+            }
+            EncScheme::Det => {
+                let s = v
+                    .as_str()
+                    .ok_or_else(|| CoreError::new("DET of non-string value"))?;
+                Ok(Value::Bytes(self.det_bytes().encrypt(s.as_bytes())))
+            }
+            EncScheme::Ope => {
+                let u = plain_to_u64(v, ty, true)?;
+                Ok(Value::Bytes(self.ope().encrypt(u).to_be_bytes().to_vec()))
+            }
+            EncScheme::Rnd => Ok(Value::Bytes(self.rnd().encrypt(rng, &encode_plain(v)))),
+            EncScheme::Search => {
+                let s = v
+                    .as_str()
+                    .ok_or_else(|| CoreError::new("SEARCH of non-string value"))?;
+                Ok(Value::Bytes(self.search().encrypt(s).to_bytes()))
+            }
+            EncScheme::Hom => {
+                let m = BigUint::from_u64(plain_to_u64(v, ty, false)?);
+                Ok(encrypt_paillier(&self.encryptor.paillier, &m, rng))
+            }
+        }
+    }
+
+    /// Encrypts a constant for comparison against this column (used by the
+    /// query rewriter for predicates like `col = 'x'` or `col > 10`).
+    pub fn encrypt_constant(&self, scheme: EncScheme, v: &Value) -> Result<Value, CoreError> {
+        let mut rng = StdRng::seed_from_u64(0);
+        self.encrypt_value(scheme, v, &mut rng)
+    }
+
+    /// The decryptor for this column's ciphertexts under `scheme`; an error
+    /// for the schemes the client cannot invert.
+    pub(crate) fn decryptor(&self, scheme: EncScheme) -> Result<ValueDecryptor<'a>, CoreError> {
+        match scheme {
+            EncScheme::Det if self.is_integer() => {
+                Ok(ValueDecryptor::DetInt(self.det_int(), self.design.ty))
+            }
+            EncScheme::Det => Ok(ValueDecryptor::DetStr(self.det_bytes())),
+            EncScheme::Rnd => Ok(ValueDecryptor::Rnd(self.rnd())),
+            EncScheme::Hom => Ok(ValueDecryptor::Hom(
+                &self.encryptor.paillier,
+                self.design.ty,
+            )),
+            EncScheme::Ope | EncScheme::Search => Err(CoreError::new(format!(
+                "{scheme} ciphertexts are not client-decryptable"
+            ))),
+        }
+    }
+
+    /// Decrypts a value previously produced by
+    /// [`encrypt_value`](Self::encrypt_value).
+    pub fn decrypt_value(&self, scheme: EncScheme, v: &Value) -> Result<Value, CoreError> {
+        self.decryptor(scheme)?.decrypt(v)
+    }
+}
+
+impl ValueDecryptor<'_> {
+    /// The scheme this decryptor inverts.
+    pub(crate) fn scheme(&self) -> EncScheme {
+        match self {
+            ValueDecryptor::DetInt(..) | ValueDecryptor::DetStr(_) => EncScheme::Det,
+            ValueDecryptor::Rnd(_) => EncScheme::Rnd,
+            ValueDecryptor::Hom(..) => EncScheme::Hom,
+        }
+    }
+
+    /// Decrypts one value; NULL stays NULL. The value came from the untrusted
+    /// server: one of the wrong kind, or bytes the scheme cannot have
+    /// produced, is an error.
+    pub(crate) fn decrypt(&self, v: &Value) -> Result<Value, CoreError> {
+        if v.is_null() {
+            return Ok(Value::Null);
+        }
+        let bytes = |what: &str| {
+            v.as_bytes()
+                .ok_or_else(|| CoreError::new(format!("{what} ciphertext must be bytes")))
+        };
+        match self {
+            ValueDecryptor::DetInt(fpe, ty) => {
+                let ct = v
+                    .as_int()
+                    .ok_or_else(|| CoreError::new("DET int ciphertext must be an integer"))?;
+                Ok(decode_int(fpe.decrypt(ct as u64), *ty))
+            }
+            ValueDecryptor::DetStr(det) => {
+                let plain = det.decrypt(bytes("DET string")?)?;
+                Ok(Value::Str(String::from_utf8_lossy(&plain).into_owned()))
+            }
+            ValueDecryptor::Rnd(rnd) => decode_plain(&rnd.decrypt(bytes("RND")?)?),
+            ValueDecryptor::Hom(paillier, ty) => {
+                let u = decrypt_paillier(paillier, bytes("HOM")?)?
+                    .to_u128()
+                    .ok_or_else(|| CoreError::new("decrypted HOM value exceeds 128 bits"))?;
+                Ok(decode_hom_sum(u as u64, *ty))
+            }
+        }
+    }
+}
+
+impl From<CipherError> for CoreError {
+    fn from(e: CipherError) -> Self {
+        CoreError::new(format!("malformed ciphertext: {e}"))
+    }
+}
+
+/// A Paillier ciphertext of `m` as the fixed-width bytes the server stores.
+fn encrypt_paillier(paillier: &PaillierKey, m: &BigUint, rng: &mut StdRng) -> Value {
+    Value::Bytes(
+        paillier
+            .encrypt(rng, m)
+            .to_bytes_be_padded(paillier.ciphertext_bytes()),
+    )
+}
+
+/// Paillier-decrypts server-supplied bytes. `PaillierKey::decrypt` requires a
+/// residue below n², and a zero has no plaintext: both are checked here.
+fn decrypt_paillier(paillier: &PaillierKey, ciphertext: &[u8]) -> Result<BigUint, CoreError> {
+    let c = BigUint::from_bytes_be(ciphertext);
+    if c.is_zero() || &c >= paillier.n_squared() {
+        return Err(CoreError::new(
+            "malformed ciphertext: not a Paillier residue modulo n²",
+        ));
+    }
+    Ok(paillier.decrypt(&c))
+}
+
+/// Reads the sum in slot `slot_index` out of a decrypted packed HOM group
+/// (see [`Encryptor::decrypt_hom_group`]).
+pub(crate) fn hom_group_slot(
+    packed: &BigUint,
+    slot_index: usize,
+    ty: ColumnType,
+) -> Result<Value, CoreError> {
+    let slot_bits = (HOM_VALUE_BITS + HOM_OVERFLOW_BITS) as usize;
+    let slot = packed.shr(slot_index * slot_bits).low_bits(slot_bits);
+    let u = slot
+        .to_u128()
+        .ok_or_else(|| CoreError::new("slot exceeds 128 bits"))? as u64;
+    Ok(decode_hom_sum(u, ty))
+}
+
+fn plain_to_u64(v: &Value, ty: ColumnType, order_preserving: bool) -> Result<u64, CoreError> {
+    let signed = match v {
+        Value::Int(i) => *i,
+        Value::Date(d) => *d as i64 + DATE_BIAS,
+        // Scale floats to fixed-point before integer encryption.
+        Value::Float(f) => (*f * 100.0).round() as i64,
+        other => {
+            return Err(CoreError::new(format!(
+                "cannot encode {other:?} of type {ty:?} as an integer"
+            )))
+        }
+    };
+    Ok(if order_preserving {
+        monomi_crypto::i64_to_ordered_u64(signed)
+    } else {
+        signed as u64
+    })
 }
 
 /// Splits an encrypted column name `<base>_<scheme>` back into its parts.
@@ -836,15 +1014,22 @@ fn encode_plain(v: &Value) -> Vec<u8> {
     }
 }
 
-/// Inverse of [`encode_plain`].
-fn decode_plain(bytes: &[u8]) -> Value {
-    match bytes.first() {
-        Some(1) => Value::Int(i64::from_be_bytes(bytes[1..9].try_into().unwrap())),
-        Some(2) => Value::Date(i32::from_be_bytes(bytes[1..5].try_into().unwrap())),
-        Some(3) => Value::Float(f64::from_be_bytes(bytes[1..9].try_into().unwrap())),
-        Some(4) => Value::Str(String::from_utf8_lossy(&bytes[1..]).into_owned()),
-        _ => Value::Null,
-    }
+/// Inverse of [`encode_plain`]. The payload was decrypted from bytes the
+/// server sent, so one `encode_plain` cannot have written is an error.
+fn decode_plain(bytes: &[u8]) -> Result<Value, CoreError> {
+    let short = || CoreError::new("malformed ciphertext: RND payload too short for its tag");
+    let (tag, body) = bytes.split_first().ok_or_else(short)?;
+    Ok(match tag {
+        1 => Value::Int(i64::from_be_bytes(*body.first_chunk().ok_or_else(short)?)),
+        2 => Value::Date(i32::from_be_bytes(*body.first_chunk().ok_or_else(short)?)),
+        3 => Value::Float(f64::from_be_bytes(*body.first_chunk().ok_or_else(short)?)),
+        4 => Value::Str(String::from_utf8_lossy(body).into_owned()),
+        other => {
+            return Err(CoreError::new(format!(
+                "malformed ciphertext: unknown RND payload tag {other}"
+            )))
+        }
+    })
 }
 
 fn decode_int(u: u64, ty: ColumnType) -> Value {
@@ -927,7 +1112,7 @@ mod tests {
         let plain = plain_db();
         let design = sample_design(&plain);
         let td = design.table("orders").unwrap();
-        let ok = td.find_base("o_totalprice").unwrap();
+        let ok = &td.columns[td.base_index("o_totalprice").unwrap()];
         assert!(ok.schemes.contains(&EncScheme::Det));
         assert!(ok.schemes.contains(&EncScheme::Hom));
         assert_eq!(ok.enc_name(EncScheme::Det), "o_totalprice_det");
@@ -1004,83 +1189,162 @@ mod tests {
         let plain = plain_db();
         let design = sample_design(&plain);
         let enc = Encryptor::new(MasterKey::from_bytes([1u8; 32]), design, 7);
-        let td = enc.design().table("orders").unwrap().clone();
         let mut rng = StdRng::seed_from_u64(3);
-
-        let key_cd = td.find_base("o_orderkey").unwrap();
-        let ct = enc
-            .encrypt_value("orders", key_cd, EncScheme::Det, &Value::Int(5), &mut rng)
-            .unwrap();
-        assert_ne!(ct, Value::Int(5));
-        assert_eq!(
-            enc.decrypt_value("orders", key_cd, EncScheme::Det, &ct)
-                .unwrap(),
-            Value::Int(5)
-        );
-
-        let date_cd = td.find_base("o_orderdate").unwrap();
-        let dct = enc
-            .encrypt_value(
-                "orders",
-                date_cd,
-                EncScheme::Det,
-                &Value::Date(8005),
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(
-            enc.decrypt_value("orders", date_cd, EncScheme::Det, &dct)
-                .unwrap(),
-            Value::Date(8005)
-        );
-
-        let comment_cd = td.find_base("o_comment").unwrap();
-        let rct = enc
-            .encrypt_value(
-                "orders",
-                comment_cd,
-                EncScheme::Rnd,
-                &Value::Str("hello".into()),
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(
-            enc.decrypt_value("orders", comment_cd, EncScheme::Rnd, &rct)
-                .unwrap(),
-            Value::Str("hello".into())
-        );
-
-        let price_cd = td.find_base("o_totalprice").unwrap();
-        let hct = enc
-            .encrypt_value(
-                "orders",
-                price_cd,
-                EncScheme::Hom,
-                &Value::Int(123),
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(
-            enc.decrypt_value("orders", price_cd, EncScheme::Hom, &hct)
-                .unwrap(),
-            Value::Int(123)
-        );
+        for (base, scheme, v) in [
+            ("o_orderkey", EncScheme::Det, Value::Int(5)),
+            ("o_orderdate", EncScheme::Det, Value::Date(8005)),
+            ("o_comment", EncScheme::Rnd, Value::Str("hello".into())),
+            ("o_totalprice", EncScheme::Hom, Value::Int(123)),
+        ] {
+            let column = enc.column("orders", base).unwrap();
+            let ct = column.encrypt_value(scheme, &v, &mut rng).unwrap();
+            assert_ne!(ct, v, "{base} {scheme}");
+            assert_eq!(
+                column.decrypt_value(scheme, &ct).unwrap(),
+                v,
+                "{base} {scheme}"
+            );
+            // NULL is stored and fetched as NULL under every scheme.
+            assert_eq!(
+                column
+                    .encrypt_value(scheme, &Value::Null, &mut rng)
+                    .unwrap(),
+                Value::Null
+            );
+            assert_eq!(
+                column.decrypt_value(scheme, &Value::Null).unwrap(),
+                Value::Null
+            );
+        }
+        assert!(enc.column("orders", "no_such_column").is_none());
+        assert!(enc.column("no_such_table", "o_orderkey").is_none());
+        let price = enc.column("ORDERS", "o_totalprice").unwrap();
+        assert!(price.decrypt_value(EncScheme::Ope, &Value::Int(1)).is_err());
     }
 
+    /// The cached cipher of a column is the one `MasterKey` derives for it:
+    /// caching changes when a key is derived, never which key.
     #[test]
-    fn ope_constants_preserve_order() {
+    fn cached_ciphers_are_the_master_keys_ciphers() {
         let plain = plain_db();
         let design = sample_design(&plain);
-        let enc = Encryptor::new(MasterKey::from_bytes([1u8; 32]), design, 7);
-        let td = enc.design().table("orders").unwrap().clone();
-        let price_cd = td.find_base("o_totalprice").unwrap();
-        let a = enc
-            .encrypt_constant("orders", price_cd, EncScheme::Ope, &Value::Int(100))
+        let master = MasterKey::from_bytes([1u8; 32]);
+        let enc = Encryptor::new(master.clone(), design, 7);
+        let mut rng = StdRng::seed_from_u64(3);
+        // A join key shares its DET label across tables; other columns are
+        // keyed per table and column.
+        let key = enc.column("orders", "o_orderkey").unwrap();
+        assert_eq!(
+            key.encrypt_value(EncScheme::Det, &Value::Int(5), &mut rng)
+                .unwrap(),
+            Value::Int(master.det_int("shared", "joinkey.orderkey", 64).encrypt(5) as i64)
+        );
+        let price = enc.column("orders", "o_totalprice").unwrap();
+        assert_eq!(
+            price
+                .encrypt_constant(EncScheme::Det, &Value::Int(5))
+                .unwrap(),
+            Value::Int(
+                master
+                    .det_int("shared", "orders.o_totalprice", 64)
+                    .encrypt(5) as i64
+            )
+        );
+        assert_eq!(
+            price
+                .encrypt_constant(EncScheme::Ope, &Value::Int(5))
+                .unwrap(),
+            Value::Bytes(
+                master
+                    .ope("orders", "o_totalprice")
+                    .encrypt_i64(5)
+                    .to_be_bytes()
+                    .to_vec()
+            )
+        );
+        let comment = enc.column("orders", "o_comment").unwrap();
+        let ct = comment
+            .encrypt_value(EncScheme::Rnd, &Value::Str("x".into()), &mut rng)
             .unwrap();
-        let b = enc
-            .encrypt_constant("orders", price_cd, EncScheme::Ope, &Value::Int(110))
+        let payload = master
+            .rnd("orders", "o_comment")
+            .decrypt(ct.as_bytes().unwrap())
             .unwrap();
-        assert!(a < b);
+        assert_eq!(payload, b"\x04x");
+    }
+
+    /// Bytes no cipher of ours produced — truncated, not whole blocks, badly
+    /// padded, a short RND payload, a non-residue — are errors from the
+    /// trusted client, never a panic.
+    #[test]
+    fn malformed_ciphertexts_are_errors_for_every_scheme() {
+        let plain = plain_db();
+        let design = sample_design(&plain);
+        let master = MasterKey::from_bytes([1u8; 32]);
+        let enc = Encryptor::new(master.clone(), design, 7);
+        let mut rng = StdRng::seed_from_u64(3);
+        let bytes = |v: &Value| v.as_bytes().unwrap().to_vec();
+        let is_malformed = |r: Result<Value, CoreError>| {
+            let e = r.expect_err("malformed ciphertext accepted");
+            assert!(e.message.contains("malformed ciphertext"), "{e}");
+        };
+
+        // DET string (a design of its own: the sample has none).
+        let mut design = PhysicalDesign::new(128);
+        design
+            .table_mut("t")
+            .add(Expr::col("s"), ColumnType::Str, EncScheme::Det);
+        let det_enc = Encryptor::with_keys(master.clone(), enc.paillier().clone(), design);
+        let s = det_enc.column("t", "s").unwrap();
+        let ct = bytes(
+            &s.encrypt_value(
+                EncScheme::Det,
+                &Value::Str("seventeen chars..".into()),
+                &mut rng,
+            )
+            .unwrap(),
+        );
+        for bad in [&ct[..0], &ct[..5], &ct[..17], &ct[..16]] {
+            is_malformed(s.decrypt_value(EncScheme::Det, &Value::Bytes(bad.to_vec())));
+        }
+        assert!(s.decrypt_value(EncScheme::Det, &Value::Int(1)).is_err());
+
+        // RND: truncated, cut inside a block, bad padding, short payload.
+        let comment = enc.column("orders", "o_comment").unwrap();
+        let ct = bytes(
+            &comment
+                .encrypt_value(
+                    EncScheme::Rnd,
+                    &Value::Str("a comment of some length".into()),
+                    &mut rng,
+                )
+                .unwrap(),
+        );
+        for bad in [&ct[..0], &ct[..16], &ct[..20], &ct[..32]] {
+            is_malformed(comment.decrypt_value(EncScheme::Rnd, &Value::Bytes(bad.to_vec())));
+        }
+        let rnd = master.rnd("orders", "o_comment");
+        for payload in [&b""[..], &[1, 0, 0][..], &[2, 0][..], &[3][..], &[9, 9][..]] {
+            let ct = rnd.encrypt(&mut rng, payload);
+            is_malformed(comment.decrypt_value(EncScheme::Rnd, &Value::Bytes(ct)));
+        }
+        assert!(comment
+            .decrypt_value(EncScheme::Rnd, &Value::Int(1))
+            .is_err());
+
+        // DET int: only the kind can be wrong, every u64 is a ciphertext.
+        let key = enc.column("orders", "o_orderkey").unwrap();
+        assert!(key
+            .decrypt_value(EncScheme::Det, &Value::Bytes(vec![1; 8]))
+            .is_err());
+
+        // HOM: zero and anything at or above n² are not residues.
+        let price = enc.column("orders", "o_totalprice").unwrap();
+        let too_big = enc.paillier().n_squared().to_bytes_be();
+        for bad in [vec![], vec![0u8; 64], too_big, vec![0xff; 4096]] {
+            is_malformed(price.decrypt_value(EncScheme::Hom, &Value::Bytes(bad.clone())));
+            assert!(enc.decrypt_hom_group(&bad).is_err());
+        }
     }
 
     #[test]
@@ -1103,14 +1367,13 @@ mod tests {
         let (rs, _) = enc_db
             .execute_sql("SELECT paillier_sum(orders_homgrp_hom) FROM orders", &[])
             .unwrap();
-        let slot0 = enc
-            .decrypt_hom_group_sum(&rs.rows[0][0], 0, ColumnType::Int)
+        let packed = enc
+            .decrypt_hom_group(rs.rows[0][0].as_bytes().unwrap())
             .unwrap();
+        let slot0 = hom_group_slot(&packed, 0, ColumnType::Int).unwrap();
         let expected: i64 = (0..20).map(|i| 100 + i).sum();
         assert_eq!(slot0, Value::Int(expected));
-        let slot1 = enc
-            .decrypt_hom_group_sum(&rs.rows[0][0], 1, ColumnType::Int)
-            .unwrap();
+        let slot1 = hom_group_slot(&packed, 1, ColumnType::Int).unwrap();
         assert_eq!(slot1, Value::Int(expected * 2));
     }
 

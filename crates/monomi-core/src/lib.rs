@@ -42,6 +42,7 @@
 
 pub mod client;
 pub mod cost;
+mod decrypt;
 pub mod design;
 pub mod designer;
 pub mod localexec;
@@ -53,7 +54,7 @@ pub mod schemes;
 pub mod transport;
 
 pub use client::{ClientConfig, DesignStrategy, MonomiClient};
-pub use design::{ColumnDesign, Encryptor, PhysicalDesign, TableDesign};
+pub use design::{ColumnCrypto, ColumnDesign, Encryptor, PhysicalDesign, TableDesign};
 pub use designer::{DesignOutcome, Designer};
 pub use localexec::{QueryTimings, SplitExecutor};
 pub use network::NetworkModel;

@@ -1,11 +1,19 @@
 //! Client-side execution of split plans: RemoteSQL dispatch, LocalDecrypt,
 //! LocalFilter, LocalGroupBy/LocalGroupFilter, LocalProjection, LocalSort.
 //!
+//! LocalDecrypt itself is the `decrypt` module: per RemoteSQL execution the
+//! output columns are compiled into per-column decryptors and the result is
+//! decrypted column-major. This module times it as one phase
+//! (`QueryTimings::decrypt_seconds`, the `LocalDecrypt` span) and, under a
+//! non-zero trace id, hangs the pipeline's per-column `Decrypt(<scheme>)`
+//! spans beneath that span.
+//!
 //! The executor measures the client's own work (decryption and residual
 //! computation), the server's work (engine execution plus a simulated disk
 //! read), and the simulated wide-area transfer of intermediate results, so the
 //! benchmark harnesses can report the same breakdowns as the paper.
 
+use crate::decrypt::DecryptPipeline;
 use crate::design::Encryptor;
 use crate::network::NetworkModel;
 use crate::plan::{DecryptSpec, OutputColumn, RemotePlan, SplitPlan};
@@ -326,14 +334,15 @@ impl<'a> SplitExecutor<'a> {
 
         // 3. LocalDecrypt.
         let started = Stopwatch::start();
-        let env = self.decrypt(&rp.outputs, &enc_rs)?;
+        let (env, column_spans) = self.decrypt(&rp.outputs, &enc_rs, !trace.is_zero())?;
         let decrypt_seconds = started.seconds();
         timings.decrypt_seconds += decrypt_seconds;
         if !trace.is_zero() {
-            spans.push(Span::leaf(
-                "LocalDecrypt",
+            spans.push(Span::node(
+                "LocalDecrypt".to_string(),
                 decrypt_seconds,
                 env.rows.len() as u64,
+                column_spans,
             ));
         }
 
@@ -352,92 +361,19 @@ impl<'a> SplitExecutor<'a> {
         Ok((result, timings))
     }
 
+    /// LocalDecrypt: compiles the outputs' decryptors for this execution and
+    /// runs them column-major over the result (see [`crate::decrypt`]).
+    /// Returns the per-column spans when `traced`.
     fn decrypt(
         &self,
         outputs: &[OutputColumn],
         enc_rs: &ResultSet,
-    ) -> Result<Environment, CoreError> {
-        let design = self.encryptor.design();
+        traced: bool,
+    ) -> Result<(Environment, Vec<Span>), CoreError> {
         let keys: Vec<Expr> = outputs.iter().map(|o| o.source.clone()).collect();
-        let mut rows = Vec::with_capacity(enc_rs.rows.len());
-        for enc_row in &enc_rs.rows {
-            let mut out_row = Vec::with_capacity(outputs.len());
-            for (i, out) in outputs.iter().enumerate() {
-                let v = &enc_row[i];
-                let plain = match &out.decrypt {
-                    DecryptSpec::Plain => v.clone(),
-                    DecryptSpec::Column {
-                        table,
-                        base,
-                        scheme,
-                        ..
-                    } => {
-                        let cd = design
-                            .table(table)
-                            .and_then(|t| t.find_base(base))
-                            .ok_or_else(|| {
-                                CoreError::new(format!("missing design for {table}.{base}"))
-                            })?;
-                        self.encryptor.decrypt_value(table, cd, *scheme, v)?
-                    }
-                    DecryptSpec::HomSum { table, base, .. } => {
-                        let cd = design
-                            .table(table)
-                            .and_then(|t| t.find_base(base))
-                            .ok_or_else(|| {
-                                CoreError::new(format!("missing design for {table}.{base}"))
-                            })?;
-                        self.encryptor.decrypt_value(
-                            table,
-                            cd,
-                            crate::schemes::EncScheme::Hom,
-                            v,
-                        )?
-                    }
-                    DecryptSpec::HomGroupSum { table, base, ty } => {
-                        let td = design
-                            .table(table)
-                            .ok_or_else(|| CoreError::new(format!("missing design for {table}")))?;
-                        let slot = td
-                            .hom_slot_index(base)
-                            .ok_or_else(|| CoreError::new(format!("{base} is not a HOM slot")))?;
-                        self.encryptor.decrypt_hom_group_sum(v, slot, *ty)?
-                    }
-                    DecryptSpec::GroupValues {
-                        table,
-                        base,
-                        agg,
-                        distinct,
-                        ..
-                    } => {
-                        let cd = design
-                            .table(table)
-                            .and_then(|t| t.find_base(base))
-                            .ok_or_else(|| {
-                                CoreError::new(format!("missing design for {table}.{base}"))
-                            })?;
-                        let list = match v {
-                            Value::List(items) => items.clone(),
-                            Value::Null => Vec::new(),
-                            other => vec![other.clone()],
-                        };
-                        let mut plain_items = Vec::with_capacity(list.len());
-                        for item in &list {
-                            plain_items.push(self.encryptor.decrypt_value(
-                                table,
-                                cd,
-                                crate::schemes::EncScheme::Det,
-                                item,
-                            )?);
-                        }
-                        fold_group(plain_items, *agg, *distinct)
-                    }
-                };
-                out_row.push(plain);
-            }
-            rows.push(out_row);
-        }
-        Ok(Environment { keys, rows })
+        let (rows, spans) =
+            DecryptPipeline::compile(self.encryptor, outputs)?.run(enc_rs, traced)?;
+        Ok((Environment { keys, rows }, spans))
     }
 
     fn finish_locally(
@@ -826,7 +762,7 @@ fn compute_local_aggregate(
 
 /// Folds a list of plaintext values with an aggregate function (or keeps the
 /// list when `agg` is `None`).
-fn fold_group(values: Vec<Value>, agg: Option<AggFunc>, distinct: bool) -> Value {
+pub(crate) fn fold_group(values: Vec<Value>, agg: Option<AggFunc>, distinct: bool) -> Value {
     let mut values = values;
     if distinct {
         let mut seen = std::collections::HashSet::new();

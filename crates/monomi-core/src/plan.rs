@@ -911,11 +911,10 @@ fn prefilter_for(rewriter: &Rewriter<'_>, having: &Expr, plain: &Database) -> Op
         .and_then(Value::as_float)
         .unwrap_or(1.0)
         .max(1.0);
-    let td = rewriter.design.table(&spec.table)?;
-    let cd = td.find_base(&spec.base)?;
     let enc_m = rewriter
         .encryptor
-        .encrypt_constant(&spec.table, cd, EncScheme::Ope, &Value::Int(m as i64))
+        .column(&spec.table, &spec.base)?
+        .encrypt_constant(EncScheme::Ope, &Value::Int(m as i64))
         .ok()?;
     let enc_m_expr = match enc_m {
         Value::Bytes(b) => Expr::Function {

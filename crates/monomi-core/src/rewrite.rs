@@ -234,11 +234,10 @@ impl<'a> Rewriter<'a> {
         scheme: EncScheme,
         v: &Value,
     ) -> Option<Expr> {
-        let td = self.design.table(spec.table)?;
-        let cd = td.find_base(spec.base)?;
         let ct = self
             .encryptor
-            .encrypt_constant(spec.table, cd, scheme, v)
+            .column(spec.table, spec.base)?
+            .encrypt_constant(scheme, v)
             .ok()?;
         Some(match ct {
             Value::Int(i) => Expr::Literal(Literal::Number(i.to_string())),
@@ -334,7 +333,8 @@ impl<'a> Rewriter<'a> {
                 }
                 let search = self
                     .encryptor
-                    .master_search(&spec.table, &spec.base)
+                    .column(&spec.table, &spec.base)?
+                    .search()
                     .trapdoor(keywords[0]);
                 let call = Expr::Function {
                     name: "search_match".into(),
@@ -482,13 +482,6 @@ impl<'a> Rewriter<'a> {
 struct FetchSpecLike<'a> {
     table: &'a str,
     base: &'a str,
-}
-
-impl Encryptor {
-    /// Access to the SEARCH scheme for trapdoor generation during rewriting.
-    pub fn master_search(&self, table: &str, base: &str) -> monomi_crypto::SearchScheme {
-        self.master_key().search(table, base)
-    }
 }
 
 /// Strips table qualifiers from column references so expressions can be

@@ -1,9 +1,24 @@
-//! AES-128 block cipher implemented from scratch (FIPS-197).
+//! AES-128 block cipher implemented from scratch (FIPS-197), table-driven.
 //!
 //! MONOMI uses AES as the primitive behind its randomized (CBC), deterministic
-//! (CMC/FFX-style), and PRF constructions. This implementation favours clarity:
-//! S-box table lookups with explicit MixColumns arithmetic. It is verified
-//! against the FIPS-197 appendix test vectors.
+//! (CMC/FFX-style), and order-preserving (PRF) constructions, so one block is
+//! the unit every client-side decrypt pays for: a DET integer is ten blocks.
+//!
+//! Each round is sixteen lookups into four 256-entry `u32` tables that fold
+//! SubBytes, ShiftRows and MixColumns together (`TE` to encrypt, `TD` to
+//! decrypt), over a state of four big-endian column words. Decryption is the
+//! equivalent inverse cipher of FIPS-197 §5.3.5: the same round shape as
+//! encryption, over a key schedule whose middle round keys went through
+//! InvMixColumns once, at key expansion. The tables are built at compile
+//! time from the S-box.
+//!
+//! Table lookups indexed by secret bytes are not constant-time; neither were
+//! the S-box lookups of the byte-wise rounds they replace. The cipher runs on
+//! the trusted client only, whose threat model (the paper's) is an untrusted
+//! *server*, not a co-resident attacker timing the client's cache.
+//!
+//! Verified against the FIPS-197 appendix vectors and, block for block,
+//! against the byte-wise rounds of the specification kept as a test oracle.
 
 /// AES S-box.
 const SBOX: [u8; 256] = [
@@ -47,18 +62,12 @@ const INV_SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-/// AES-128 cipher with an expanded key schedule.
-#[derive(Clone)]
-pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
-}
-
-fn xtime(x: u8) -> u8 {
+const fn xtime(x: u8) -> u8 {
     (x << 1) ^ (((x >> 7) & 1) * 0x1b)
 }
 
 /// Multiply in GF(2^8).
-fn gmul(a: u8, b: u8) -> u8 {
+const fn gmul(a: u8, b: u8) -> u8 {
     let mut result = 0u8;
     let mut a = a;
     let mut b = b;
@@ -72,132 +81,170 @@ fn gmul(a: u8, b: u8) -> u8 {
     result
 }
 
-impl Aes128 {
-    /// Expands a 128-bit key into the round key schedule.
-    pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+/// The four round tables for one direction: `T[0][x]` is the MixColumns
+/// column `coeffs · sbox[x]` as a big-endian word, and `T[i]` is `T[0]`
+/// rotated right by `i` bytes (the contribution of a byte in row `i`).
+const fn round_tables(sbox: &[u8; 256], coeffs: [u8; 4]) -> [[u32; 256]; 4] {
+    let mut t = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = sbox[x];
+        let word = u32::from_be_bytes([
+            gmul(s, coeffs[0]),
+            gmul(s, coeffs[1]),
+            gmul(s, coeffs[2]),
+            gmul(s, coeffs[3]),
+        ]);
+        let mut i = 0;
+        while i < 4 {
+            t[i][x] = word.rotate_right(8 * i as u32);
+            i += 1;
         }
+        x += 1;
+    }
+    t
+}
+
+static TE: [[u32; 256]; 4] = round_tables(&SBOX, [2, 1, 1, 3]);
+static TD: [[u32; 256]; 4] = round_tables(&INV_SBOX, [14, 9, 13, 11]);
+
+/// Byte `row` (0 = most significant) of a column word, as a table index.
+#[inline(always)]
+fn byte(word: u32, row: u32) -> usize {
+    (word >> (24 - 8 * row)) as u8 as usize
+}
+
+/// One column of a table round: the bytes of rows 0..4 come from four
+/// different input columns (that is ShiftRows).
+#[inline(always)]
+fn round_column(t: &[[u32; 256]; 4], w0: u32, w1: u32, w2: u32, w3: u32, key: u32) -> u32 {
+    t[0][byte(w0, 0)] ^ t[1][byte(w1, 1)] ^ t[2][byte(w2, 2)] ^ t[3][byte(w3, 3)] ^ key
+}
+
+/// One column of the last round, which has no MixColumns: plain S-box bytes.
+#[inline(always)]
+fn last_column(sbox: &[u8; 256], w0: u32, w1: u32, w2: u32, w3: u32, key: u32) -> u32 {
+    u32::from_be_bytes([
+        sbox[byte(w0, 0)],
+        sbox[byte(w1, 1)],
+        sbox[byte(w2, 2)],
+        sbox[byte(w3, 3)],
+    ]) ^ key
+}
+
+/// SubBytes on one word.
+fn sub_word(w: u32) -> u32 {
+    last_column(&SBOX, w, w, w, w, 0)
+}
+
+fn load(block: &[u8; 16]) -> [u32; 4] {
+    std::array::from_fn(|c| {
+        u32::from_be_bytes([
+            block[4 * c],
+            block[4 * c + 1],
+            block[4 * c + 2],
+            block[4 * c + 3],
+        ])
+    })
+}
+
+fn store(block: &mut [u8; 16], words: [u32; 4]) {
+    for (chunk, word) in block.chunks_exact_mut(4).zip(words) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+}
+
+/// AES-128 cipher with an expanded key schedule.
+#[derive(Clone)]
+pub struct Aes128 {
+    /// Round keys as column words, in encryption order.
+    enc_keys: [[u32; 4]; 11],
+    /// Round keys of the equivalent inverse cipher, in decryption order.
+    dec_keys: [[u32; 4]; 11],
+}
+
+impl Aes128 {
+    /// Expands a 128-bit key into both round key schedules.
+    pub fn new(key: &[u8; 16]) -> Self {
+        let mut w = [0u32; 44];
+        w[..4].copy_from_slice(&load(key));
         for i in 4..44 {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp = [
-                    SBOX[temp[1] as usize] ^ RCON[i / 4 - 1],
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                    SBOX[temp[0] as usize],
-                ];
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
+            w[i] = w[i - 4] ^ temp;
+        }
+        let enc_keys: [[u32; 4]; 11] =
+            std::array::from_fn(|round| std::array::from_fn(|c| w[4 * round + c]));
+        // Equivalent inverse cipher: round keys in reverse round order, the
+        // nine middle ones through InvMixColumns. `TD` applies InvSubBytes
+        // first, so feed it S-box outputs to get InvMixColumns alone.
+        let dec_keys = std::array::from_fn(|round| {
+            let key = enc_keys[10 - round];
+            if round == 0 || round == 10 {
+                key
+            } else {
+                key.map(|word| {
+                    let s = sub_word(word);
+                    round_column(&TD, s, s, s, s, 0)
+                })
             }
-        }
-        let mut round_keys = [[0u8; 16]; 11];
-        for r in 0..11 {
-            for c in 0..4 {
-                round_keys[r][4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-        }
-        Aes128 { round_keys }
-    }
-
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for i in 0..16 {
-            state[i] ^= rk[i];
-        }
-    }
-
-    fn sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = SBOX[*b as usize];
-        }
-    }
-
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = INV_SBOX[*b as usize];
-        }
-    }
-
-    fn shift_rows(state: &mut [u8; 16]) {
-        // State is column-major: state[r + 4c].
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-            }
-        }
-    }
-
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-            }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-            state[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-            state[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-            state[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-            state[4 * c + 1] =
-                gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-            state[4 * c + 2] =
-                gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-            state[4 * c + 3] =
-                gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-        }
+        });
+        Aes128 { enc_keys, dec_keys }
     }
 
     /// Encrypts a single 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[round]);
+        let [first, middle @ .., last] = &self.enc_keys;
+        let [mut s0, mut s1, mut s2, mut s3] = load(block);
+        s0 ^= first[0];
+        s1 ^= first[1];
+        s2 ^= first[2];
+        s3 ^= first[3];
+        for k in middle {
+            let t0 = round_column(&TE, s0, s1, s2, s3, k[0]);
+            let t1 = round_column(&TE, s1, s2, s3, s0, k[1]);
+            let t2 = round_column(&TE, s2, s3, s0, s1, k[2]);
+            let t3 = round_column(&TE, s3, s0, s1, s2, k[3]);
+            (s0, s1, s2, s3) = (t0, t1, t2, t3);
         }
-        Self::sub_bytes(block);
-        Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[10]);
+        store(
+            block,
+            [
+                last_column(&SBOX, s0, s1, s2, s3, last[0]),
+                last_column(&SBOX, s1, s2, s3, s0, last[1]),
+                last_column(&SBOX, s2, s3, s0, s1, last[2]),
+                last_column(&SBOX, s3, s0, s1, s2, last[3]),
+            ],
+        );
     }
 
     /// Decrypts a single 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[round]);
-            Self::inv_mix_columns(block);
+        let [first, middle @ .., last] = &self.dec_keys;
+        let [mut s0, mut s1, mut s2, mut s3] = load(block);
+        s0 ^= first[0];
+        s1 ^= first[1];
+        s2 ^= first[2];
+        s3 ^= first[3];
+        // InvShiftRows rotates the other way: row r comes from column c - r.
+        for k in middle {
+            let t0 = round_column(&TD, s0, s3, s2, s1, k[0]);
+            let t1 = round_column(&TD, s1, s0, s3, s2, k[1]);
+            let t2 = round_column(&TD, s2, s1, s0, s3, k[2]);
+            let t3 = round_column(&TD, s3, s2, s1, s0, k[3]);
+            (s0, s1, s2, s3) = (t0, t1, t2, t3);
         }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
+        store(
+            block,
+            [
+                last_column(&INV_SBOX, s0, s3, s2, s1, last[0]),
+                last_column(&INV_SBOX, s1, s0, s3, s2, last[1]),
+                last_column(&INV_SBOX, s2, s1, s0, s3, last[2]),
+                last_column(&INV_SBOX, s3, s2, s1, s0, last[3]),
+            ],
+        );
     }
 
     /// Encrypts a copy of the block and returns it.
@@ -225,6 +272,126 @@ impl Aes128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The cipher exactly as FIPS-197 §5.1/§5.3 states it: byte-wise
+    /// SubBytes, ShiftRows, MixColumns over GF(2^8) and the straight inverse
+    /// cipher. Slow and obviously right; the table-driven rounds are checked
+    /// against it.
+    mod oracle {
+        use super::super::{gmul, INV_SBOX, RCON, SBOX};
+
+        pub struct Aes128 {
+            round_keys: [[u8; 16]; 11],
+        }
+
+        impl Aes128 {
+            pub fn new(key: &[u8; 16]) -> Self {
+                let mut w = [[0u8; 4]; 44];
+                for i in 0..4 {
+                    w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+                }
+                for i in 4..44 {
+                    let mut temp = w[i - 1];
+                    if i % 4 == 0 {
+                        temp = [
+                            SBOX[temp[1] as usize] ^ RCON[i / 4 - 1],
+                            SBOX[temp[2] as usize],
+                            SBOX[temp[3] as usize],
+                            SBOX[temp[0] as usize],
+                        ];
+                    }
+                    for j in 0..4 {
+                        w[i][j] = w[i - 4][j] ^ temp[j];
+                    }
+                }
+                let mut round_keys = [[0u8; 16]; 11];
+                for r in 0..11 {
+                    for c in 0..4 {
+                        round_keys[r][4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
+                    }
+                }
+                Aes128 { round_keys }
+            }
+
+            fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+                for i in 0..16 {
+                    state[i] ^= rk[i];
+                }
+            }
+
+            fn sub_bytes(state: &mut [u8; 16], sbox: &[u8; 256]) {
+                for b in state.iter_mut() {
+                    *b = sbox[*b as usize];
+                }
+            }
+
+            fn shift_rows(state: &mut [u8; 16]) {
+                // State is column-major: state[r + 4c].
+                let s = *state;
+                for r in 1..4 {
+                    for c in 0..4 {
+                        state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
+                    }
+                }
+            }
+
+            fn inv_shift_rows(state: &mut [u8; 16]) {
+                let s = *state;
+                for r in 1..4 {
+                    for c in 0..4 {
+                        state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
+                    }
+                }
+            }
+
+            /// Multiplies every column by the circulant matrix whose first
+            /// row is `m`.
+            fn mix_columns(state: &mut [u8; 16], m: [u8; 4]) {
+                for c in 0..4 {
+                    let col = [
+                        state[4 * c],
+                        state[4 * c + 1],
+                        state[4 * c + 2],
+                        state[4 * c + 3],
+                    ];
+                    for r in 0..4 {
+                        state[4 * c + r] =
+                            (0..4).fold(0, |acc, i| acc ^ gmul(col[i], m[(i + 4 - r) % 4]));
+                    }
+                }
+            }
+
+            pub fn encrypt(&self, mut block: [u8; 16]) -> [u8; 16] {
+                Self::add_round_key(&mut block, &self.round_keys[0]);
+                for round in 1..10 {
+                    Self::sub_bytes(&mut block, &SBOX);
+                    Self::shift_rows(&mut block);
+                    Self::mix_columns(&mut block, [2, 3, 1, 1]);
+                    Self::add_round_key(&mut block, &self.round_keys[round]);
+                }
+                Self::sub_bytes(&mut block, &SBOX);
+                Self::shift_rows(&mut block);
+                Self::add_round_key(&mut block, &self.round_keys[10]);
+                block
+            }
+
+            pub fn decrypt(&self, mut block: [u8; 16]) -> [u8; 16] {
+                Self::add_round_key(&mut block, &self.round_keys[10]);
+                for round in (1..10).rev() {
+                    Self::inv_shift_rows(&mut block);
+                    Self::sub_bytes(&mut block, &INV_SBOX);
+                    Self::add_round_key(&mut block, &self.round_keys[round]);
+                    Self::mix_columns(&mut block, [14, 11, 13, 9]);
+                }
+                Self::inv_shift_rows(&mut block);
+                Self::sub_bytes(&mut block, &INV_SBOX);
+                Self::add_round_key(&mut block, &self.round_keys[0]);
+                block
+            }
+        }
+    }
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -233,34 +400,69 @@ mod tests {
             .collect()
     }
 
+    /// Key, plaintext, ciphertext.
+    const FIPS197_VECTORS: [(&str, &str, &str); 2] = [
+        // Appendix B.
+        (
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "3243f6a8885a308d313198a2e0370734",
+            "3925841d02dc09fbdc118597196a0b32",
+        ),
+        // Appendix C.1.
+        (
+            "000102030405060708090a0b0c0d0e0f",
+            "00112233445566778899aabbccddeeff",
+            "69c4e0d86a7b0430d8cdb78070b4c55a",
+        ),
+    ];
+
     #[test]
-    fn fips197_appendix_b_vector() {
+    fn fips197_vectors() {
+        for (key, pt, ct) in FIPS197_VECTORS {
+            let key: [u8; 16] = hex(key).try_into().unwrap();
+            let pt: [u8; 16] = hex(pt).try_into().unwrap();
+            let ct: [u8; 16] = hex(ct).try_into().unwrap();
+            let aes = Aes128::new(&key);
+            assert_eq!(aes.encrypt(pt), ct);
+            assert_eq!(aes.decrypt(ct), pt);
+            let oracle = oracle::Aes128::new(&key);
+            assert_eq!(oracle.encrypt(pt), ct);
+            assert_eq!(oracle.decrypt(ct), pt);
+        }
+    }
+
+    #[test]
+    fn fips197_appendix_a1_key_expansion() {
         let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
-        let pt: [u8; 16] = hex("3243f6a8885a308d313198a2e0370734").try_into().unwrap();
         let aes = Aes128::new(&key);
-        let ct = aes.encrypt(pt);
-        assert_eq!(ct.to_vec(), hex("3925841d02dc09fbdc118597196a0b32"));
-        assert_eq!(aes.decrypt(ct), pt);
+        assert_eq!(aes.enc_keys[1][0], 0xa0fafe17);
+        assert_eq!(aes.enc_keys[10][3], 0xb6630ca6);
+        // The outer round keys of the inverse schedule are the outer round
+        // keys of the forward one, swapped and untransformed.
+        assert_eq!(aes.dec_keys[0], aes.enc_keys[10]);
+        assert_eq!(aes.dec_keys[10], aes.enc_keys[0]);
     }
 
     #[test]
-    fn fips197_appendix_c_vector() {
-        let key: [u8; 16] = hex("000102030405060708090a0b0c0d0e0f").try_into().unwrap();
-        let pt: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        let aes = Aes128::new(&key);
-        let ct = aes.encrypt(pt);
-        assert_eq!(ct.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        assert_eq!(aes.decrypt(ct), pt);
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_many() {
-        let aes = Aes128::new(b"0123456789abcdef");
-        for i in 0u64..200 {
-            let mut block = [0u8; 16];
-            block[..8].copy_from_slice(&i.to_be_bytes());
-            block[8..].copy_from_slice(&(i * 7 + 3).to_be_bytes());
-            assert_eq!(aes.decrypt(aes.encrypt(block)), block);
+    fn table_rounds_match_the_bytewise_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xae5_7ab1e);
+        for _ in 0..100 {
+            let mut key = [0u8; 16];
+            rng.fill(&mut key);
+            let aes = Aes128::new(&key);
+            let oracle = oracle::Aes128::new(&key);
+            for _ in 0..100 {
+                let mut block = [0u8; 16];
+                rng.fill(&mut block);
+                let ct = aes.encrypt(block);
+                assert_eq!(ct, oracle.encrypt(block), "encrypt, key {key:02x?}");
+                assert_eq!(
+                    aes.decrypt(block),
+                    oracle.decrypt(block),
+                    "decrypt, key {key:02x?}"
+                );
+                assert_eq!(aes.decrypt(ct), block);
+            }
         }
     }
 

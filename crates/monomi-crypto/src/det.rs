@@ -15,6 +15,7 @@
 //!   strings (used for VARCHAR columns), padded to the AES block size.
 
 use crate::aes::Aes128;
+use crate::error::CipherError;
 use crate::padding::{pkcs7_pad, pkcs7_unpad};
 use crate::sha256::derive_key;
 
@@ -153,80 +154,77 @@ impl DetBytes {
     /// Deterministically encrypts `plaintext`.
     pub fn encrypt(&self, plaintext: &[u8]) -> Vec<u8> {
         let mut data = pkcs7_pad(plaintext);
+        let nblocks = data.len() / 16;
         // Pass 1: CBC forward with zero IV under key 1.
-        let mut prev = [0u8; 16];
-        for chunk in data.chunks_exact_mut(16) {
-            for i in 0..16 {
-                chunk[i] ^= prev[i];
+        for b in 0..nblocks {
+            let (block, prev) = block_and_previous(&mut data, b);
+            if let Some(prev) = prev {
+                xor_into(block, prev);
             }
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            self.aes1.encrypt_block(&mut block);
-            chunk.copy_from_slice(&block);
-            prev = block;
+            self.aes1.encrypt_block(block);
         }
         // Pass 2: CBC backward under key 2.
-        let nblocks = data.len() / 16;
-        let mut prev = [0u8; 16];
         for b in (0..nblocks).rev() {
-            let chunk = &mut data[b * 16..(b + 1) * 16];
-            for i in 0..16 {
-                chunk[i] ^= prev[i];
+            let (block, next) = block_and_next(&mut data, b);
+            if let Some(next) = next {
+                xor_into(block, next);
             }
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            self.aes2.encrypt_block(&mut block);
-            chunk.copy_from_slice(&block);
-            prev = block;
+            self.aes2.encrypt_block(block);
         }
         data
     }
 
-    /// Decrypts a ciphertext produced by [`encrypt`](Self::encrypt).
-    pub fn decrypt(&self, ciphertext: &[u8]) -> Vec<u8> {
-        assert!(
-            !ciphertext.is_empty() && ciphertext.len().is_multiple_of(16),
-            "DET ciphertext must be a positive multiple of 16 bytes"
-        );
+    /// Decrypts a ciphertext produced by [`encrypt`](Self::encrypt). Any
+    /// other bytes — a length that is not a positive multiple of the block
+    /// size, or blocks that do not decrypt to padded data — are an error.
+    pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, CipherError> {
+        if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(16) {
+            return Err(CipherError::Length {
+                scheme: "DET",
+                len: ciphertext.len(),
+            });
+        }
         let mut data = ciphertext.to_vec();
         let nblocks = data.len() / 16;
-        // Undo pass 2 (backward CBC under key 2).
+        // Undo pass 2 front to back: the next block is still ciphertext.
         for b in 0..nblocks {
-            let prev: [u8; 16] = if b + 1 < nblocks {
-                data[(b + 1) * 16..(b + 2) * 16].try_into().unwrap()
-            } else {
-                [0u8; 16]
-            };
-            let chunk = &mut data[b * 16..(b + 1) * 16];
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            self.aes2.decrypt_block(&mut block);
-            for i in 0..16 {
-                block[i] ^= prev[i];
+            let (block, next) = block_and_next(&mut data, b);
+            self.aes2.decrypt_block(block);
+            if let Some(next) = next {
+                xor_into(block, next);
             }
-            chunk.copy_from_slice(&block);
         }
-        // Undo pass 1 (forward CBC under key 1): decrypt from last to first so
-        // the previous ciphertext block is still available.
-        let mut ciphertext_blocks: Vec<[u8; 16]> = data
-            .chunks_exact(16)
-            .map(|c| c.try_into().unwrap())
-            .collect();
+        // Undo pass 1 back to front: the previous block is still pass-1
+        // ciphertext.
         for b in (0..nblocks).rev() {
-            let prev = if b == 0 {
-                [0u8; 16]
-            } else {
-                ciphertext_blocks[b - 1]
-            };
-            let mut block = ciphertext_blocks[b];
-            self.aes1.decrypt_block(&mut block);
-            for i in 0..16 {
-                block[i] ^= prev[i];
+            let (block, prev) = block_and_previous(&mut data, b);
+            self.aes1.decrypt_block(block);
+            if let Some(prev) = prev {
+                xor_into(block, prev);
             }
-            ciphertext_blocks[b] = block;
         }
-        let flat: Vec<u8> = ciphertext_blocks.into_iter().flatten().collect();
-        pkcs7_unpad(&flat)
+        pkcs7_unpad(data)
+    }
+}
+
+/// Block `b` of `data`, mutable, with the block after it (none for the last).
+fn block_and_next(data: &mut [u8], b: usize) -> (&mut [u8; 16], Option<&[u8; 16]>) {
+    let (block, rest) = data[b * 16..]
+        .split_first_chunk_mut()
+        .expect("data is whole blocks");
+    (block, rest.first_chunk())
+}
+
+/// Block `b` of `data`, mutable, with the block before it (none for the first).
+fn block_and_previous(data: &mut [u8], b: usize) -> (&mut [u8; 16], Option<&[u8; 16]>) {
+    let (before, rest) = data.split_at_mut(b * 16);
+    let block = rest.first_chunk_mut().expect("data is whole blocks");
+    (block, before.last_chunk())
+}
+
+fn xor_into(block: &mut [u8; 16], other: &[u8; 16]) {
+    for (b, o) in block.iter_mut().zip(other) {
+        *b ^= o;
     }
 }
 
@@ -289,7 +287,7 @@ mod tests {
         ] {
             let ct = det.encrypt(msg);
             assert_eq!(ct.len() % 16, 0);
-            assert_eq!(det.decrypt(&ct), msg);
+            assert_eq!(det.decrypt(&ct).unwrap(), msg);
         }
     }
 
@@ -309,5 +307,22 @@ mod tests {
     fn det_bytes_equal_inputs_only() {
         let det = DetBytes::from_master(b"master", "t.c.DET");
         assert_ne!(det.encrypt(b"AIR"), det.encrypt(b"RAIL"));
+    }
+
+    #[test]
+    fn malformed_ciphertexts_are_errors_not_panics() {
+        let det = DetBytes::from_master(b"master", "t.c.DET");
+        let ct = det.encrypt(b"a value spanning more than one aes block");
+        for len in [0, 1, 15, 17, ct.len() - 1] {
+            assert_eq!(
+                det.decrypt(&ct[..len]),
+                Err(CipherError::Length { scheme: "DET", len })
+            );
+        }
+        // Whole blocks that are not a ciphertext of this key: the backward
+        // pass chains from the last block, so cutting it off garbles the rest.
+        assert_eq!(det.decrypt(&ct[..ct.len() - 16]), Err(CipherError::Padding));
+        let other = DetBytes::from_master(b"master", "t.other.DET");
+        assert_eq!(other.decrypt(&ct), Err(CipherError::Padding));
     }
 }

@@ -19,6 +19,7 @@
 
 pub mod aes;
 pub mod det;
+pub mod error;
 pub mod keys;
 pub mod ope;
 pub mod packing;
@@ -30,6 +31,7 @@ pub mod sha256;
 
 pub use aes::Aes128;
 pub use det::{DetBytes, FormatPreservingCipher};
+pub use error::CipherError;
 pub use keys::MasterKey;
 pub use ope::{i64_to_ordered_u64, ordered_u64_to_i64, OpeCipher};
 pub use packing::{PackedEncryptor, PackingLayout};

@@ -3,6 +3,7 @@
 //! length — and is used for columns that never need server-side computation.
 
 use crate::aes::Aes128;
+use crate::error::CipherError;
 use crate::padding::{pkcs7_pad, pkcs7_unpad};
 use crate::sha256::derive_key;
 use rand::Rng;
@@ -55,27 +56,30 @@ impl RndCipher {
         out
     }
 
-    /// Decrypts a ciphertext produced by [`encrypt`](Self::encrypt).
-    pub fn decrypt(&self, ciphertext: &[u8]) -> Vec<u8> {
-        assert!(
-            ciphertext.len() >= 32 && ciphertext.len().is_multiple_of(16),
-            "RND ciphertext must be IV + at least one block"
-        );
-        let iv: [u8; 16] = ciphertext[..16].try_into().unwrap();
-        let body = &ciphertext[16..];
-        let mut out = Vec::with_capacity(body.len());
+    /// Decrypts a ciphertext produced by [`encrypt`](Self::encrypt). Any
+    /// other bytes — shorter than IV plus one block, not whole blocks, or not
+    /// decrypting to padded data — are an error.
+    pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, CipherError> {
+        let Some((iv, body)) = ciphertext
+            .split_first_chunk::<16>()
+            .filter(|(_, body)| !body.is_empty() && body.len().is_multiple_of(16))
+        else {
+            return Err(CipherError::Length {
+                scheme: "RND",
+                len: ciphertext.len(),
+            });
+        };
+        let mut out = body.to_vec();
         let mut prev = iv;
-        for chunk in body.chunks_exact(16) {
-            let cblock: [u8; 16] = chunk.try_into().unwrap();
-            let mut block = cblock;
-            self.aes.decrypt_block(&mut block);
-            for i in 0..16 {
-                block[i] ^= prev[i];
+        for (block, cblock) in out.chunks_exact_mut(16).zip(body.chunks_exact(16)) {
+            let block: &mut [u8; 16] = block.try_into().expect("chunks are 16 bytes");
+            self.aes.decrypt_block(block);
+            for (b, p) in block.iter_mut().zip(prev) {
+                *b ^= p;
             }
-            out.extend_from_slice(&block);
-            prev = cblock;
+            prev = cblock.try_into().expect("chunks are 16 bytes");
         }
-        pkcs7_unpad(&out)
+        pkcs7_unpad(out)
     }
 }
 
@@ -95,7 +99,7 @@ mod tests {
             b"sensitive comment about a customer order",
         ] {
             let ct = rnd.encrypt(&mut rng, msg);
-            assert_eq!(rnd.decrypt(&ct), msg);
+            assert_eq!(rnd.decrypt(&ct).unwrap(), msg);
         }
     }
 
@@ -106,7 +110,7 @@ mod tests {
         let a = rnd.encrypt(&mut rng, b"same plaintext");
         let b = rnd.encrypt(&mut rng, b"same plaintext");
         assert_ne!(a, b);
-        assert_eq!(rnd.decrypt(&a), rnd.decrypt(&b));
+        assert_eq!(rnd.decrypt(&a).unwrap(), rnd.decrypt(&b).unwrap());
     }
 
     #[test]
@@ -116,5 +120,24 @@ mod tests {
         assert_eq!(rnd.encrypt(&mut rng, b"").len(), 32);
         assert_eq!(rnd.encrypt(&mut rng, &[0u8; 15]).len(), 32);
         assert_eq!(rnd.encrypt(&mut rng, &[0u8; 16]).len(), 48);
+    }
+
+    #[test]
+    fn malformed_ciphertexts_are_errors_not_panics() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let rnd = RndCipher::from_master(b"master", "c");
+        let ct = rnd.encrypt(&mut rng, b"a payload longer than one block....");
+        // Empty, IV only, a cut inside a block, one byte short.
+        for len in [0, 15, 16, 31, 33, ct.len() - 1] {
+            assert_eq!(
+                rnd.decrypt(&ct[..len]),
+                Err(CipherError::Length { scheme: "RND", len })
+            );
+        }
+        // Whole blocks, wrong key: the last block is not padding.
+        let other = RndCipher::from_master(b"master", "d");
+        assert_eq!(other.decrypt(&ct), Err(CipherError::Padding));
+        // Dropping the last block cuts the padding off.
+        assert_eq!(rnd.decrypt(&ct[..ct.len() - 16]), Err(CipherError::Padding));
     }
 }

@@ -313,3 +313,65 @@ fn baseline_systems_return_correct_answers_too() {
         );
     }
 }
+
+/// SHA-256 over every row of every table of the client's (in-process)
+/// encrypted database, tables in name order.
+fn encrypted_database_digest(client: &MonomiClient) -> String {
+    let db = client
+        .encrypted_database()
+        .expect("in-process server database");
+    let mut names = db.table_names();
+    names.sort();
+    let mut bytes = Vec::new();
+    for name in names {
+        bytes.extend_from_slice(name.as_bytes());
+        for row in db.table(&name).expect("listed table exists").rows() {
+            bytes.extend_from_slice(format!("{row:?}\n").as_bytes());
+        }
+    }
+    monomi_crypto::sha256::sha256(&bytes)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// The encrypted database is a function of the seed alone: the same keys,
+/// the same design and the same draws from the encryption RNG in the same
+/// order, however `encrypt_database` organises its work. The digests were
+/// taken at the commit before the per-column cipher cache and the per-table
+/// compilation of `encrypt_database`; every ciphertext of every row of the
+/// sf-0.001 database, under the S = 2 and the unconstrained design, must
+/// still be what that commit wrote.
+#[test]
+fn encrypted_database_is_byte_identical_per_seed() {
+    let plain = small_plain();
+    let parsed: Vec<_> = queries::workload()
+        .iter()
+        .map(|q| parse_query(q.sql).expect("workload query parses"))
+        .collect();
+    for (space_budget, paillier_bits, golden) in [
+        (
+            Some(2.0),
+            256,
+            "1800e7630c056d578f9222b8a07c5be070c666041674a59fea223d0849d4d73a",
+        ),
+        (
+            None,
+            1024,
+            "f2ef4ba96cfed1897e9856500644d7f450df6c608ddbd3ed13d8c73be07b90cb",
+        ),
+    ] {
+        let config = ClientConfig {
+            space_budget,
+            paillier_bits,
+            ..fast_config()
+        };
+        let (client, _) = MonomiClient::setup(&plain, &parsed, DesignStrategy::Designer, &config)
+            .expect("setup succeeds");
+        assert_eq!(
+            encrypted_database_digest(&client),
+            golden,
+            "encrypted database changed for space budget {space_budget:?}"
+        );
+    }
+}

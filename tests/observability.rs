@@ -219,6 +219,60 @@ fn engine_tracing_parity_on_both_storage_backends() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `LocalDecrypt` carries one `Decrypt(<scheme>)` child per decrypted output
+/// column: what was decrypted, how many values, how many of them reused an
+/// earlier decryption. The parent keeps the phase's total seconds and its row
+/// count, so the children can only account for part of it. `Plan` reports the
+/// time planning took, not a placeholder.
+#[test]
+fn local_decrypt_has_per_column_spans_and_plan_is_timed() {
+    let plain = small_plain();
+    let workload: Vec<_> = queries::workload()
+        .iter()
+        .map(|q| parse_query(q.sql).expect("parses"))
+        .collect();
+    let config = ClientConfig {
+        exec_options: Some(ExecOptions::serial()),
+        ..fast_config()
+    };
+    let (client, _) =
+        MonomiClient::setup(&plain, &workload, DesignStrategy::Designer, &config).expect("setup");
+
+    // Under S = 2, Q6 ships lineitem rows and decrypts their DET columns.
+    let q = queries::query(6).expect("Q6 exists");
+    let (_, timings, _, spans) = client.execute_traced(q.sql, &q.params).expect("traced");
+    let plan = spans.iter().find(|s| s.label == "Plan").expect("Plan span");
+    assert!(plan.seconds > 0.0, "Plan span has no duration");
+
+    let decrypt = spans
+        .iter()
+        .find(|s| s.label == "LocalDecrypt")
+        .expect("LocalDecrypt span");
+    assert_eq!(decrypt.seconds, timings.decrypt_seconds);
+    assert!(!decrypt.children.is_empty(), "no per-column spans");
+    for child in &decrypt.children {
+        assert!(
+            child.label.starts_with("Decrypt(DET) lineitem.") && child.label.contains(" reused="),
+            "unexpected child {}",
+            child.label
+        );
+        assert!(
+            child.rows <= decrypt.rows,
+            "{} decrypts too much",
+            child.label
+        );
+    }
+    let covered: f64 = decrypt.children.iter().map(|c| c.seconds).sum();
+    assert!(covered <= decrypt.seconds);
+    // Quantities and discounts repeat; the memo serves the repeats.
+    let reused: u64 = decrypt
+        .children
+        .iter()
+        .filter_map(|c| c.label.rsplit_once("reused=")?.1.parse::<u64>().ok())
+        .sum();
+    assert!(reused > 0, "no value of Q6 was served from a memo");
+}
+
 /// EXPLAIN ANALYZE renders the plan, the measured span tree, and the cost
 /// model's predicted per-phase seconds next to the measured ones.
 #[test]
