@@ -45,10 +45,6 @@ fn bench_crypto(c: &mut Criterion) {
         let ct = paillier.encrypt_u64(&mut rng, 424242);
         b.iter(|| std::hint::black_box(paillier.decrypt_u64(&ct)))
     });
-    c.bench_function("paillier_decrypt_classic_512bit", |b| {
-        let ct = paillier.encrypt_u64(&mut rng, 424242);
-        b.iter(|| std::hint::black_box(paillier.decrypt_classic(&ct)))
-    });
     c.bench_function("paillier_homomorphic_add", |b| {
         let c1 = paillier.encrypt_u64(&mut rng, 1);
         let c2 = paillier.encrypt_u64(&mut rng, 2);

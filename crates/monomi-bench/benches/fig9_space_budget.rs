@@ -1,9 +1,12 @@
 //! Figure 9: the queries affected by shrinking the space budget from S=2 to
-//! S=1.4, under the ILP designer and the Space-Greedy heuristic.
+//! S=1.4, under the ILP designer and the Space-Greedy heuristic. Each time is
+//! measured plus the paper's 10 Mbit/s link, modeled over the run's
+//! transferred bytes.
 
 use monomi_bench::{print_header, Experiment};
 use monomi_core::client::{ClientConfig, DesignStrategy, MonomiClient};
 use monomi_sql::parse_query;
+use monomi_tpch::with_modeled_link;
 
 fn main() {
     print_header(
@@ -24,6 +27,7 @@ fn main() {
     ];
     let affected = [1u32, 6, 14, 18];
 
+    println!("seconds: measured + modeled 10 Mbit/s link");
     println!(
         "{:<22} {}",
         "configuration",
@@ -43,7 +47,7 @@ fn main() {
             let q = monomi_tpch::queries::query(number).expect("query");
             let t = client
                 .execute(q.sql, &q.params)
-                .map(|(_, t)| t.total_seconds())
+                .map(|(_, t)| with_modeled_link(&t, &exp.network))
                 .unwrap_or(f64::NAN);
             row.push_str(&format!("{t:>10.3}"));
         }

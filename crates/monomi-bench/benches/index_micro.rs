@@ -28,9 +28,7 @@
 //! index subsystem.
 //!
 //! Knobs: `MONOMI_INDEX_ROWS` (default 40000), `MONOMI_BENCH_ITERS`
-//! (default 9), `MONOMI_INDEX_CACHE_BYTES`. With `MONOMI_BENCH_JSON=<path>`
-//! the numbers are written as a JSON snapshot (see
-//! `scripts/bench_snapshot.sh`).
+//! (default 9), `MONOMI_INDEX_CACHE_BYTES`.
 
 use monomi_bench::{env_usize, print_header};
 use monomi_engine::{
@@ -116,15 +114,6 @@ fn run(db: &Database, sql: &str, opts: &ExecOptions) -> (ResultSet, ExecStats) {
     db.execute_sql_with(sql, &[], opts).expect("query runs")
 }
 
-struct QueryReport {
-    indexed_s: f64,
-    unindexed_s: f64,
-    speedup: f64,
-    scan_reduction: f64,
-    indexed_stats: ExecStats,
-    unindexed_stats: ExecStats,
-}
-
 fn bench_query(
     label: &str,
     sql: &str,
@@ -132,7 +121,7 @@ fn bench_query(
     indexed: &Database,
     unindexed: &Database,
     iters: usize,
-) -> QueryReport {
+) {
     // Byte-identity across all three copies at 1 and 4 threads, with the
     // index modes forced explicitly so the ambient MONOMI_INDEXES setting
     // cannot quietly turn this into an index-vs-index comparison.
@@ -220,14 +209,6 @@ fn bench_query(
         speedup >= 5.0,
         "{label}: index must be >=5x faster (got {speedup:.2}x)"
     );
-    QueryReport {
-        indexed_s,
-        unindexed_s,
-        speedup,
-        scan_reduction,
-        indexed_stats,
-        unindexed_stats,
-    }
 }
 
 fn main() {
@@ -264,7 +245,7 @@ fn main() {
     let (lo, hi) = (n / 2, n / 2 + n / 100);
     let range_sql = format!("SELECT SUM(p), COUNT(*) FROM t WHERE v_ope >= {lo} AND v_ope < {hi}");
 
-    let point = bench_query(
+    bench_query(
         "DET point lookup",
         point_sql,
         &mem,
@@ -273,7 +254,7 @@ fn main() {
         iters,
     );
     println!();
-    let range = bench_query(
+    bench_query(
         "OPE 1% range",
         &range_sql,
         &mem,
@@ -281,36 +262,6 @@ fn main() {
         &unindexed,
         iters,
     );
-
-    if let Ok(path) = std::env::var("MONOMI_BENCH_JSON") {
-        let json = format!(
-            "{{\n  \"bench\": \"index_micro\",\n  \"rows\": {n},\n  \
-             \"point_unindexed_ms\": {pu:.3},\n  \"point_indexed_ms\": {pi:.3},\n  \
-             \"point_speedup\": {ps:.2},\n  \"point_scan_reduction\": {pr:.1},\n  \
-             \"point_rows_scanned_indexed\": {prs},\n  \
-             \"point_rows_scanned_unindexed\": {pru},\n  \
-             \"range_unindexed_ms\": {ru:.3},\n  \"range_indexed_ms\": {ri:.3},\n  \
-             \"range_speedup\": {rs:.2},\n  \"range_scan_reduction\": {rr:.1},\n  \
-             \"range_rows_scanned_indexed\": {rrs},\n  \
-             \"range_rows_scanned_unindexed\": {rru},\n  \
-             \"postings_bytes_read\": {pb}\n}}\n",
-            pu = point.unindexed_s * 1e3,
-            pi = point.indexed_s * 1e3,
-            ps = point.speedup,
-            pr = point.scan_reduction,
-            prs = point.indexed_stats.rows_scanned,
-            pru = point.unindexed_stats.rows_scanned,
-            ru = range.unindexed_s * 1e3,
-            ri = range.indexed_s * 1e3,
-            rs = range.speedup,
-            rr = range.scan_reduction,
-            rrs = range.indexed_stats.rows_scanned,
-            rru = range.unindexed_stats.rows_scanned,
-            pb = point.indexed_stats.postings_bytes_read + range.indexed_stats.postings_bytes_read,
-        );
-        std::fs::write(&path, json).expect("write bench snapshot JSON");
-        println!("\nwrote snapshot to {path}");
-    }
 
     cleanup("indexed");
     cleanup("unindexed");

@@ -11,10 +11,9 @@
 //!   materialization + SUM over TPC-H `lineitem`, morsel-parallel end to end.
 //!
 //! The acceptance bar is ≥3x rows/s at 4 threads on the Q1-shaped HOM
-//! workload. With `MONOMI_BENCH_JSON=<path>` the measured numbers are written
-//! as a JSON snapshot (see `scripts/bench_snapshot.sh`). Knobs:
-//! `MONOMI_BENCH_THREADS` (default 4), `MONOMI_PAILLIER_BITS` (default 512),
-//! `MONOMI_SCALE` (sizes both workloads).
+//! workload. Knobs: `MONOMI_BENCH_THREADS` (default 4),
+//! `MONOMI_PAILLIER_BITS` (default 512), `MONOMI_SCALE` (sizes both
+//! workloads).
 
 use monomi_bench::{env_usize, print_header};
 use monomi_crypto::PaillierKey;
@@ -165,20 +164,4 @@ fn main() {
     println!("  1 thread:                 {q6_serial_rate:>12.0} rows/s  ({q6_serial_secs:.4}s)");
     println!("  {threads} threads:                {q6_par_rate:>12.0} rows/s  ({q6_par_secs:.4}s)");
     println!("  speedup:                  {q6_speedup:>11.2}x");
-
-    if let Ok(path) = std::env::var("MONOMI_BENCH_JSON") {
-        let json = format!(
-            "{{\n  \"bench\": \"parallel_exec\",\n  \"threads\": {threads},\n  \
-             \"paillier_bits\": {bits},\n  \"hom_rows\": {hom_rows},\n  \
-             \"q1_hom_rows_per_sec_1t\": {q1_serial_rate:.1},\n  \
-             \"q1_hom_rows_per_sec_nt\": {q1_par_rate:.1},\n  \
-             \"q1_speedup\": {q1_speedup:.2},\n  \
-             \"scan_rows\": {scan_rows},\n  \
-             \"q6_scan_rows_per_sec_1t\": {q6_serial_rate:.1},\n  \
-             \"q6_scan_rows_per_sec_nt\": {q6_par_rate:.1},\n  \
-             \"q6_speedup\": {q6_speedup:.2}\n}}\n"
-        );
-        std::fs::write(&path, json).expect("write bench snapshot JSON");
-        println!("wrote snapshot to {path}");
-    }
 }

@@ -118,7 +118,7 @@ fn main() {
     // This bench measures the scan over in-memory columns
     // (`Table::tail_batch`), so copy the generated rows into a table without
     // a store — under MONOMI_STORAGE=disk they were committed to segments
-    // (that path has its own bench: storage_micro).
+    // (that path is measured by e2ebench's store.*_scan_mb_s).
     let mut table = Table::new(generated.schema().clone());
     table.bulk_load(generated.rows()).expect("memory copy");
     let table = &table;

@@ -2,19 +2,23 @@
 //! # monomi-bench
 //!
 //! Benchmark harnesses that regenerate every table and figure of the MONOMI
-//! paper's evaluation (§8), plus Criterion microbenchmarks for the crypto and
-//! engine substrates. Each figure/table is a separate bench target (custom
-//! harness) that prints the same rows/series the paper reports; see
-//! EXPERIMENTS.md for the paper-vs-measured record.
+//! paper's evaluation (§8), plus microbenchmarks for what the end-to-end
+//! benchmark (`e2ebench/`) cannot isolate: crypto primitives, scan kernels,
+//! index probes and thread scaling. Each figure/table is a separate bench
+//! target (custom harness) that prints the same rows/series the paper
+//! reports; see EXPERIMENTS.md for the paper-vs-measured record.
 
 use monomi_core::{ClientConfig, NetworkModel};
 use monomi_tpch::{datagen, queries, TpchQuery};
 
-/// Shared experiment setup: generated data, workload, network model, and the
-/// client configuration used across figures.
+/// Shared experiment setup: generated data, workload, the modeled link, and
+/// the client configuration used across figures.
 pub struct Experiment {
     pub plain: monomi_engine::Database,
     pub workload: Vec<TpchQuery>,
+    /// The paper's 10 Mbit/s link. The figure harnesses add it to measured
+    /// time through [`monomi_tpch::with_modeled_link`] and say so where they
+    /// print.
     pub network: NetworkModel,
     pub config: ClientConfig,
 }

@@ -31,7 +31,7 @@ pub struct ClientConfig {
     pub paillier_bits: usize,
     /// Server space budget as a multiple of the plaintext size (paper: S = 2).
     pub space_budget: Option<f64>,
-    /// Link / storage simulation parameters.
+    /// The link the planner and designer price transfers with.
     pub network: NetworkModel,
     /// Which optimizations the planner may use.
     pub plan_options: PlanOptions,
@@ -277,7 +277,6 @@ impl MonomiClient {
         SplitExecutor {
             server: self.server.as_ref(),
             encryptor: &self.encryptor,
-            network: &self.network,
             exec_options: self.exec_options,
         }
     }
@@ -349,7 +348,9 @@ impl MonomiClient {
     /// chosen split plan, the measured span tree (per-operator wall seconds
     /// and row counts, server operators included), and the cost model's
     /// predicted per-phase seconds next to the measured ones, so drift
-    /// between the model and reality is visible at a glance.
+    /// between the model and reality is visible at a glance. The `wire` row
+    /// compares the predicted link time with the measured time on the wire
+    /// (0 in-process).
     pub fn explain_analyze(&self, sql: &str, params: &[Value]) -> Result<String, CoreError> {
         let query = parse_query(sql).map_err(|e| CoreError::new(e.to_string()))?;
         let bound = bind_params(&query, params);
@@ -379,11 +380,7 @@ impl MonomiClient {
         out.push_str("phase        predicted_s    actual_s\n");
         for (phase, pred, actual) in [
             ("server", predicted.server_seconds, timings.server_seconds),
-            (
-                "network",
-                predicted.network_seconds,
-                timings.network_seconds,
-            ),
+            ("wire", predicted.network_seconds, timings.wire_seconds),
             (
                 "decrypt",
                 predicted.decrypt_seconds,

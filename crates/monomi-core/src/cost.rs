@@ -195,10 +195,13 @@ fn best_of(f: &mut dyn FnMut()) -> f64 {
     best
 }
 
-/// Estimated cost of one candidate plan.
+/// Estimated cost of one candidate plan. This is the prediction; the
+/// measured counterpart is [`crate::QueryTimings`], whose `wire_seconds`
+/// corresponds to `network_seconds` here.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CostBreakdown {
     pub server_seconds: f64,
+    /// Predicted transfer time over the [`NetworkModel`] link.
     pub network_seconds: f64,
     pub decrypt_seconds: f64,
     pub client_seconds: f64,

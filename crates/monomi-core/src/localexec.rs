@@ -8,14 +8,13 @@
 //! non-zero trace id, hangs the pipeline's per-column `Decrypt(<scheme>)`
 //! spans beneath that span.
 //!
-//! The executor measures the client's own work (decryption and residual
-//! computation), the server's work (engine execution plus a simulated disk
-//! read), and the simulated wide-area transfer of intermediate results, so the
-//! benchmark harnesses can report the same breakdowns as the paper.
+//! The executor reports measured time only: the client's own work
+//! (decryption and residual computation), the server's reported execution
+//! time, and the time on the wire. Nothing in [`QueryTimings`] is modeled;
+//! the planner's predictions live in [`crate::cost::CostBreakdown`].
 
 use crate::decrypt::DecryptPipeline;
 use crate::design::Encryptor;
-use crate::network::NetworkModel;
 use crate::plan::{DecryptSpec, OutputColumn, RemotePlan, SplitPlan};
 use crate::transport::ServerTransport;
 use crate::CoreError;
@@ -26,10 +25,16 @@ use monomi_obs::{Span, Stopwatch, TraceId};
 use monomi_sql::ast::*;
 use std::collections::HashMap;
 
-/// Timing breakdown of one query execution through MONOMI.
+/// Measured timing breakdown of one query execution through MONOMI: clock
+/// readings and counters, no model. [`total_seconds`](Self::total_seconds)
+/// is the sum of the four measured phases (server, wire, decrypt, client);
+/// the paper's throttled link is a prediction and lives in
+/// [`crate::NetworkModel`], never here.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryTimings {
-    /// Wall-clock time spent executing server queries plus simulated disk I/O.
+    /// Server-reported wall-clock time executing the server queries (the sum
+    /// of the `RemoteSQL` spans). Real disk reads are inside it when the
+    /// server runs on the segment store.
     pub server_seconds: f64,
     /// Aggregate CPU time the server's worker threads burned executing the
     /// queries (no disk I/O): wall-clock outside parallel regions plus the
@@ -41,13 +46,9 @@ pub struct QueryTimings {
     /// oversubscribed hosts (threads > cores) this is an upper bound on
     /// true CPU.
     pub server_cpu_seconds: f64,
-    /// Simulated time to ship intermediate results over the client/server link.
-    pub network_seconds: f64,
-    /// *Measured* time on the wire: for TCP transports, the round-trip
-    /// wall-clock of each server call minus the server-reported execution
-    /// seconds (0 for in-process execution). Reported alongside the modeled
-    /// `network_seconds` so the cost model can be validated against a real
-    /// link instead of only the [`NetworkModel`].
+    /// Time on the wire: for TCP transports, the round-trip wall-clock of
+    /// each server call minus the server-reported execution seconds (0 for
+    /// in-process execution); the sum of the `Wire` spans.
     ///
     /// The subtraction is clamped at zero (via [`monomi_obs::wire_share`]):
     /// the two clocks are read on different machines, so on a loopback link a
@@ -57,7 +58,7 @@ pub struct QueryTimings {
     /// Measured frame bytes the client sent to the server (0 in-process).
     pub wire_bytes_sent: u64,
     /// Measured frame bytes the client received from the server
-    /// (0 in-process). Compare with the modeled `transfer_bytes`.
+    /// (0 in-process). Compare with `transfer_bytes`.
     pub wire_bytes_received: u64,
     /// Request attempts beyond the first the transport needed (retryable
     /// wire failures absorbed by the retry/backoff machinery; 0 in-process
@@ -66,11 +67,13 @@ pub struct QueryTimings {
     /// Connections the transport re-established mid-query (each replayed
     /// the session journal; 0 in-process and on a healthy link).
     pub reconnects: u64,
-    /// Client time spent decrypting intermediate results.
+    /// Client time spent decrypting intermediate results (the sum of the
+    /// `LocalDecrypt` spans).
     pub decrypt_seconds: f64,
     /// Client time spent on residual query processing.
     pub client_seconds: f64,
-    /// Bytes shipped from server to client.
+    /// Bytes of the encrypted results shipped from server to client (the
+    /// byte count the paper's link would carry).
     pub transfer_bytes: u64,
     /// Bytes the server read from storage. For committed segments these
     /// are the *stored* (encoded) bytes of the segments scans actually
@@ -96,9 +99,9 @@ pub struct QueryTimings {
 }
 
 impl QueryTimings {
-    /// Total end-to-end time.
+    /// Total measured time: server + wire + decrypt + client.
     pub fn total_seconds(&self) -> f64 {
-        self.server_seconds + self.network_seconds + self.decrypt_seconds + self.client_seconds
+        self.server_seconds + self.wire_seconds + self.decrypt_seconds + self.client_seconds
     }
 
     /// Client CPU time (decrypt + residual compute), for Figure 7.
@@ -109,7 +112,6 @@ impl QueryTimings {
     fn add(&mut self, other: &QueryTimings) {
         self.server_seconds += other.server_seconds;
         self.server_cpu_seconds += other.server_cpu_seconds;
-        self.network_seconds += other.network_seconds;
         self.wire_seconds += other.wire_seconds;
         self.wire_bytes_sent += other.wire_bytes_sent;
         self.wire_bytes_received += other.wire_bytes_received;
@@ -134,7 +136,6 @@ impl QueryTimings {
 pub struct SplitExecutor<'a> {
     pub server: &'a dyn ServerTransport,
     pub encryptor: &'a Encryptor,
-    pub network: &'a NetworkModel,
     /// Engine execution options for both the server queries and the client's
     /// residual plaintext execution (results are thread-count-invariant).
     pub exec_options: ExecOptions,
@@ -222,12 +223,13 @@ impl<'a> SplitExecutor<'a> {
         let mut local_db = Database::in_memory();
         for (binding, child) in children {
             let mut child_spans = Vec::new();
+            let dispatched = Stopwatch::start();
             let (rs, t) = self.dispatch(child, trace, &mut child_spans)?;
             timings.add(&t);
             if !trace.is_zero() {
                 spans.push(Span::node(
                     format!("Child({binding})"),
-                    t.total_seconds(),
+                    dispatched.seconds(),
                     rs.rows.len() as u64,
                     child_spans,
                 ));
@@ -275,12 +277,13 @@ impl<'a> SplitExecutor<'a> {
         let mut sub_results: HashMap<Query, Vec<Vec<Value>>> = HashMap::new();
         for (sub, child) in &rp.subquery_children {
             let mut child_spans = Vec::new();
+            let dispatched = Stopwatch::start();
             let (rs, t) = self.dispatch(child, trace, &mut child_spans)?;
             timings.add(&t);
             if !trace.is_zero() {
                 spans.push(Span::node(
                     "Subquery".to_string(),
-                    t.total_seconds(),
+                    dispatched.seconds(),
                     rs.rows.len() as u64,
                     child_spans,
                 ));
@@ -295,10 +298,7 @@ impl<'a> SplitExecutor<'a> {
         let enc_rs = remote.result;
         let stats = remote.stats;
         let exec_elapsed = remote.exec_seconds;
-        timings.server_seconds += exec_elapsed
-            + self
-                .network
-                .storage_seconds(stats.bytes_scanned, stats.segments_read);
+        timings.server_seconds += exec_elapsed;
         timings.wire_seconds += remote.wire.seconds;
         timings.wire_bytes_sent += remote.wire.bytes_sent;
         timings.wire_bytes_received += remote.wire.bytes_received;
@@ -315,9 +315,7 @@ impl<'a> SplitExecutor<'a> {
         timings.server_index_probes += stats.index_probes;
         timings.server_index_rows_fetched += stats.index_rows_fetched;
         timings.server_postings_bytes_read += stats.postings_bytes_read;
-        let transfer = enc_rs.size_bytes() as u64;
-        timings.transfer_bytes += transfer;
-        timings.network_seconds += self.network.transfer_seconds(transfer);
+        timings.transfer_bytes += enc_rs.size_bytes() as u64;
         if !trace.is_zero() {
             spans.push(Span::node(
                 "RemoteSQL".to_string(),
@@ -1052,11 +1050,9 @@ mod tests {
     fn residual_database_of_a_client_step_is_never_disk_backed() {
         let server = InProcessTransport::new(Database::in_memory());
         let encryptor = Encryptor::new(MasterKey::from_bytes([7; 32]), PhysicalDesign::new(128), 1);
-        let network = NetworkModel::paper_default();
         let executor = SplitExecutor {
             server: &server,
             encryptor: &encryptor,
-            network: &network,
             exec_options: ExecOptions::serial(),
         };
         let child = SplitPlan::Client {

@@ -1,33 +1,25 @@
-//! Simulated client/server link and server storage.
+//! The client/server link the planner prices plans with.
 //!
 //! The paper's evaluation throttles the client/server link to 10 Mbit/s with
-//! `tc` and flushes the server's caches so queries hit disk. Transfer time is
-//! modelled from byte counts (`bytes / bandwidth`); server disk time is
-//! `bytes_scanned / disk_bandwidth` plus a fixed per-request charge per
-//! segment read. With the persistent segment store
-//! (`MONOMI_STORAGE=disk`) the byte and segment counts fed into this model
-//! are *real* — stored bytes of the segments a scan actually decoded, with
-//! zone-map-pruned segments contributing nothing — rather than the logical
-//! width of an in-memory table.
+//! `tc`. The cost model (`CostModel`, and through it the `Planner` and the
+//! `Designer`) predicts transfer time from byte counts as
+//! `bytes / bandwidth`. This is a prediction only: the executor reports
+//! measured time (`QueryTimings::wire_seconds` on a real socket), and the
+//! paper's figure harnesses add this link to it explicitly where they print
+//! "modeled 10 Mbit/s link". Server I/O is never modeled; run the server on
+//! the segment store (`MONOMI_STORAGE=disk`) to measure real disk reads.
 
-/// Byte-accounting model of the environment between client and server.
+/// Bandwidth of the client/server link the planner prices plans with.
 #[derive(Clone, Copy, Debug)]
 pub struct NetworkModel {
     /// Client/server link bandwidth in bits per second (paper: 10 Mbit/s).
     pub bandwidth_bits_per_sec: f64,
-    /// Server storage scan bandwidth in bytes per second.
-    pub disk_bytes_per_sec: f64,
-    /// Fixed cost per segment read request (seek + issue overhead). Charged
-    /// once per segment a scan decodes; pruned segments cost nothing.
-    pub disk_request_seconds: f64,
 }
 
 impl Default for NetworkModel {
     fn default() -> Self {
         NetworkModel {
             bandwidth_bits_per_sec: 10_000_000.0,
-            disk_bytes_per_sec: 200_000_000.0,
-            disk_request_seconds: 1e-4,
         }
     }
 }
@@ -42,22 +34,6 @@ impl NetworkModel {
     pub fn transfer_seconds(&self, bytes: u64) -> f64 {
         (bytes as f64 * 8.0) / self.bandwidth_bits_per_sec
     }
-
-    /// Seconds for the server to stream `bytes` from storage.
-    pub fn disk_seconds(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.disk_bytes_per_sec
-    }
-
-    /// Fixed request overhead for reading `segments` separate segments.
-    pub fn disk_request_overhead(&self, segments: u64) -> f64 {
-        segments as f64 * self.disk_request_seconds
-    }
-
-    /// Total storage time for one scan: streamed bytes plus per-segment
-    /// request overhead.
-    pub fn storage_seconds(&self, bytes: u64, segments: u64) -> f64 {
-        self.disk_seconds(bytes) + self.disk_request_overhead(segments)
-    }
 }
 
 #[cfg(test)]
@@ -70,23 +46,5 @@ mod tests {
         // 10 Mbit/s => 1.25 MB/s => 1 MB takes 0.8 s.
         let t = net.transfer_seconds(1_000_000);
         assert!((t - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn disk_time_scales_linearly() {
-        let net = NetworkModel::default();
-        assert!(net.disk_seconds(200_000_000) > net.disk_seconds(100_000_000));
-        assert!((net.disk_seconds(200_000_000) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn storage_time_charges_per_segment_request() {
-        let net = NetworkModel::default();
-        // 100 segments at the default 0.1 ms each = 10 ms of request overhead.
-        assert!((net.disk_request_overhead(100) - 0.01).abs() < 1e-12);
-        let streamed = net.disk_seconds(1_000_000);
-        assert!((net.storage_seconds(1_000_000, 100) - (streamed + 0.01)).abs() < 1e-12);
-        // Pruned segments (never read) add nothing.
-        assert!((net.storage_seconds(0, 0) - 0.0).abs() < f64::EPSILON);
     }
 }

@@ -135,8 +135,9 @@ impl TransportOptions {
 }
 
 /// Measured wire traffic: what actually crossed the client/server boundary,
-/// as opposed to the [`NetworkModel`](crate::network::NetworkModel)'s modeled
-/// transfer times. All zeros for in-process execution.
+/// as opposed to the transfer times the planner predicts with the
+/// [`NetworkModel`](crate::network::NetworkModel). All zeros for in-process
+/// execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WireMetrics {
     /// Wall-clock spent on the wire: round-trip time minus the

@@ -37,10 +37,6 @@ pub struct PaillierKey {
     n: BigUint,
     /// n².
     n_squared: BigUint,
-    /// Private exponent λ = lcm(p-1, q-1) (kept for the classic decrypt path).
-    lambda: BigUint,
-    /// Private decryption factor µ = λ⁻¹ mod n (valid because g = n+1).
-    mu: BigUint,
     /// Montgomery context modulo n².
     ctx_n2: MontgomeryCtx,
     /// CRT decryption state (the private factorization of n).
@@ -117,13 +113,12 @@ impl PaillierKey {
             let n = p.mul(&q);
             let p1 = p.sub(&BigUint::one());
             let q1 = q.sub(&BigUint::one());
-            let lambda = lcm(&p1, &q1);
-            // µ = λ⁻¹ mod n requires gcd(λ, n) = 1, which holds except with
-            // negligible probability; retry otherwise.
-            let mu = match mod_inverse(&lambda, &n) {
-                Some(m) => m,
-                None => continue,
-            };
+            // Paillier with g = n + 1 needs gcd(λ, n) = 1 for λ = lcm(p-1,
+            // q-1), which holds except with negligible probability; retry
+            // otherwise.
+            if mod_inverse(&lcm(&p1, &q1), &n).is_none() {
+                continue;
+            }
             let q_inv_p = match mod_inverse(&q, &p) {
                 Some(v) => v,
                 None => continue, // p == q excluded above, but stay defensive
@@ -157,8 +152,6 @@ impl PaillierKey {
             let mut key = PaillierKey {
                 n,
                 n_squared,
-                lambda,
-                mu,
                 ctx_n2,
                 crt,
                 obfuscator_pool: Vec::new(),
@@ -255,15 +248,17 @@ impl PaillierKey {
     }
 
     /// Decrypts a ciphertext with the classic single-exponentiation formula
-    /// `L(c^λ mod n²) · µ mod n`. Kept as the reference implementation for
-    /// equivalence tests and the decrypt benchmarks; [`decrypt`](Self::decrypt)
-    /// is the fast path.
-    pub fn decrypt_classic(&self, c: &BigUint) -> BigUint {
+    /// `L(c^λ mod n²) · µ mod n`, with λ = lcm(p-1, q-1) and µ = λ⁻¹ mod n.
+    /// The test oracle for the CRT path of [`decrypt`](Self::decrypt).
+    #[cfg(test)]
+    fn decrypt_classic(&self, c: &BigUint) -> BigUint {
         assert!(c < &self.n_squared, "ciphertext must be smaller than n²");
-        let u = self.ctx_n2.mod_pow(c, &self.lambda);
+        let lambda = lcm(&self.crt.p1, &self.crt.q1);
+        let mu = mod_inverse(&lambda, &self.n).expect("generate checked gcd(λ, n) = 1");
+        let u = self.ctx_n2.mod_pow(c, &lambda);
         // L(u) = (u - 1) / n
         let l = u.sub(&BigUint::one()).div_rem(&self.n).0;
-        l.mul(&self.mu).rem(&self.n)
+        l.mul(&mu).rem(&self.n)
     }
 
     /// Decrypts a ciphertext to `u64`, panicking if the plaintext does not fit.
@@ -442,12 +437,48 @@ impl std::fmt::Debug for PaillierKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn test_key() -> PaillierKey {
         let mut rng = StdRng::seed_from_u64(1234);
         PaillierKey::generate(&mut rng, 256)
+    }
+
+    // Keys at several modulus sizes (and thus CRT limb geometries) for the
+    // CRT-vs-classic decryption equivalence tests.
+    fn sized_keys() -> &'static [PaillierKey] {
+        use std::sync::OnceLock;
+        static KEYS: OnceLock<Vec<PaillierKey>> = OnceLock::new();
+        KEYS.get_or_init(|| {
+            [128usize, 192, 320]
+                .iter()
+                .enumerate()
+                .map(|(i, &bits)| {
+                    let mut rng = StdRng::seed_from_u64(7000 + i as u64);
+                    PaillierKey::generate(&mut rng, bits)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn crt_decrypt_matches_classic_across_key_sizes(m_bits in 0usize..110, lo in any::<u64>(), seed in any::<u64>()) {
+            // A random plaintext of up to m_bits bits (capped below every
+            // key's capacity), decrypted by both the CRT and the classic path.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for key in sized_keys() {
+                let bits = m_bits.min(key.plaintext_bits() - 1);
+                let m = BigUint::from_u64(lo).rem(&BigUint::one().shl(bits.max(1)));
+                let c = key.encrypt(&mut rng, &m);
+                prop_assert_eq!(key.decrypt(&c), key.decrypt_classic(&c));
+                prop_assert_eq!(key.decrypt(&c), m);
+            }
+        }
     }
 
     #[test]

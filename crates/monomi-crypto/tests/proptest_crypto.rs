@@ -74,23 +74,6 @@ fn shared_key() -> &'static PaillierKey {
     })
 }
 
-// Keys at several modulus sizes (and thus CRT limb geometries) for the
-// CRT-vs-classic decryption equivalence tests.
-fn sized_keys() -> &'static [PaillierKey] {
-    use std::sync::OnceLock;
-    static KEYS: OnceLock<Vec<PaillierKey>> = OnceLock::new();
-    KEYS.get_or_init(|| {
-        [128usize, 192, 320]
-            .iter()
-            .enumerate()
-            .map(|(i, &bits)| {
-                let mut rng = StdRng::seed_from_u64(7000 + i as u64);
-                PaillierKey::generate(&mut rng, bits)
-            })
-            .collect()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -109,21 +92,6 @@ proptest! {
         let cts: Vec<_> = values.iter().map(|&v| key.encrypt_u64(&mut rng, v)).collect();
         let sum = key.sum_ciphertexts(&cts);
         prop_assert_eq!(key.decrypt_u64(&sum), values.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn crt_decrypt_matches_classic_across_key_sizes(m_bits in 0usize..110, lo in any::<u64>(), seed in any::<u64>()) {
-        // A random plaintext of up to m_bits bits (capped below every key's
-        // capacity), decrypted by both the CRT and the classic path.
-        let mut rng = StdRng::seed_from_u64(seed);
-        for key in sized_keys() {
-            let bits = m_bits.min(key.plaintext_bits() - 1);
-            let m = monomi_math::BigUint::from_u64(lo)
-                .rem(&monomi_math::BigUint::one().shl(bits.max(1)));
-            let c = key.encrypt(&mut rng, &m);
-            prop_assert_eq!(key.decrypt(&c), key.decrypt_classic(&c));
-            prop_assert_eq!(key.decrypt(&c), m);
-        }
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! Byte accounting is two-level: [`Table::size_bytes`] stays *logical*
 //! (`Value::size_bytes`, the same number wherever the rows live — the space
 //! experiments depend on it), while the scan's `bytes_scanned` reports
-//! *stored* bytes for segments actually read — the honest disk I/O the cost
-//! model's `disk_seconds` prices.
+//! *stored* bytes for segments actually read — the honest disk I/O.
 
 use crate::schema::TableSchema;
 use crate::value::Value;

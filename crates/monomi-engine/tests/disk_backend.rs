@@ -390,13 +390,25 @@ fn cache_serves_repeat_scans_without_rereading() {
     let dir = fresh_dir("cache");
     let db = clustered_disk_db(&dir, 400, 50);
     let store = Arc::clone(db.store().expect("disk backed"));
-    let (_, _) = db.execute_sql("SELECT a FROM t", &[]).expect("cold scan");
+    let (cold, _) = db.execute_sql("SELECT a FROM t", &[]).expect("cold scan");
     let (_, misses_cold) = store.cache().stats();
     assert_eq!(misses_cold, 8, "cold scan decodes every segment once");
-    let (_, _) = db.execute_sql("SELECT a FROM t", &[]).expect("warm scan");
+    let (warm, _) = db.execute_sql("SELECT a FROM t", &[]).expect("warm scan");
     let (hits, misses_warm) = store.cache().stats();
     assert_eq!(misses_warm, misses_cold, "warm scan must not re-decode");
     assert!(hits >= 8);
+    assert_eq!(
+        format!("{cold:?}"),
+        format!("{warm:?}"),
+        "cache changed results"
+    );
+    store.cache().clear();
+    let (cold_again, _) = db.execute_sql("SELECT a FROM t", &[]).expect("cold scan");
+    assert_eq!(
+        format!("{cold:?}"),
+        format!("{cold_again:?}"),
+        "cold scans disagree"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

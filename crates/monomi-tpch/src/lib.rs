@@ -8,14 +8,14 @@
 //!
 //! ```no_run
 //! use monomi_tpch::{datagen, queries, baselines};
-//! use monomi_core::{ClientConfig, NetworkModel};
+//! use monomi_core::ClientConfig;
 //!
 //! let plain = datagen::generate(&datagen::GeneratorConfig::default());
 //! let workload = queries::workload();
 //! let monomi = baselines::build_system(
 //!     baselines::SystemKind::Monomi, &plain, &workload, &ClientConfig::default()).unwrap();
-//! let run = monomi.run(&plain, &workload[0], &NetworkModel::paper_default()).unwrap();
-//! println!("Q{} took {:.3}s", run.query_number, run.timings.total_seconds());
+//! let run = monomi.run(&plain, &workload[0]).unwrap();
+//! println!("Q{} took {:.3}s (measured)", run.query_number, run.timings.total_seconds());
 //! ```
 
 pub mod baselines;
@@ -23,7 +23,9 @@ pub mod datagen;
 pub mod queries;
 pub mod schema;
 
-pub use baselines::{build_system, run_plaintext, QueryRun, SystemKind, SystemSetup};
+pub use baselines::{
+    build_system, run_plaintext, with_modeled_link, QueryRun, SystemKind, SystemSetup,
+};
 pub use datagen::{generate, GeneratorConfig};
 pub use queries::{query, workload, TpchQuery};
 

@@ -65,9 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {:8} {}", row[0], row[1]);
     }
     println!(
-        "\nserver {:.4}s | network {:.4}s | decrypt {:.4}s | client {:.4}s",
+        "\nserver {:.4}s | wire {:.4}s | decrypt {:.4}s | client {:.4}s",
         timings.server_seconds,
-        timings.network_seconds,
+        timings.wire_seconds,
         timings.decrypt_seconds,
         timings.client_seconds
     );

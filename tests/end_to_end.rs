@@ -2,7 +2,7 @@
 //! plaintext engine for the TPC-H workload, while never storing plaintext on
 //! the untrusted server.
 
-use monomi_core::{ClientConfig, DesignStrategy, MonomiClient, NetworkModel};
+use monomi_core::{ClientConfig, DesignStrategy, MonomiClient};
 use monomi_engine::{ColumnDef, ColumnType, Database, TableSchema, Value};
 use monomi_sql::parse_query;
 use monomi_tpch::{baselines, datagen, queries};
@@ -295,7 +295,6 @@ fn baseline_systems_return_correct_answers_too() {
     let plain = small_plain();
     let workload = queries::workload();
     let config = fast_config();
-    let network = NetworkModel::paper_default();
     let greedy = baselines::build_system(
         baselines::SystemKind::ExecutionGreedy,
         &plain,
@@ -306,7 +305,7 @@ fn baseline_systems_return_correct_answers_too() {
     for number in [1u32, 6, 12] {
         let q = queries::query(number).unwrap();
         let (expected, _) = plain.execute_sql(q.sql, &q.params).unwrap();
-        let run = greedy.run(&plain, &q, &network).unwrap();
+        let run = greedy.run(&plain, &q).unwrap();
         assert!(
             rows_match(&expected.rows, &run.result.rows),
             "Execution-Greedy Q{number} diverged"

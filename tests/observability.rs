@@ -7,12 +7,13 @@
 //! frame, comes back echoed, and carries the server's per-operator spans
 //! with it.
 
-use monomi_core::{ClientConfig, DesignStrategy, MonomiClient};
+use monomi_core::{ClientConfig, DesignStrategy, MonomiClient, NetworkModel};
 use monomi_engine::{Database, ExecOptions};
 use monomi_obs::{flatten_spans, Span, TraceId};
 use monomi_server::{Server, ServerOptions};
 use monomi_sql::parse_query;
 use monomi_tpch::{datagen, queries};
+use std::time::Instant;
 
 fn small_plain() -> Database {
     datagen::generate(&datagen::GeneratorConfig {
@@ -164,6 +165,15 @@ fn tracing_is_invisible_to_results_at_every_thread_count() {
                 );
             }
         }
+        // An untraced call (zero trace id) collects no spans on either side.
+        let count = parse_query("SELECT COUNT(*) FROM lineitem").expect("parses");
+        for (name, client) in [("in-process", &local), ("tcp", &remote)] {
+            let untraced = client
+                .server_transport()
+                .execute(&count, &ExecOptions::serial())
+                .expect("untraced server query");
+            assert!(untraced.spans.is_empty(), "{name}: zero trace id has spans");
+        }
     }
 }
 
@@ -273,6 +283,129 @@ fn local_decrypt_has_per_column_spans_and_plan_is_timed() {
     assert!(reused > 0, "no value of Q6 was served from a memo");
 }
 
+/// Every span of the forest, pre-order.
+fn all_spans(spans: &[Span]) -> Vec<&Span> {
+    let mut out = Vec::new();
+    let mut stack: Vec<&Span> = spans.iter().rev().collect();
+    while let Some(span) = stack.pop() {
+        out.push(span);
+        stack.extend(span.children.iter().rev());
+    }
+    out
+}
+
+/// Summed seconds of every span labelled exactly `label`, at any depth.
+fn labelled_seconds(spans: &[Span], label: &str) -> f64 {
+    flatten_spans(spans)
+        .into_iter()
+        .filter(|f| f.label == label)
+        .map(|f| f.seconds)
+        .sum()
+}
+
+fn assert_close(what: &str, a: f64, b: f64) {
+    assert!(
+        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+        "{what}: {a} != {b}"
+    );
+}
+
+/// `QueryTimings` holds clock readings, not a model: each phase equals the
+/// spans that time it, and the total is the sum of the four measured phases.
+#[test]
+fn timings_are_the_sums_of_their_spans() {
+    let plain = small_plain();
+    let workload: Vec<_> = queries::workload()
+        .iter()
+        .map(|q| parse_query(q.sql).expect("parses"))
+        .collect();
+    let config = ClientConfig {
+        exec_options: Some(ExecOptions::serial()),
+        ..fast_config()
+    };
+    let (client, _) =
+        MonomiClient::setup(&plain, &workload, DesignStrategy::Designer, &config).expect("setup");
+
+    for number in [1u32, 6] {
+        let q = queries::query(number).expect("query exists");
+        let (_, t, _, spans) = client.execute_traced(q.sql, &q.params).expect("traced");
+        assert!(t.server_bytes_scanned > 0, "Q{number} scanned nothing");
+        let phase = |name: &str| format!("Q{number} {name}");
+        assert_close(
+            &phase("server"),
+            t.server_seconds,
+            labelled_seconds(&spans, "RemoteSQL"),
+        );
+        assert_close(
+            &phase("wire"),
+            t.wire_seconds,
+            labelled_seconds(&spans, "Wire"),
+        );
+        assert_close(
+            &phase("decrypt"),
+            t.decrypt_seconds,
+            labelled_seconds(&spans, "LocalDecrypt"),
+        );
+        assert_close(
+            &phase("total"),
+            t.total_seconds(),
+            t.server_seconds + t.wire_seconds + t.decrypt_seconds + t.client_seconds,
+        );
+    }
+}
+
+/// A `Child(..)` or `Subquery` span is the wall time of dispatching its child
+/// plan: no less than the spans beneath it, no more than the whole query,
+/// however slow the link the planner prices with.
+#[test]
+fn child_spans_are_wall_time_not_the_modeled_link() {
+    let plain = small_plain();
+    let workload: Vec<_> = queries::workload()
+        .iter()
+        .map(|q| parse_query(q.sql).expect("parses"))
+        .collect();
+    // A 1 bit/s link: any modeled transfer term dwarfs every wall time.
+    let mut network = NetworkModel::paper_default();
+    network.bandwidth_bits_per_sec = 1.0;
+    let config = ClientConfig {
+        exec_options: Some(ExecOptions::serial()),
+        network,
+        ..fast_config()
+    };
+    let (client, _) =
+        MonomiClient::setup(&plain, &workload, DesignStrategy::Designer, &config).expect("setup");
+
+    // Q11 runs its residual on the client over three materialized children.
+    let q = queries::query(11).expect("Q11 exists");
+    let started = Instant::now();
+    let (_, _, _, spans) = client.execute_traced(q.sql, &q.params).expect("traced");
+    let wall = started.elapsed().as_secs_f64();
+
+    let dispatched: Vec<&Span> = all_spans(&spans)
+        .into_iter()
+        .filter(|s| s.label.starts_with("Child(") || s.label == "Subquery")
+        .collect();
+    assert!(
+        dispatched.iter().any(|s| s.label.starts_with("Child(")),
+        "Q11 has no Child span"
+    );
+    for span in dispatched {
+        let beneath: f64 = span.children.iter().map(|c| c.seconds).sum();
+        assert!(
+            span.seconds >= beneath,
+            "{} ({}s) is shorter than its children ({beneath}s)",
+            span.label,
+            span.seconds
+        );
+        assert!(
+            span.seconds <= wall,
+            "{} ({}s) is longer than the whole query ({wall}s)",
+            span.label,
+            span.seconds
+        );
+    }
+}
+
 /// EXPLAIN ANALYZE renders the plan, the measured span tree, and the cost
 /// model's predicted per-phase seconds next to the measured ones.
 #[test]
@@ -311,6 +444,16 @@ fn explain_analyze_shows_span_tree_and_predicted_vs_actual() {
     ] {
         assert!(report.contains(needle), "missing `{needle}` in:\n{report}");
     }
+    // The link row compares the prediction with the measured wire time; a
+    // `network` row (a model next to a model) must not come back.
+    assert!(
+        report.lines().any(|l| l.starts_with("wire ")),
+        "no `wire` row in:\n{report}"
+    );
+    assert!(
+        !report.lines().any(|l| l.starts_with("network")),
+        "modeled `network` row in:\n{report}"
+    );
     // The trace id in the report is a well-formed id, not the zero id.
     let hex = report
         .lines()
