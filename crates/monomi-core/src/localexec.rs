@@ -16,14 +16,17 @@
 use crate::decrypt::DecryptPipeline;
 use crate::design::Encryptor;
 use crate::plan::{DecryptSpec, OutputColumn, RemotePlan, SplitPlan};
+use crate::rewrite::normalize_expr;
 use crate::transport::ServerTransport;
 use crate::CoreError;
 use monomi_engine::{
-    ColumnDef, ColumnType, Database, ExecOptions, ResultSet, RowSchema, TableSchema, Value,
+    BoundExpr, ColumnDef, ColumnType, Database, ExecOptions, ResultSet, SubqueryResult,
+    TableSchema, Value,
 };
 use monomi_obs::{Span, Stopwatch, TraceId};
 use monomi_sql::ast::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Measured timing breakdown of one query execution through MONOMI: clock
 /// readings and counters, no model. [`total_seconds`](Self::total_seconds)
@@ -139,13 +142,6 @@ pub struct SplitExecutor<'a> {
     /// Engine execution options for both the server queries and the client's
     /// residual plaintext execution (results are thread-count-invariant).
     pub exec_options: ExecOptions,
-}
-
-/// The decrypted intermediate result of a RemoteSQL + LocalDecrypt step: rows
-/// whose columns are keyed by the plaintext expression they carry.
-struct Environment {
-    keys: Vec<Expr>,
-    rows: Vec<Vec<Value>>,
 }
 
 impl<'a> SplitExecutor<'a> {
@@ -274,8 +270,9 @@ impl<'a> SplitExecutor<'a> {
         let mut timings = QueryTimings::default();
 
         // 1. Child subqueries (uncorrelated) referenced by local predicates.
-        let mut sub_results: HashMap<Query, Vec<Vec<Value>>> = HashMap::new();
-        for (sub, child) in &rp.subquery_children {
+        // The compiled residual reads child `i`'s result at index `i`.
+        let mut sub_results = Vec::with_capacity(rp.subquery_children.len());
+        for (_, child) in &rp.subquery_children {
             let mut child_spans = Vec::new();
             let dispatched = Stopwatch::start();
             let (rs, t) = self.dispatch(child, trace, &mut child_spans)?;
@@ -288,7 +285,7 @@ impl<'a> SplitExecutor<'a> {
                     child_spans,
                 ));
             }
-            sub_results.insert(sub.clone(), rs.rows);
+            sub_results.push(Arc::new(SubqueryResult::new(rs.rows)));
         }
 
         // 2. RemoteSQL on the untrusted server, through the transport.
@@ -330,231 +327,313 @@ impl<'a> SplitExecutor<'a> {
             ));
         }
 
-        // 3. LocalDecrypt.
+        // 3. LocalDecrypt: the outputs' decryptors, compiled for this
+        // execution, run column-major over the result (see `crate::decrypt`).
         let started = Stopwatch::start();
-        let (env, column_spans) = self.decrypt(&rp.outputs, &enc_rs, !trace.is_zero())?;
+        let (rows, column_spans) = DecryptPipeline::compile(self.encryptor, &rp.outputs)?
+            .run(&enc_rs, !trace.is_zero())?;
         let decrypt_seconds = started.seconds();
         timings.decrypt_seconds += decrypt_seconds;
         if !trace.is_zero() {
             spans.push(Span::node(
                 "LocalDecrypt".to_string(),
                 decrypt_seconds,
-                env.rows.len() as u64,
+                rows.len() as u64,
                 column_spans,
             ));
         }
 
-        // 4. Residual client-side operators.
+        // 4. Residual client-side operators, compiled for this execution.
         let started = Stopwatch::start();
-        let result = self.finish_locally(rp, env, &sub_results)?;
+        let (result, phase_spans) =
+            Residual::compile(rp).run(rows, &sub_results, !trace.is_zero())?;
         let residual_seconds = started.seconds();
         timings.client_seconds += residual_seconds;
         if !trace.is_zero() {
-            spans.push(Span::leaf(
+            spans.push(Span::node(
                 "ClientResidual",
                 residual_seconds,
                 result.rows.len() as u64,
+                phase_spans,
             ));
         }
         Ok((result, timings))
     }
+}
 
-    /// LocalDecrypt: compiles the outputs' decryptors for this execution and
-    /// runs them column-major over the result (see [`crate::decrypt`]).
-    /// Returns the per-column spans when `traced`.
-    fn decrypt(
-        &self,
-        outputs: &[OutputColumn],
-        enc_rs: &ResultSet,
-        traced: bool,
-    ) -> Result<(Environment, Vec<Span>), CoreError> {
-        let keys: Vec<Expr> = outputs.iter().map(|o| o.source.clone()).collect();
-        let (rows, spans) =
-            DecryptPipeline::compile(self.encryptor, outputs)?.run(enc_rs, traced)?;
-        Ok((Environment { keys, rows }, spans))
+/// What the columns of residual rows carry: one plaintext expression per
+/// column — the decrypted outputs' sources, or after a local GROUP BY the
+/// group keys and the aggregates.
+struct Environment {
+    keys: Vec<Expr>,
+}
+
+impl Environment {
+    /// Compiles `expr` for rows of this environment. Every subtree that
+    /// matches a key once normalized becomes a read of that key's column;
+    /// AVG(x) the environment lacks, over a SUM(x) and a COUNT(*) it
+    /// carries, becomes their quotient. `subquery` maps each subquery to its
+    /// index among the precomputed child results.
+    fn bind(&self, expr: &Expr, subquery: &dyn Fn(&Query) -> Option<usize>) -> BoundExpr {
+        let position = |e: &Expr| {
+            let normalized = normalize_expr(e);
+            self.keys.iter().position(|k| *k == normalized)
+        };
+        let resolve = |e: &Expr| {
+            if let Some(i) = position(e) {
+                return Some(BoundExpr::Column(i));
+            }
+            let Expr::Aggregate {
+                func: AggFunc::Avg,
+                arg: Some(arg),
+                distinct,
+            } = e
+            else {
+                return None;
+            };
+            let sum = position(&Expr::Aggregate {
+                func: AggFunc::Sum,
+                arg: Some(arg.clone()),
+                distinct: *distinct,
+            })?;
+            let count = position(&Expr::Aggregate {
+                func: AggFunc::Count,
+                arg: None,
+                distinct: false,
+            })?;
+            Some(BoundExpr::BinaryOp {
+                left: Box::new(BoundExpr::Column(sum)),
+                op: BinaryOp::Div,
+                right: Box::new(BoundExpr::Column(count)),
+            })
+        };
+        BoundExpr::bind(expr, &resolve, subquery)
+    }
+}
+
+/// The residual operators of one [`RemotePlan`] — LocalFilter,
+/// LocalGroupBy, LocalGroupFilter, LocalProjection, LocalSort — compiled once
+/// per execution. Every filter, group key, aggregate argument, HAVING,
+/// projection and ORDER BY key is substituted against the environment it
+/// runs over, normalized (AVG over a fetched SUM and COUNT becomes their
+/// quotient), and bound to that environment's column positions; each
+/// IN / EXISTS / scalar subquery is bound to its `subquery_children` entry by
+/// index. [`run`](Self::run)'s row loops evaluate only these compiled forms.
+struct Residual<'p> {
+    rp: &'p RemotePlan,
+    filters: Vec<BoundExpr>,
+    grouping: Option<Grouping>,
+    /// What HAVING, the projections and the sort keys run over.
+    final_env: Environment,
+    having: Option<BoundExpr>,
+    projections: Vec<BoundExpr>,
+    sort_keys: Vec<SortKey>,
+}
+
+/// A local GROUP BY over the filtered environment rows. Its output rows are
+/// the group key values followed by one value per aggregate.
+struct Grouping {
+    keys: Vec<BoundExpr>,
+    aggregates: Vec<LocalAggregate>,
+}
+
+/// One aggregate of a local GROUP BY; no argument means `COUNT(*)`.
+struct LocalAggregate {
+    func: AggFunc,
+    arg: Option<BoundExpr>,
+    distinct: bool,
+}
+
+/// Where one ORDER BY key comes from.
+enum SortKey {
+    /// The projected value at this position: the key names a projection's
+    /// alias, its position, or its expression.
+    Output(usize),
+    /// Evaluated over the row the projections run over.
+    Eval(BoundExpr),
+}
+
+impl<'p> Residual<'p> {
+    fn compile(rp: &'p RemotePlan) -> Self {
+        let slot = |q: &Query| rp.subquery_children.iter().position(|(sub, _)| sub == q);
+        let env = Environment {
+            keys: rp.outputs.iter().map(|o| o.source.clone()).collect(),
+        };
+        let filters = rp
+            .local_filters
+            .iter()
+            .map(|f| env.bind(f, &slot))
+            .collect();
+        let (grouping, final_env) = match &rp.local_group_by {
+            Some(group_keys) => {
+                let aggregates = local_aggregates(rp);
+                let grouping = Grouping {
+                    keys: group_keys.iter().map(|k| env.bind(k, &slot)).collect(),
+                    aggregates: aggregates
+                        .iter()
+                        .filter_map(|agg| match agg {
+                            Expr::Aggregate {
+                                func,
+                                arg,
+                                distinct,
+                            } => Some(LocalAggregate {
+                                func: *func,
+                                arg: arg.as_deref().map(|a| env.bind(a, &slot)),
+                                distinct: *distinct,
+                            }),
+                            _ => None,
+                        })
+                        .collect(),
+                };
+                let keys = group_keys.iter().chain(aggregates).map(normalize_expr);
+                (
+                    Some(grouping),
+                    Environment {
+                        keys: keys.collect(),
+                    },
+                )
+            }
+            None => (None, env),
+        };
+        let sort_keys = rp
+            .order_by
+            .iter()
+            .map(|ob| match projection_of(&ob.expr, rp) {
+                Some(pos) => SortKey::Output(pos),
+                None => SortKey::Eval(final_env.bind(&ob.expr, &slot)),
+            })
+            .collect();
+        Residual {
+            rp,
+            filters,
+            grouping,
+            having: rp.local_having.as_ref().map(|h| final_env.bind(h, &slot)),
+            projections: rp
+                .projections
+                .iter()
+                .map(|p| final_env.bind(&p.expr, &slot))
+                .collect(),
+            sort_keys,
+            final_env,
+        }
     }
 
-    fn finish_locally(
+    /// Runs the residual over the decrypted rows, reading subquery `i` from
+    /// `subqueries[i]`. With `traced`, also returns one `Residual(<phase>)`
+    /// span per phase that ran (filter, group, project, sort); untraced, no
+    /// clock is read.
+    fn run(
         &self,
-        rp: &RemotePlan,
-        env: Environment,
-        sub_results: &HashMap<Query, Vec<Vec<Value>>>,
-    ) -> Result<ResultSet, CoreError> {
-        // Build an engine row schema with synthetic names for every environment
-        // key so we can reuse the engine's expression evaluator.
-        let schema = RowSchema::new(
-            (0..env.keys.len())
-                .map(|i| (None, format!("__env{i}")))
-                .collect(),
-        );
-        let substitute = |expr: &Expr| substitute_env(expr, &env.keys);
-        let subquery_fn = move |q: &Query,
-                                _outer: Option<(&RowSchema, &[Value])>|
-              -> Result<Vec<Vec<Value>>, monomi_engine::EngineError> {
-            sub_results
-                .get(q)
-                .cloned()
-                .ok_or_else(|| monomi_engine::EngineError::new("subquery result not precomputed"))
-        };
-
-        let eval_row = |expr: &Expr, row: &[Value]| -> Result<Value, CoreError> {
-            let substituted = substitute(expr);
-            let ctx = monomi_engine::EvalContext {
-                params: &[],
-                aggregates: None,
-                subquery: Some(&subquery_fn),
-                outer: None,
-            };
-            monomi_engine::expr::eval(&substituted, &schema, row, &ctx)
+        rows: Vec<Vec<Value>>,
+        subqueries: &[Arc<SubqueryResult>],
+        traced: bool,
+    ) -> Result<(ResultSet, Vec<Span>), CoreError> {
+        let eval = |e: &BoundExpr, row: &[Value]| {
+            e.eval(row, subqueries)
                 .map_err(|e| CoreError::new(e.to_string()))
         };
-
-        // 1. Local filters.
-        let mut rows = env.rows;
-        for filter in &rp.local_filters {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                if eval_row(filter, &row)?.as_bool().unwrap_or(false) {
-                    kept.push(row);
-                }
+        let holds = |e: &BoundExpr, row: &[Value]| -> Result<bool, CoreError> {
+            Ok(eval(e, row)?.as_bool().unwrap_or(false))
+        };
+        let mut spans = Vec::new();
+        let mut phase = |label: &str, watch: Option<Stopwatch>, rows: usize| {
+            if let Some(watch) = watch {
+                spans.push(Span::leaf(
+                    format!("Residual({label})"),
+                    watch.seconds(),
+                    rows as u64,
+                ));
             }
-            rows = kept;
-        }
+        };
 
-        // 2. Local grouping if the server did not group.
-        let (final_keys, mut final_rows): (Vec<Expr>, Vec<Vec<Value>>) =
-            if let Some(group_keys) = &rp.local_group_by {
-                let mut agg_exprs: Vec<Expr> = Vec::new();
-                let mut collect = |e: &Expr| {
-                    e.walk(&mut |n| {
-                        if matches!(n, Expr::Aggregate { .. }) && !agg_exprs.contains(n) {
-                            agg_exprs.push(n.clone());
-                        }
-                    })
-                };
-                for p in &rp.projections {
-                    collect(&p.expr);
-                }
-                if let Some(h) = &rp.local_having {
-                    collect(h);
-                }
-                for o in &rp.order_by {
-                    collect(&o.expr);
-                }
-
-                let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-                let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-                for (ri, row) in rows.iter().enumerate() {
-                    let key: Vec<Value> = group_keys
-                        .iter()
-                        .map(|k| eval_row(k, row))
-                        .collect::<Result<_, _>>()?;
-                    let gi = *index.entry(key.clone()).or_insert_with(|| {
-                        groups.push((key, Vec::new()));
-                        groups.len() - 1
-                    });
-                    groups[gi].1.push(ri);
-                }
-                if groups.is_empty() && group_keys.is_empty() {
-                    groups.push((Vec::new(), Vec::new()));
-                }
-
-                let mut keys: Vec<Expr> = group_keys.iter().map(normalize_key).collect();
-                keys.extend(agg_exprs.iter().map(normalize_key));
-                let mut out_rows = Vec::with_capacity(groups.len());
-                for (key_vals, members) in &groups {
-                    let mut row_out = key_vals.clone();
-                    for agg in &agg_exprs {
-                        row_out.push(compute_local_aggregate(agg, members, &rows, &eval_row)?);
+        // 1. LocalFilter.
+        let mut rows = rows;
+        if !self.filters.is_empty() {
+            let watch = traced.then(Stopwatch::start);
+            for filter in &self.filters {
+                let mut kept = Vec::with_capacity(rows.len());
+                for row in rows {
+                    if holds(filter, &row)? {
+                        kept.push(row);
                     }
-                    out_rows.push(row_out);
                 }
-                (keys, out_rows)
-            } else {
-                (env.keys.clone(), rows)
-            };
-
-        // When aggregating on the client we must also handle queries with no
-        // GROUP BY but local aggregates over ungrouped rows (handled above via
-        // empty group_keys), so nothing more to do here.
-
-        // 3. Local HAVING.
-        let schema2 = RowSchema::new(
-            (0..final_keys.len())
-                .map(|i| (None, format!("__env{i}")))
-                .collect(),
-        );
-        let eval_final = |expr: &Expr, row: &[Value]| -> Result<Value, CoreError> {
-            let substituted = substitute_env(expr, &final_keys);
-            let ctx = monomi_engine::EvalContext {
-                params: &[],
-                aggregates: None,
-                subquery: Some(&subquery_fn),
-                outer: None,
-            };
-            monomi_engine::expr::eval(&substituted, &schema2, row, &ctx)
-                .map_err(|e| CoreError::new(e.to_string()))
-        };
-        if let Some(having) = &rp.local_having {
-            let mut kept = Vec::with_capacity(final_rows.len());
-            for row in final_rows {
-                if eval_final(having, &row)?.as_bool().unwrap_or(false) {
-                    kept.push(row);
-                }
+                rows = kept;
             }
-            final_rows = kept;
+            phase("filter", watch, rows.len());
         }
 
-        // 4. Projection.
-        // Each projected row carries its ORDER BY sort key alongside the values.
-        type KeyedRows = Vec<(Vec<Value>, Vec<Value>)>;
-        let (columns, mut projected): (Vec<String>, KeyedRows) = if rp.projections.is_empty() {
-            // Table-fetch plan: output the environment columns directly.
-            let columns = final_keys
+        // 2. LocalGroupBy (a global aggregate is one group, even over no
+        // rows) and LocalGroupFilter.
+        if self.grouping.is_some() || self.having.is_some() {
+            let watch = traced.then(Stopwatch::start);
+            if let Some(grouping) = &self.grouping {
+                rows = grouping.run(&rows, &eval)?;
+            }
+            if let Some(having) = &self.having {
+                let mut kept = Vec::with_capacity(rows.len());
+                for row in rows {
+                    if holds(having, &row)? {
+                        kept.push(row);
+                    }
+                }
+                rows = kept;
+            }
+            phase("group", watch, rows.len());
+        }
+
+        // 3. LocalProjection: each output row carries its ORDER BY key.
+        let watch = traced.then(Stopwatch::start);
+        let columns: Vec<String> = if self.projections.is_empty() {
+            // Table-fetch plan: the environment columns come out directly.
+            self.final_env
+                .keys
                 .iter()
                 .map(|k| match k {
                     Expr::Column(c) => c.column.clone(),
                     other => other.to_string(),
                 })
-                .collect();
-            (
-                columns,
-                final_rows.into_iter().map(|r| (r, Vec::new())).collect(),
-            )
+                .collect()
         } else {
-            let columns = rp
+            self.rp
                 .projections
                 .iter()
                 .enumerate()
                 .map(|(i, p)| p.output_name(i))
-                .collect();
-            let mut out = Vec::with_capacity(final_rows.len());
-            for row in &final_rows {
-                let mut proj = Vec::with_capacity(rp.projections.len());
-                for p in &rp.projections {
-                    proj.push(eval_final(&p.expr, row)?);
-                }
-                // Sort keys.
-                let mut sort_keys = Vec::with_capacity(rp.order_by.len());
-                for ob in &rp.order_by {
-                    let key = resolve_order_key(ob, rp, &proj, row, &eval_final)?;
-                    sort_keys.push(key);
-                }
-                out.push((proj, sort_keys));
-            }
-            (columns, out)
+                .collect()
         };
-
-        // 5. DISTINCT.
-        if rp.distinct {
-            let mut seen = std::collections::HashSet::new();
+        let mut projected: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
+        for row in rows {
+            let out: Vec<Value> = self
+                .projections
+                .iter()
+                .map(|p| eval(p, &row))
+                .collect::<Result<_, _>>()?;
+            let sort_key = self
+                .sort_keys
+                .iter()
+                .map(|key| match key {
+                    SortKey::Output(pos) => Ok(out[*pos].clone()),
+                    SortKey::Eval(e) => eval(e, &row),
+                })
+                .collect::<Result<_, _>>()?;
+            let out = if self.projections.is_empty() {
+                row
+            } else {
+                out
+            };
+            projected.push((out, sort_key));
+        }
+        if self.rp.distinct {
+            let mut seen = HashSet::new();
             projected.retain(|(row, _)| seen.insert(row.clone()));
         }
+        phase("project", watch, projected.len());
 
-        // 6. LocalSort + LIMIT.
-        if !rp.order_by.is_empty() {
+        // 4. LocalSort + LIMIT.
+        if !self.sort_keys.is_empty() || self.rp.limit.is_some() {
+            let watch = traced.then(Stopwatch::start);
             projected.sort_by(|(_, ka), (_, kb)| {
-                for (i, ob) in rp.order_by.iter().enumerate() {
+                for (i, ob) in self.rp.order_by.iter().enumerate() {
                     let ord = ka[i].compare(&kb[i]);
                     let ord = if ob.desc { ord.reverse() } else { ord };
                     if ord != std::cmp::Ordering::Equal {
@@ -563,199 +642,106 @@ impl<'a> SplitExecutor<'a> {
                 }
                 std::cmp::Ordering::Equal
             });
-        }
-        let mut rows_out: Vec<Vec<Value>> = projected.into_iter().map(|(r, _)| r).collect();
-        if let Some(limit) = rp.limit {
-            rows_out.truncate(limit as usize);
+            projected.truncate(self.rp.limit.map_or(usize::MAX, |l| l as usize));
+            phase("sort", watch, projected.len());
         }
 
-        Ok(ResultSet {
-            columns,
-            rows: rows_out,
-        })
+        let rows = projected.into_iter().map(|(row, _)| row).collect();
+        Ok((ResultSet { columns, rows }, spans))
     }
 }
 
-fn resolve_order_key(
-    ob: &OrderByItem,
-    rp: &RemotePlan,
-    projected: &[Value],
-    row: &[Value],
-    eval_final: &impl Fn(&Expr, &[Value]) -> Result<Value, CoreError>,
-) -> Result<Value, CoreError> {
-    if let Expr::Column(c) = &ob.expr {
+impl Grouping {
+    /// Groups `rows` by their key values, in first-encounter order, and
+    /// folds each group's aggregates.
+    fn run(
+        &self,
+        rows: &[Vec<Value>],
+        eval: &impl Fn(&BoundExpr, &[Value]) -> Result<Value, CoreError>,
+    ) -> Result<Vec<Vec<Value>>, CoreError> {
+        // Per group: its key, then each aggregate's argument values in row
+        // order.
+        let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
+        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+        for row in rows {
+            let key: Vec<Value> = self
+                .keys
+                .iter()
+                .map(|k| eval(k, row))
+                .collect::<Result<_, _>>()?;
+            let gi = match index.get(&key) {
+                Some(&gi) => gi,
+                None => {
+                    index.insert(key.clone(), groups.len());
+                    groups.push((key, vec![Vec::new(); self.aggregates.len()]));
+                    groups.len() - 1
+                }
+            };
+            for (agg, values) in self.aggregates.iter().zip(&mut groups[gi].1) {
+                values.push(match &agg.arg {
+                    Some(arg) => eval(arg, row)?,
+                    None => Value::Int(1),
+                });
+            }
+        }
+        if groups.is_empty() && self.keys.is_empty() {
+            groups.push((Vec::new(), vec![Vec::new(); self.aggregates.len()]));
+        }
+        Ok(groups
+            .into_iter()
+            .map(|(mut row, values)| {
+                for (agg, values) in self.aggregates.iter().zip(values) {
+                    row.push(fold_group(values, Some(agg.func), agg.distinct));
+                }
+                row
+            })
+            .collect())
+    }
+}
+
+/// The aggregates a local GROUP BY computes: each distinct aggregate node of
+/// the projections, the local HAVING and the ORDER BY keys, in that order.
+fn local_aggregates(rp: &RemotePlan) -> Vec<&Expr> {
+    let mut found: Vec<&Expr> = Vec::new();
+    let exprs = rp
+        .projections
+        .iter()
+        .map(|p| &p.expr)
+        .chain(&rp.local_having)
+        .chain(rp.order_by.iter().map(|o| &o.expr));
+    for expr in exprs {
+        expr.walk(&mut |node| {
+            if matches!(node, Expr::Aggregate { .. }) && !found.contains(&node) {
+                found.push(node);
+            }
+        });
+    }
+    found
+}
+
+/// The projection an ORDER BY key names, if any: by alias, by 1-based
+/// position, or by repeating its expression.
+fn projection_of(key: &Expr, rp: &RemotePlan) -> Option<usize> {
+    if let Expr::Column(c) = key {
         if c.table.is_none() {
-            if let Some(pos) = rp.projections.iter().position(|p| {
+            let by_alias = rp.projections.iter().position(|p| {
                 p.alias
                     .as_deref()
                     .is_some_and(|a| a.eq_ignore_ascii_case(&c.column))
-            }) {
-                return Ok(projected[pos].clone());
+            });
+            if by_alias.is_some() {
+                return by_alias;
             }
         }
     }
-    if let Expr::Literal(Literal::Number(n)) = &ob.expr {
+    if let Expr::Literal(Literal::Number(n)) = key {
         if let Ok(pos) = n.parse::<usize>() {
-            if pos >= 1 && pos <= projected.len() {
-                return Ok(projected[pos - 1].clone());
+            if pos >= 1 && pos <= rp.projections.len() {
+                return Some(pos - 1);
             }
         }
     }
-    if let Some(pos) = rp.projections.iter().position(|p| p.expr == ob.expr) {
-        return Ok(projected[pos].clone());
-    }
-    eval_final(&ob.expr, row)
-}
-
-/// Replaces every subtree of `expr` that structurally matches one of the
-/// environment keys with a reference to the corresponding synthetic column.
-fn substitute_env(expr: &Expr, keys: &[Expr]) -> Expr {
-    let normalized = crate::rewrite::normalize_expr(expr);
-    if let Some(idx) = keys.iter().position(|k| *k == normalized) {
-        return Expr::col(format!("__env{idx}"));
-    }
-    match expr {
-        Expr::BinaryOp { left, op, right } => Expr::BinaryOp {
-            left: Box::new(substitute_env(left, keys)),
-            op: *op,
-            right: Box::new(substitute_env(right, keys)),
-        },
-        Expr::UnaryOp { op, expr } => Expr::UnaryOp {
-            op: *op,
-            expr: Box::new(substitute_env(expr, keys)),
-        },
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => {
-            // AVG over a fetched SUM: rewrite AVG(x) as SUM(x) / COUNT(*) when
-            // both are available in the environment.
-            if *func == AggFunc::Avg {
-                if let Some(a) = arg {
-                    let sum = Expr::Aggregate {
-                        func: AggFunc::Sum,
-                        arg: Some(a.clone()),
-                        distinct: *distinct,
-                    };
-                    let count = Expr::Aggregate {
-                        func: AggFunc::Count,
-                        arg: None,
-                        distinct: false,
-                    };
-                    let sum_n = crate::rewrite::normalize_expr(&sum);
-                    let count_n = crate::rewrite::normalize_expr(&count);
-                    if keys.contains(&sum_n) && keys.contains(&count_n) {
-                        return substitute_env(&sum, keys)
-                            .binop(BinaryOp::Div, substitute_env(&count, keys));
-                    }
-                }
-            }
-            Expr::Aggregate {
-                func: *func,
-                arg: arg.as_ref().map(|a| Box::new(substitute_env(a, keys))),
-                distinct: *distinct,
-            }
-        }
-        Expr::Function { name, args } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(|a| substitute_env(a, keys)).collect(),
-        },
-        Expr::Case {
-            operand,
-            when_then,
-            else_expr,
-        } => Expr::Case {
-            operand: operand.as_ref().map(|o| Box::new(substitute_env(o, keys))),
-            when_then: when_then
-                .iter()
-                .map(|(w, t)| (substitute_env(w, keys), substitute_env(t, keys)))
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(substitute_env(e, keys))),
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(substitute_env(expr, keys)),
-            pattern: Box::new(substitute_env(pattern, keys)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(substitute_env(expr, keys)),
-            list: list.iter().map(|e| substitute_env(e, keys)).collect(),
-            negated: *negated,
-        },
-        Expr::InSubquery {
-            expr,
-            subquery,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(substitute_env(expr, keys)),
-            subquery: subquery.clone(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(substitute_env(expr, keys)),
-            low: Box::new(substitute_env(low, keys)),
-            high: Box::new(substitute_env(high, keys)),
-            negated: *negated,
-        },
-        Expr::Extract { field, expr } => Expr::Extract {
-            field: *field,
-            expr: Box::new(substitute_env(expr, keys)),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(substitute_env(expr, keys)),
-            negated: *negated,
-        },
-        other => other.clone(),
-    }
-}
-
-fn normalize_key(e: &Expr) -> Expr {
-    crate::rewrite::normalize_expr(e)
-}
-
-/// Computes one aggregate over the member rows of a local group.
-fn compute_local_aggregate(
-    agg: &Expr,
-    members: &[usize],
-    rows: &[Vec<Value>],
-    eval_row: &impl Fn(&Expr, &[Value]) -> Result<Value, CoreError>,
-) -> Result<Value, CoreError> {
-    let (func, arg, distinct) = match agg {
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => (*func, arg.clone(), *distinct),
-        _ => return Err(CoreError::new("not an aggregate")),
-    };
-    let mut values: Vec<Value> = Vec::with_capacity(members.len());
-    for &ri in members {
-        match &arg {
-            Some(a) => values.push(eval_row(a, &rows[ri])?),
-            None => values.push(Value::Int(1)),
-        }
-    }
-    if distinct {
-        let mut seen = std::collections::HashSet::new();
-        values.retain(|v| seen.insert(v.clone()));
-    }
-    Ok(fold_group(values, Some(func), false))
+    rp.projections.iter().position(|p| p.expr == *key)
 }
 
 /// Folds a list of plaintext values with an aggregate function (or keeps the
@@ -828,44 +814,31 @@ fn output_column_types(plan: &SplitPlan) -> OutputColumnTypes {
             let env: Vec<(Expr, Option<ColumnType>)> = rp
                 .outputs
                 .iter()
-                .map(|o| (normalize_key(&o.source), decrypt_spec_type(o)))
+                .map(|o| (normalize_expr(&o.source), decrypt_spec_type(o)))
                 .collect();
             let resolve_env = |e: &Expr| -> Option<ColumnType> {
-                let n = normalize_key(e);
+                let n = normalize_expr(e);
                 env.iter().find(|(k, _)| *k == n).and_then(|(_, t)| *t)
             };
 
-            // Mirror `finish_locally`: local grouping replaces the
-            // environment keys with group keys + collected aggregates.
-            let final_keys: Vec<(Expr, Option<ColumnType>)> =
-                if let Some(group_keys) = &rp.local_group_by {
-                    let mut agg_exprs: Vec<Expr> = Vec::new();
-                    let mut collect = |e: &Expr| {
-                        e.walk(&mut |n| {
-                            if matches!(n, Expr::Aggregate { .. }) && !agg_exprs.contains(n) {
-                                agg_exprs.push(n.clone());
-                            }
-                        })
-                    };
-                    for p in &rp.projections {
-                        collect(&p.expr);
-                    }
-                    if let Some(h) = &rp.local_having {
-                        collect(h);
-                    }
-                    for o in &rp.order_by {
-                        collect(&o.expr);
-                    }
-                    group_keys
-                        .iter()
-                        .chain(agg_exprs.iter())
-                        .map(|k| (normalize_key(k), infer_expr_type(k, &resolve_env)))
-                        .collect()
-                } else {
-                    env.clone()
-                };
+            // A local GROUP BY replaces the environment with the compiled
+            // residual's group keys and aggregates.
+            let residual = Residual::compile(rp);
+            let final_keys: Vec<(Expr, Option<ColumnType>)> = if residual.grouping.is_some() {
+                residual
+                    .final_env
+                    .keys
+                    .into_iter()
+                    .map(|k| {
+                        let ty = infer_expr_type(&k, &resolve_env);
+                        (k, ty)
+                    })
+                    .collect()
+            } else {
+                env.clone()
+            };
             let resolve_final = |e: &Expr| -> Option<ColumnType> {
-                let n = normalize_key(e);
+                let n = normalize_expr(e);
                 final_keys
                     .iter()
                     .find(|(k, _)| *k == n)
@@ -1070,5 +1043,189 @@ mod tests {
         assert_eq!(table.backing_name(), "memory");
         assert_eq!(table.stored_bytes(), 0);
         assert_eq!(table.rows(), vec![vec![Value::Int(7)]]);
+    }
+
+    /// Plaintext tables `t(k, g, v, w)` and `s(x)`, `s2(x)` (both with a
+    /// NULL), loaded into a fresh database.
+    fn residual_test_db() -> Database {
+        let mut db = Database::in_memory();
+        let int = |v: i64| Value::Int(v);
+        let schema = |name: &str, columns: &[(&str, ColumnType)]| {
+            TableSchema::new(
+                name,
+                columns
+                    .iter()
+                    .map(|(c, ty)| ColumnDef::new(*c, *ty))
+                    .collect(),
+            )
+        };
+        db.create_table(schema(
+            "t",
+            &[
+                ("k", ColumnType::Int),
+                ("g", ColumnType::Str),
+                ("v", ColumnType::Int),
+                ("w", ColumnType::Int),
+            ],
+        ));
+        let rows = [
+            (1, "a", 1, Some(10)),
+            (2, "a", 2, Some(20)),
+            (3, "b", 3, Some(20)),
+            (4, "b", 4, Some(30)),
+            (5, "c", 5, Some(30)),
+            (1, "c", 6, Some(30)),
+            (2, "d", 7, Some(10)),
+            (6, "d", 8, Some(40)),
+            (3, "e", 4, Some(20)),
+            (7, "e", 1, Some(50)),
+            (4, "e", 3, None),
+        ];
+        let rows = rows
+            .iter()
+            .map(|&(k, g, v, w)| {
+                vec![
+                    int(k),
+                    Value::Str(g.into()),
+                    int(v),
+                    w.map_or(Value::Null, int),
+                ]
+            })
+            .collect();
+        db.bulk_load("t", rows).unwrap();
+        for (name, xs) in [("s", vec![1, 2, 3, 4, 5, 6]), ("s2", vec![6])] {
+            db.create_table(schema(name, &[("x", ColumnType::Int)]));
+            let mut rows: Vec<Vec<Value>> = xs.into_iter().map(|x| vec![int(x)]).collect();
+            rows.push(vec![Value::Null]);
+            db.bulk_load(name, rows).unwrap();
+        }
+        db
+    }
+
+    /// A residual-free RemotePlan: the server runs `server_sql` over
+    /// plaintext and each output column comes back as is, keyed by `sources`.
+    fn plaintext_remote(server_sql: &str, sources: &[&str]) -> RemotePlan {
+        let server_query = parse_query(server_sql).unwrap();
+        let source_of = |s: &str| {
+            parse_query(&format!("SELECT {s} FROM t"))
+                .unwrap()
+                .projections[0]
+                .expr
+                .clone()
+        };
+        RemotePlan {
+            outputs: sources
+                .iter()
+                .zip(&server_query.projections)
+                .map(|(s, p)| OutputColumn {
+                    source: source_of(s),
+                    server_expr: p.expr.clone(),
+                    decrypt: DecryptSpec::Plain,
+                })
+                .collect(),
+            server_query,
+            subquery_children: Vec::new(),
+            local_filters: Vec::new(),
+            local_group_by: None,
+            local_having: None,
+            server_grouped: false,
+            projections: Vec::new(),
+            order_by: Vec::new(),
+            limit: None,
+            distinct: false,
+        }
+    }
+
+    /// The compiled residual computes what the plaintext engine computes for
+    /// the same query, Debug-equal, over a plan that runs every residual
+    /// operator: local IN and NOT IN subquery filters (NULLs in the subquery
+    /// results), a local GROUP BY with COUNT DISTINCT, HAVING, ORDER BY by
+    /// alias, by position and by an expression no projection repeats,
+    /// DISTINCT and LIMIT. The AVG → SUM / COUNT(*) rewrite applies only where
+    /// the server grouped and shipped the SUM and the COUNT, so a second,
+    /// server-grouped plan covers it. Traced, `ClientResidual` carries one
+    /// span per phase, within its own duration.
+    #[test]
+    fn compiled_residual_matches_the_plaintext_engine() {
+        let plain = residual_test_db();
+        let server = InProcessTransport::new(residual_test_db());
+        let encryptor = Encryptor::new(MasterKey::from_bytes([7; 32]), PhysicalDesign::new(128), 1);
+        let executor = SplitExecutor {
+            server: &server,
+            encryptor: &encryptor,
+            exec_options: ExecOptions::serial(),
+        };
+
+        let local_sql = "SELECT DISTINCT COUNT(DISTINCT w) AS dw, SUM(v) AS sv FROM t \
+                         WHERE k IN (SELECT x FROM s) AND k NOT IN (SELECT x FROM s2) \
+                         GROUP BY g HAVING SUM(v) > 2 ORDER BY sv DESC, 1, MAX(v) LIMIT 3";
+        let q = parse_query(local_sql).unwrap();
+        let mut local = plaintext_remote("SELECT k, g, v, w FROM t", &["k", "g", "v", "w"]);
+        for sub in ["SELECT x FROM s", "SELECT x FROM s2"] {
+            let child = plaintext_remote(sub, &["x"]);
+            local.subquery_children.push((
+                parse_query(sub).unwrap(),
+                SplitPlan::Remote(Box::new(child)),
+            ));
+        }
+        local.local_filters = q
+            .where_clause
+            .as_ref()
+            .unwrap()
+            .split_conjuncts()
+            .into_iter()
+            .cloned()
+            .collect();
+        local.local_group_by = Some(q.group_by.clone());
+        local.local_having = q.having.clone();
+        local.projections = q.projections.clone();
+        local.order_by = q.order_by.clone();
+        local.limit = q.limit;
+        local.distinct = q.distinct;
+
+        let grouped_sql = "SELECT g, AVG(v) AS av, SUM(v) FROM t GROUP BY g \
+                           HAVING AVG(v) > 2 ORDER BY av DESC, g";
+        let q = parse_query(grouped_sql).unwrap();
+        let mut grouped = plaintext_remote(
+            "SELECT g, SUM(v), COUNT(*) FROM t GROUP BY g",
+            &["g", "SUM(v)", "COUNT(*)"],
+        );
+        grouped.server_grouped = true;
+        grouped.local_having = q.having.clone();
+        grouped.projections = q.projections.clone();
+        grouped.order_by = q.order_by.clone();
+
+        for (sql, plan) in [(local_sql, local), (grouped_sql, grouped)] {
+            let (expected, _) = plain.execute_sql(sql, &[]).unwrap();
+            assert!(!expected.rows.is_empty(), "{sql}: vacuous comparison");
+            let plan = SplitPlan::Remote(Box::new(plan));
+            let (rs, _) = executor.execute(&plan).unwrap();
+            assert_eq!(format!("{rs:?}"), format!("{expected:?}"), "{sql}");
+
+            let trace = monomi_obs::TraceIdGen::new(1).next_id();
+            let (traced, _, spans) = executor.execute_traced(&plan, trace).unwrap();
+            assert_eq!(format!("{traced:?}"), format!("{expected:?}"), "{sql}");
+            let residual = spans
+                .iter()
+                .find(|s| s.label == "ClientResidual")
+                .expect("ClientResidual span");
+            let phases: Vec<&str> = residual.children.iter().map(|c| c.label.as_str()).collect();
+            let expected_phases: &[&str] = if sql == local_sql {
+                &[
+                    "Residual(filter)",
+                    "Residual(group)",
+                    "Residual(project)",
+                    "Residual(sort)",
+                ]
+            } else {
+                &["Residual(group)", "Residual(project)", "Residual(sort)"]
+            };
+            assert_eq!(phases, expected_phases, "{sql}");
+            let covered: f64 = residual.children.iter().map(|c| c.seconds).sum();
+            assert!(
+                covered <= residual.seconds,
+                "{sql}: phases exceed the residual"
+            );
+        }
     }
 }

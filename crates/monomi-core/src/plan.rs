@@ -219,13 +219,6 @@ pub fn generate_query_plan(
                 let child = generate_query_plan(sub, plain, encryptor, options);
                 children.push((alias.clone(), child));
                 // Replace with a reference to the client-side relation.
-                let projections = sub
-                    .projections
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| SelectItem::new(Expr::col(p.output_name(i))))
-                    .collect::<Vec<_>>();
-                let _ = projections;
                 *t = TableRef::Table {
                     name: alias.clone(),
                     alias: None,
@@ -414,7 +407,7 @@ fn generate_remote_plan(
         .as_ref()
         .map(|w| w.split_conjuncts())
         .unwrap_or_default();
-    for conj in &conjuncts {
+    for conj in conjuncts {
         if conj.contains_subquery() {
             // Plan uncorrelated subqueries as children; correlated ones force
             // the fallback path.

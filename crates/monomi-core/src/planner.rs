@@ -114,7 +114,7 @@ pub fn extract_enc_units(query: &Query, plain: &Database) -> Vec<EncUnit> {
         .as_ref()
         .map(|w| w.split_conjuncts())
         .unwrap_or_default();
-    for conj in &conjuncts {
+    for conj in conjuncts {
         let mut pairs = Vec::new();
         collect_predicate_pairs(conj, &mut pair_for, &mut pairs);
         // Subqueries inside the conjunct contribute their own units.

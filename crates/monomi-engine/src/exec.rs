@@ -11,8 +11,10 @@
 //! Aggregation is morsel-partitioned: workers build thread-local
 //! [`AggState`](crate::ops::AggState)s and the partials merge in partition
 //! order, so results are bit-identical at any thread count
-//! ([`ExecOptions::threads`]). Correlated and uncorrelated subqueries are
-//! evaluated through a recursive callback on the serial paths.
+//! ([`ExecOptions::threads`]). Subqueries are evaluated through a recursive
+//! callback on the serial paths: a correlated one runs once per outer row,
+//! an uncorrelated one at most once per statement ([`SubqueryMemo`]), and
+//! `IN` probes its result by hash.
 //!
 //! Encrypted execution uses exactly the same code path — the rewritten queries
 //! produced by `monomi-core` reference encrypted columns and the engine's
@@ -21,18 +23,23 @@
 //! CIOS multiply ([`monomi_crypto::PaillierSum::merge`]).
 
 use crate::database::Database;
-use crate::expr::{compile_predicate, eval, ColumnarPredicate, EvalContext, RowSchema};
+use crate::expr::{
+    compile_predicate, eval, ColumnarPredicate, EvalContext, RowSchema, SubqueryFn, SubqueryResult,
+};
 use crate::ops::{
     AggSpec, AggState, CrossJoin, ExecOptions, GroupEntry, HashJoin, IndexProbe, MorselAggregate,
     ParallelMetrics, ProbeOp, Relation, RowFilter, ScanFilter, Sort,
 };
+use crate::schema::TableSchema;
 use crate::storage::Table;
 use crate::value::Value;
 use crate::EngineError;
 use monomi_obs::Span;
 use monomi_sql::ast::*;
 use monomi_store::INDEX_SELECTIVITY_CROSSOVER;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A query result: named columns and materialized rows.
 #[derive(Clone, Debug, PartialEq)]
@@ -241,7 +248,12 @@ fn execute_query_spanned(
         ..Default::default()
     };
     let mut spans = if traced { Some(Vec::new()) } else { None };
-    let result = execute_inner(db, query, params, None, &mut stats, opts, &mut spans)?;
+    let statement = Statement {
+        db,
+        params,
+        memo: SubqueryMemo::for_statement(db, query),
+    };
+    let result = execute_inner(&statement, query, None, &mut stats, opts, &mut spans)?;
     stats.result_rows = result.rows.len() as u64;
     stats.result_bytes = result.size_bytes() as u64;
     Ok((result, stats, spans.unwrap_or_default()))
@@ -269,41 +281,39 @@ fn timed<T>(
     Ok(value)
 }
 
+/// What every query of one statement — the statement itself, its derived
+/// tables and its subqueries — executes against.
+struct Statement<'q> {
+    db: &'q Database,
+    params: &'q [Value],
+    memo: SubqueryMemo<'q>,
+}
+
 fn execute_inner(
-    db: &Database,
+    stmt: &Statement<'_>,
     query: &Query,
-    params: &[Value],
     outer: Option<(&RowSchema, &[Value])>,
     stats: &mut ExecStats,
     opts: &ExecOptions,
     spans: &mut Option<Vec<Span>>,
 ) -> Result<ResultSet, EngineError> {
     // 1. Build the FROM relation (scans, derived tables, joins, filters).
-    let where_conjuncts: Vec<Expr> = query
+    let where_conjuncts: Vec<&Expr> = query
         .where_clause
         .as_ref()
         .map(|w| w.split_conjuncts())
         .unwrap_or_default();
-    let relation = build_from_relation(
-        db,
-        query,
-        &where_conjuncts,
-        params,
-        outer,
-        stats,
-        opts,
-        spans,
-    )?;
+    let relation = build_from_relation(stmt, query, &where_conjuncts, outer, stats, opts, spans)?;
 
     // 2. Aggregate or plain projection. UDF aggregates (paillier_sum,
     // group_concat) make a query an aggregation even though the parser does
     // not know they aggregate.
     let is_aggregate = query.is_aggregate_query() || !collect_aggregates(query).is_empty();
-    let subquery_fn = make_subquery_fn(db, params, *opts);
     let mut output = if is_aggregate {
-        aggregate_and_project(db, query, &relation, params, outer, stats, opts, spans)?
+        aggregate_and_project(stmt, query, &relation, outer, stats, opts, spans)?
     } else {
-        project_rows(query, &relation, params, outer, &subquery_fn)?
+        let subquery_fn = make_subquery_fn(stmt, *opts);
+        project_rows(query, &relation, stmt.params, outer, &subquery_fn)?
     };
 
     // 3. DISTINCT.
@@ -358,10 +368,9 @@ struct ProjectedRows {
 type OuterRow<'s, 'v> = Option<(&'s RowSchema, &'v [Value])>;
 
 fn make_subquery_fn<'a>(
-    db: &'a Database,
-    params: &'a [Value],
+    stmt: &'a Statement<'a>,
     opts: ExecOptions,
-) -> impl Fn(&Query, OuterRow<'_, '_>) -> Result<Vec<Vec<Value>>, EngineError> + 'a {
+) -> impl Fn(&Query, OuterRow<'_, '_>) -> Result<Arc<SubqueryResult>, EngineError> + 'a {
     // Subqueries track their scan work in a local counter; the parent query's
     // own scans dominate the statistics we report. They run serially: a
     // correlated subquery is re-evaluated once per outer row, and spawning a
@@ -372,11 +381,181 @@ fn make_subquery_fn<'a>(
     // Subqueries are never traced: a correlated one re-runs per outer row,
     // and a span per evaluation would swamp the trace with thousands of
     // entries while timing regions the parent's spans already cover.
-    move |q: &Query, outer: Option<(&RowSchema, &[Value])>| {
-        let mut local_stats = ExecStats::default();
-        let rs = execute_inner(db, q, params, outer, &mut local_stats, &opts, &mut None)?;
-        Ok(rs.rows)
+    move |q: &Query, outer: OuterRow<'_, '_>| {
+        let run = |outer: OuterRow<'_, '_>| {
+            SUBQUERY_RUNS.with(|runs| runs.set(runs.get() + 1));
+            let mut local_stats = ExecStats::default();
+            let rs = execute_inner(stmt, q, outer, &mut local_stats, &opts, &mut None)?;
+            Ok(Arc::new(SubqueryResult::new(rs.rows)))
+        };
+        let Some(cell) = stmt.memo.cell(q) else {
+            return run(outer);
+        };
+        if let Some(result) = cell.get() {
+            return Ok(result.clone());
+        }
+        // Uncorrelated: nothing in it reads the outer row, so it runs without
+        // one and every outer row shares the result.
+        let result = run(None)?;
+        Ok(cell.get_or_init(|| result).clone())
     }
+}
+
+thread_local! {
+    /// Subquery executions on this thread, for [`subquery_runs`].
+    static SUBQUERY_RUNS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many subquery executions this thread has run: an uncorrelated
+/// subquery counts once per statement, a correlated one once per outer row.
+/// Tests observe the memo through this; it is not an [`ExecStats`] field
+/// because `ExecStats` crosses the wire.
+#[doc(hidden)]
+pub fn subquery_runs() -> u64 {
+    SUBQUERY_RUNS.with(Cell::get)
+}
+
+/// One scope of a subquery's scope chain: the FROM bindings and their
+/// tables' schemas.
+type Scope<'a> = Vec<(&'a str, &'a TableSchema)>;
+
+/// The uncorrelated subqueries of one statement, each run at most once.
+///
+/// When the statement starts, every subquery in it — at any depth, inside
+/// derived tables too — is classified statically. It is *uncorrelated* when
+/// every column reference inside it, at any depth, resolves within its own
+/// scope chain: its FROM tables, or those of an enclosing subquery that is
+/// itself inside it. Its result then depends on the database and the
+/// parameters only, so the first evaluation that needs it runs it and every
+/// later one shares the result. Anything in doubt — a derived table in the
+/// subquery's FROM (it would see the outer row), a table the catalog lacks —
+/// counts as correlated and keeps running once per outer row.
+struct SubqueryMemo<'q> {
+    /// Each uncorrelated subquery node of the statement and the index of
+    /// its result; structurally equal nodes share one.
+    nodes: Vec<(&'q Query, usize)>,
+    results: Vec<OnceCell<Arc<SubqueryResult>>>,
+}
+
+impl<'q> SubqueryMemo<'q> {
+    fn for_statement(db: &Database, query: &'q Query) -> Self {
+        let mut subqueries = Vec::new();
+        collect_subqueries(query, &mut subqueries);
+        let mut memo = SubqueryMemo {
+            nodes: Vec::new(),
+            results: Vec::new(),
+        };
+        for sub in subqueries {
+            if !resolves_within(db, sub, &[]) {
+                continue;
+            }
+            let slot = match memo.nodes.iter().find(|(n, _)| *n == sub) {
+                Some(&(_, slot)) => slot,
+                None => {
+                    memo.results.push(OnceCell::new());
+                    memo.results.len() - 1
+                }
+            };
+            memo.nodes.push((sub, slot));
+        }
+        memo
+    }
+
+    /// The result cell of `q` when it is uncorrelated. A node of the
+    /// statement is found by address; a copy the executor made of one (an
+    /// aggregate's argument) by structure.
+    fn cell(&self, q: &Query) -> Option<&OnceCell<Arc<SubqueryResult>>> {
+        let (_, slot) = self
+            .nodes
+            .iter()
+            .find(|(n, _)| std::ptr::eq(*n, q))
+            .or_else(|| self.nodes.iter().find(|(n, _)| *n == q))?;
+        Some(&self.results[*slot])
+    }
+}
+
+/// The expressions a query evaluates: projections, WHERE, GROUP BY, HAVING
+/// and ORDER BY.
+fn query_exprs(query: &Query) -> impl Iterator<Item = &Expr> {
+    query
+        .projections
+        .iter()
+        .map(|p| &p.expr)
+        .chain(&query.where_clause)
+        .chain(&query.group_by)
+        .chain(&query.having)
+        .chain(query.order_by.iter().map(|o| &o.expr))
+}
+
+/// The subquery an `IN`, `EXISTS` or scalar-subquery node runs.
+fn subquery_of(node: &Expr) -> Option<&Query> {
+    match node {
+        Expr::InSubquery { subquery, .. }
+        | Expr::Exists { subquery, .. }
+        | Expr::ScalarSubquery(subquery) => Some(subquery),
+        _ => None,
+    }
+}
+
+/// Every subquery node of `query`, in its expressions and its derived tables,
+/// and recursively inside those.
+fn collect_subqueries<'q>(query: &'q Query, out: &mut Vec<&'q Query>) {
+    for table in &query.from {
+        if let TableRef::Subquery { query: derived, .. } = table {
+            collect_subqueries(derived, out);
+        }
+    }
+    for expr in query_exprs(query) {
+        expr.walk(&mut |node| {
+            if let Some(sub) = subquery_of(node) {
+                out.push(sub);
+                collect_subqueries(sub, out);
+            }
+        });
+    }
+}
+
+/// True when every column reference of `query`, at any depth, resolves in
+/// its own FROM tables or in `enclosing` (the scopes of the subqueries it is
+/// nested in, within the one being classified). False on a derived table or
+/// an unknown table in any FROM on the way.
+fn resolves_within<'a>(db: &'a Database, query: &'a Query, enclosing: &[Scope<'a>]) -> bool {
+    let mut scope: Scope<'a> = Vec::with_capacity(query.from.len());
+    for table_ref in &query.from {
+        let TableRef::Table { name, alias } = table_ref else {
+            return false;
+        };
+        let Some(table) = db.table(name) else {
+            return false;
+        };
+        scope.push((alias.as_deref().unwrap_or(name), table.schema()));
+    }
+    let mut chain = enclosing.to_vec();
+    chain.push(scope);
+    let resolves = |c: &ColumnRef| {
+        c.column == "*"
+            || chain.iter().flatten().any(|(binding, schema)| {
+                c.table
+                    .as_deref()
+                    .is_none_or(|t| t.eq_ignore_ascii_case(binding))
+                    && schema
+                        .columns
+                        .iter()
+                        .any(|col| col.name.eq_ignore_ascii_case(&c.column))
+            })
+    };
+    let mut uncorrelated = true;
+    for expr in query_exprs(query) {
+        expr.walk(&mut |node| match node {
+            Expr::Column(c) => uncorrelated &= resolves(c),
+            _ => {
+                if let Some(sub) = subquery_of(node) {
+                    uncorrelated &= resolves_within(db, sub, &chain);
+                }
+            }
+        });
+    }
+    uncorrelated
 }
 
 /// Assumed selectivity for a range whose bounds don't interpolate numerically
@@ -603,12 +782,10 @@ fn collect_probe_candidates(pred: &ColumnarPredicate, out: &mut Vec<(usize, Prob
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_from_relation(
-    db: &Database,
+    stmt: &Statement<'_>,
     query: &Query,
-    where_conjuncts: &[Expr],
-    params: &[Value],
+    where_conjuncts: &[&Expr],
     outer: Option<(&RowSchema, &[Value])>,
     stats: &mut ExecStats,
     opts: &ExecOptions,
@@ -622,7 +799,8 @@ fn build_from_relation(
         });
     }
 
-    let subquery_fn = make_subquery_fn(db, params, *opts);
+    let (db, params) = (stmt.db, stmt.params);
+    let subquery_fn = make_subquery_fn(stmt, *opts);
 
     // Load each FROM entry. Derived tables execute eagerly (their schema is
     // only known from their result); base tables are *not* materialized yet —
@@ -654,7 +832,7 @@ fn build_from_relation(
                 // Derived tables share the parent's span sink: their operator
                 // spans precede the outer scans' in the flat list, matching
                 // execution order.
-                let rs = execute_inner(db, sub, params, outer, stats, opts, spans)?;
+                let rs = execute_inner(stmt, sub, outer, stats, opts, spans)?;
                 let schema = RowSchema::new(
                     rs.columns
                         .iter()
@@ -1002,7 +1180,7 @@ fn as_equi_join(conj: &Expr) -> Option<(Expr, Expr)> {
 /// Finds equality conjuncts joining the accumulator schema to the right schema.
 /// Returns pairs `(left_key_expr, right_key_expr)` oriented accumulator-first.
 fn find_equi_join_keys(
-    conjuncts: &[Expr],
+    conjuncts: &[&Expr],
     used: &[bool],
     left: &RowSchema,
     right: &RowSchema,
@@ -1057,18 +1235,17 @@ pub fn is_udf_aggregate(name: &str) -> bool {
     matches!(name, "paillier_sum" | "group_concat")
 }
 
-#[allow(clippy::too_many_arguments)]
 fn aggregate_and_project(
-    db: &Database,
+    stmt: &Statement<'_>,
     query: &Query,
     relation: &Relation,
-    params: &[Value],
     outer: Option<(&RowSchema, &[Value])>,
     stats: &mut ExecStats,
     opts: &ExecOptions,
     spans: &mut Option<Vec<Span>>,
 ) -> Result<ProjectedRows, EngineError> {
-    let subquery_fn = make_subquery_fn(db, params, *opts);
+    let (db, params) = (stmt.db, stmt.params);
+    let subquery_fn = make_subquery_fn(stmt, *opts);
     let agg_exprs = collect_aggregates(query);
     let specs: Vec<AggSpec> = agg_exprs.iter().map(AggSpec::of).collect();
 
@@ -1176,10 +1353,7 @@ fn project_rows(
     relation: &Relation,
     params: &[Value],
     outer: Option<(&RowSchema, &[Value])>,
-    subquery_fn: &impl Fn(
-        &Query,
-        Option<(&RowSchema, &[Value])>,
-    ) -> Result<Vec<Vec<Value>>, EngineError>,
+    subquery_fn: SubqueryFn<'_>,
 ) -> Result<ProjectedRows, EngineError> {
     let mut columns = Vec::new();
     let star = query

@@ -12,7 +12,8 @@
 use crate::value::{date, Value};
 use crate::EngineError;
 use monomi_sql::ast::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
 /// Describes the columns of the rows an expression is evaluated against.
 #[derive(Clone, Debug, Default)]
@@ -63,9 +64,61 @@ impl RowSchema {
 }
 
 /// Callback used to evaluate subqueries; receives the subquery and the current
-/// outer row (schema + values) for correlated references.
+/// outer row (schema + values) for correlated references, and returns the
+/// result — shared, when the subquery is uncorrelated and has already run.
 pub type SubqueryFn<'a> =
-    &'a dyn Fn(&Query, Option<(&RowSchema, &[Value])>) -> Result<Vec<Vec<Value>>, EngineError>;
+    &'a dyn Fn(&Query, Option<(&RowSchema, &[Value])>) -> Result<Arc<SubqueryResult>, EngineError>;
+
+/// The rows one subquery execution returned, as every evaluation that reads
+/// them sees them: `EXISTS` asks whether there are any, a scalar subquery
+/// reads the first, and `IN` probes a set of the first column's values, built
+/// on the first probe.
+///
+/// The set is only probed, never iterated. Its membership is exactly that of
+/// a linear `equals` scan of the first column: `Value`'s `Hash`/`Eq` contract
+/// (see [`Value::compare`]) makes `equals` an equivalence its hash respects,
+/// NULL included — a NULL probe finds a NULL row, as the scan did.
+#[derive(Debug)]
+pub struct SubqueryResult {
+    rows: Vec<Vec<Value>>,
+    first_column: OnceLock<HashSet<Value>>,
+}
+
+impl SubqueryResult {
+    /// Wraps the rows a subquery returned.
+    pub fn new(rows: Vec<Vec<Value>>) -> Self {
+        SubqueryResult {
+            rows,
+            first_column: OnceLock::new(),
+        }
+    }
+
+    /// True if the subquery returned no row (`EXISTS` is its negation).
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// `v IN (subquery)`: some row's first column equals `v`.
+    pub fn contains(&self, v: &Value) -> bool {
+        self.first_column
+            .get_or_init(|| {
+                self.rows
+                    .iter()
+                    .filter_map(|r| r.first().cloned())
+                    .collect()
+            })
+            .contains(v)
+    }
+
+    /// The value of a scalar subquery: the first row's first column, NULL
+    /// when there is none.
+    pub fn scalar(&self) -> Value {
+        self.rows
+            .first()
+            .and_then(|r| r.first().cloned())
+            .unwrap_or(Value::Null)
+    }
+}
 
 /// Everything an expression evaluation might need besides the row itself.
 pub struct EvalContext<'a> {
@@ -124,30 +177,14 @@ pub fn eval(
             let r = eval(right, schema, row, ctx)?;
             eval_binop(&l, *op, &r)
         }
-        Expr::UnaryOp { op, expr } => {
-            let v = eval(expr, schema, row, ctx)?;
-            match op {
-                UnaryOp::Not => match v.as_bool() {
-                    None => Ok(Value::Null),
-                    Some(b) => Ok(Value::Int(!b as i64)),
-                },
-                UnaryOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(EngineError::new(format!("cannot negate {other:?}"))),
-                },
-            }
-        }
+        Expr::UnaryOp { op, expr } => eval_unary(*op, eval(expr, schema, row, ctx)?),
         Expr::Aggregate { .. } => {
             if let Some(aggs) = ctx.aggregates {
                 if let Some(v) = aggs.get(expr) {
                     return Ok(v.clone());
                 }
             }
-            Err(EngineError::new(format!(
-                "aggregate {expr} used outside of an aggregation context"
-            )))
+            Err(aggregate_outside_aggregation(expr))
         }
         Expr::Function { name, args } => {
             // UDF aggregates (paillier_sum, group_concat) are computed by the
@@ -157,7 +194,11 @@ pub fn eval(
                     return Ok(v.clone());
                 }
             }
-            eval_function(name, args, schema, row, ctx)
+            let vals: Vec<Value> = args
+                .iter()
+                .map(|a| eval(a, schema, row, ctx))
+                .collect::<Result<_, _>>()?;
+            apply_function(name, &vals)
         }
         Expr::Case {
             operand,
@@ -188,17 +229,7 @@ pub fn eval(
             negated,
         } => {
             let v = eval(expr, schema, row, ctx)?;
-            let p = eval(pattern, schema, row, ctx)?;
-            match (v, p) {
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                (Value::Str(s), Value::Str(pat)) => {
-                    let m = like_match(&s, &pat);
-                    Ok(Value::Int((m ^ negated) as i64))
-                }
-                (v, p) => Err(EngineError::new(format!(
-                    "LIKE requires strings, got {v:?} LIKE {p:?}"
-                ))),
-            }
+            eval_like(v, eval(pattern, schema, row, ctx)?, *negated)
         }
         Expr::InList {
             expr,
@@ -211,13 +242,12 @@ pub fn eval(
             }
             let mut found = false;
             for item in list {
-                let item_v = eval(item, schema, row, ctx)?;
-                if v.equals(&item_v) {
+                if v.equals(&eval(item, schema, row, ctx)?) {
                     found = true;
                     break;
                 }
             }
-            Ok(Value::Int((found ^ negated) as i64))
+            Ok(truth(found ^ negated))
         }
         Expr::InSubquery {
             expr,
@@ -225,21 +255,14 @@ pub fn eval(
             negated,
         } => {
             let v = eval(expr, schema, row, ctx)?;
-            let rows = run_subquery(subquery, schema, row, ctx)?;
-            let found = rows.iter().any(|r| r.first().is_some_and(|x| v.equals(x)));
-            Ok(Value::Int((found ^ negated) as i64))
+            let result = run_subquery(subquery, schema, row, ctx)?;
+            Ok(truth(result.contains(&v) ^ negated))
         }
         Expr::Exists { subquery, negated } => {
-            let rows = run_subquery(subquery, schema, row, ctx)?;
-            Ok(Value::Int((!rows.is_empty() ^ negated) as i64))
+            let result = run_subquery(subquery, schema, row, ctx)?;
+            Ok(truth(!result.is_empty() ^ negated))
         }
-        Expr::ScalarSubquery(subquery) => {
-            let rows = run_subquery(subquery, schema, row, ctx)?;
-            match rows.first() {
-                Some(r) => Ok(r.first().cloned().unwrap_or(Value::Null)),
-                None => Ok(Value::Null),
-            }
-        }
+        Expr::ScalarSubquery(subquery) => Ok(run_subquery(subquery, schema, row, ctx)?.scalar()),
         Expr::Between {
             expr,
             low,
@@ -249,27 +272,11 @@ pub fn eval(
             let v = eval(expr, schema, row, ctx)?;
             let lo = eval(low, schema, row, ctx)?;
             let hi = eval(high, schema, row, ctx)?;
-            if v.is_null() || lo.is_null() || hi.is_null() {
-                return Ok(Value::Null);
-            }
-            let within = v >= lo && v <= hi;
-            Ok(Value::Int((within ^ negated) as i64))
+            Ok(eval_between(&v, &lo, &hi, *negated))
         }
-        Expr::Extract { field, expr } => {
-            let v = eval(expr, schema, row, ctx)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Date(d) => Ok(Value::Int(match field {
-                    DateField::Year => date::year_of(d) as i64,
-                    DateField::Month => date::month_of(d) as i64,
-                    DateField::Day => date::day_of(d) as i64,
-                })),
-                other => Err(EngineError::new(format!("EXTRACT from non-date {other:?}"))),
-            }
-        }
+        Expr::Extract { field, expr } => eval_extract(*field, eval(expr, schema, row, ctx)?),
         Expr::IsNull { expr, negated } => {
-            let v = eval(expr, schema, row, ctx)?;
-            Ok(Value::Int((v.is_null() ^ negated) as i64))
+            Ok(truth(eval(expr, schema, row, ctx)?.is_null() ^ negated))
         }
     }
 }
@@ -279,11 +286,71 @@ fn run_subquery(
     schema: &RowSchema,
     row: &[Value],
     ctx: &EvalContext<'_>,
-) -> Result<Vec<Vec<Value>>, EngineError> {
+) -> Result<Arc<SubqueryResult>, EngineError> {
     let f = ctx
         .subquery
         .ok_or_else(|| EngineError::new("subquery evaluation not available in this context"))?;
     f(subquery, Some((schema, row)))
+}
+
+// Value-level semantics, shared by `eval` and `BoundExpr::eval` so the
+// interpreted and the bound evaluator cannot drift apart.
+
+/// A SQL truth value as the engine represents it.
+pub(crate) fn truth(b: bool) -> Value {
+    Value::Int(b as i64)
+}
+
+/// The error `eval` raises for an aggregate no aggregation context supplies.
+pub(crate) fn aggregate_outside_aggregation(expr: &Expr) -> EngineError {
+    EngineError::new(format!(
+        "aggregate {expr} used outside of an aggregation context"
+    ))
+}
+
+/// `NOT v` (three-valued) and `-v`.
+pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Result<Value, EngineError> {
+    match op {
+        UnaryOp::Not => Ok(v.as_bool().map_or(Value::Null, |b| truth(!b))),
+        UnaryOp::Neg => match v {
+            Value::Null => Ok(Value::Null),
+            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Float(f) => Ok(Value::Float(-f)),
+            other => Err(EngineError::new(format!("cannot negate {other:?}"))),
+        },
+    }
+}
+
+/// `v [NOT] LIKE p`.
+pub(crate) fn eval_like(v: Value, p: Value, negated: bool) -> Result<Value, EngineError> {
+    match (v, p) {
+        (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+        (Value::Str(s), Value::Str(pat)) => Ok(truth(like_match(&s, &pat) ^ negated)),
+        (v, p) => Err(EngineError::new(format!(
+            "LIKE requires strings, got {v:?} LIKE {p:?}"
+        ))),
+    }
+}
+
+/// `v [NOT] BETWEEN lo AND hi`.
+pub(crate) fn eval_between(v: &Value, lo: &Value, hi: &Value, negated: bool) -> Value {
+    if v.is_null() || lo.is_null() || hi.is_null() {
+        return Value::Null;
+    }
+    truth((v >= lo && v <= hi) ^ negated)
+}
+
+/// `EXTRACT(field FROM v)`.
+pub(crate) fn eval_extract(field: DateField, v: Value) -> Result<Value, EngineError> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Date(d) => Ok(Value::Int(match field {
+            DateField::Year => date::year_of(d) as i64,
+            DateField::Month => date::month_of(d) as i64,
+            DateField::Day => date::day_of(d) as i64,
+        })),
+        other => Err(EngineError::new(format!("EXTRACT from non-date {other:?}"))),
+    }
 }
 
 /// Converts a literal AST node into a runtime value.
@@ -328,7 +395,7 @@ fn interval_parts(v: i64) -> (i64, i64) {
     (days, months)
 }
 
-fn eval_binop(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, EngineError> {
+pub(crate) fn eval_binop(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, EngineError> {
     use BinaryOp::*;
     if matches!(op, And | Or) {
         let lb = l.as_bool();
@@ -419,17 +486,8 @@ fn eval_binop(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, EngineError> 
     }
 }
 
-fn eval_function(
-    name: &str,
-    args: &[Expr],
-    schema: &RowSchema,
-    row: &[Value],
-    ctx: &EvalContext<'_>,
-) -> Result<Value, EngineError> {
-    let vals: Vec<Value> = args
-        .iter()
-        .map(|a| eval(a, schema, row, ctx))
-        .collect::<Result<_, _>>()?;
+/// A scalar function applied to its evaluated arguments.
+pub(crate) fn apply_function(name: &str, vals: &[Value]) -> Result<Value, EngineError> {
     match name {
         "substring" | "substr" => {
             let s = vals

@@ -32,6 +32,7 @@
 //! assert_eq!(rs.rows[0][0], Value::Int(42));
 //! ```
 
+pub mod bound;
 pub mod database;
 pub mod exec;
 pub mod expr;
@@ -41,11 +42,12 @@ pub mod stats;
 pub mod storage;
 pub mod value;
 
+pub use bound::BoundExpr;
 pub use database::{Database, PaillierServerCtx, STORAGE_ENV};
-pub use exec::{ExecStats, ResultSet};
+pub use exec::{subquery_runs, ExecStats, ResultSet};
 pub use expr::{
     apply_predicate, compile_predicate, decode_hex, encode_hex, zone_may_match, ColumnarPredicate,
-    EvalContext, RowSchema,
+    EvalContext, RowSchema, SubqueryResult,
 };
 pub use ops::{ExecOptions, Morsel, DEFAULT_MORSEL_ROWS};
 pub use schema::{Catalog, ColumnDef, ColumnType, TableSchema};

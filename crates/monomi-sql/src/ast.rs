@@ -299,8 +299,8 @@ impl Expr {
     }
 
     /// Pre-order traversal of this expression's nodes (not descending into
-    /// subqueries).
-    pub fn walk<F: FnMut(&Expr)>(&self, f: &mut F) {
+    /// subqueries). The visitor borrows each node for as long as the tree.
+    pub fn walk<'a, F: FnMut(&'a Expr)>(&'a self, f: &mut F) {
         f(self);
         match self {
             Expr::BinaryOp { left, right, .. } => {
@@ -362,8 +362,9 @@ impl Expr {
         }
     }
 
-    /// Splits a boolean expression into its top-level AND conjuncts.
-    pub fn split_conjuncts(&self) -> Vec<Expr> {
+    /// Splits a boolean expression into its top-level AND conjuncts, borrowed
+    /// from the expression.
+    pub fn split_conjuncts(&self) -> Vec<&Expr> {
         match self {
             Expr::BinaryOp {
                 left,
@@ -374,7 +375,7 @@ impl Expr {
                 out.extend(right.split_conjuncts());
                 out
             }
-            other => vec![other.clone()],
+            other => vec![other],
         }
     }
 

@@ -724,7 +724,7 @@ mod tests {
              AND o_orderpriority IN ('1-URGENT', '2-HIGH')",
         )
         .unwrap();
-        let conjuncts = q.where_clause.unwrap().split_conjuncts();
+        let conjuncts = q.where_clause.as_ref().unwrap().split_conjuncts();
         assert_eq!(conjuncts.len(), 4);
         assert!(matches!(conjuncts[0], Expr::InSubquery { .. }));
         assert!(matches!(conjuncts[1], Expr::Exists { negated: false, .. }));
@@ -747,7 +747,7 @@ mod tests {
             "SELECT * FROM part WHERE p_size BETWEEN 1 AND 15 AND p_type NOT LIKE 'MEDIUM%'",
         )
         .unwrap();
-        let conj = q.where_clause.unwrap().split_conjuncts();
+        let conj = q.where_clause.as_ref().unwrap().split_conjuncts();
         assert!(matches!(conj[0], Expr::Between { negated: false, .. }));
         assert!(matches!(conj[1], Expr::Like { negated: true, .. }));
     }

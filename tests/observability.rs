@@ -283,6 +283,74 @@ fn local_decrypt_has_per_column_spans_and_plan_is_timed() {
     assert!(reused > 0, "no value of Q6 was served from a memo");
 }
 
+/// `ClientResidual` of a split plan carries one `Residual(<phase>)` child per
+/// residual phase that ran, within its own duration. No client span borrows
+/// an engine operator's label: a benchmark that attributes `ScanFilter(..)`,
+/// `HashJoin`, `MorselAggregate` and `Sort` anywhere in the tree to the
+/// server engine must not count client work there.
+#[test]
+fn client_residual_has_phase_spans_and_no_engine_labels() {
+    let plain = small_plain();
+    let workload: Vec<_> = queries::workload()
+        .iter()
+        .map(|q| parse_query(q.sql).expect("parses"))
+        .collect();
+    let config = ClientConfig {
+        exec_options: Some(ExecOptions::serial()),
+        ..fast_config()
+    };
+    let (client, _) =
+        MonomiClient::setup(&plain, &workload, DesignStrategy::Designer, &config).expect("setup");
+
+    /// Labels of the client's own spans: everything outside `RemoteSQL`.
+    fn client_labels(spans: &[Span], out: &mut Vec<String>) {
+        for span in spans.iter().filter(|s| s.label != "RemoteSQL") {
+            out.push(span.label.clone());
+            client_labels(&span.children, out);
+        }
+    }
+
+    let mut phases_seen = 0;
+    for q in queries::workload() {
+        let (_, _, _, spans) = client.execute_traced(q.sql, &q.params).expect("traced");
+        for residual in all_spans(&spans)
+            .into_iter()
+            .filter(|s| s.label == "ClientResidual")
+        {
+            let covered: f64 = residual.children.iter().map(|c| c.seconds).sum();
+            assert!(
+                covered <= residual.seconds,
+                "Q{}: residual phases ({covered}s) exceed ClientResidual ({}s)",
+                q.number,
+                residual.seconds
+            );
+            for phase in &residual.children {
+                assert!(
+                    ["filter", "group", "project", "sort"]
+                        .iter()
+                        .any(|p| phase.label == format!("Residual({p})")),
+                    "Q{}: unexpected residual child {}",
+                    q.number,
+                    phase.label
+                );
+            }
+            phases_seen += residual.children.len();
+        }
+        let mut labels = Vec::new();
+        client_labels(&spans, &mut labels);
+        for label in labels {
+            assert!(
+                !["ScanFilter(", "HashJoin", "MorselAggregate", "Sort"]
+                    .iter()
+                    .any(|engine| label.starts_with(engine)),
+                "Q{}: client span {label} carries an engine label",
+                q.number
+            );
+        }
+    }
+    assert!(phases_seen > 0, "no residual phase span in the corpus");
+}
+
 /// Every span of the forest, pre-order.
 fn all_spans(spans: &[Span]) -> Vec<&Span> {
     let mut out = Vec::new();
