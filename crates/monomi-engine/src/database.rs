@@ -12,7 +12,7 @@ use crate::exec::{execute_query, execute_query_traced, ExecStats, ResultSet};
 use crate::ops::ExecOptions;
 use crate::schema::{Catalog, ColumnDef, TableSchema};
 use crate::stats::{collect_stats, Estimator, QueryEstimate, TableStats};
-use crate::storage::Table;
+use crate::storage::{StagedLoad, Table};
 use crate::value::Value;
 use crate::EngineError;
 use monomi_math::{BigUint, MontgomeryCtx};
@@ -288,15 +288,47 @@ impl Database {
         Ok(())
     }
 
-    /// Bulk-loads rows into a table.
+    /// Bulk-loads rows into a table: [`stage_load`](Self::stage_load), then
+    /// [`apply_load`](Self::apply_load) when the stage left rows over.
     pub fn bulk_load(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<(), EngineError> {
+        match self.stage_load(table, rows)? {
+            Some(staged) => self.apply_load(staged),
+            None => Ok(()),
+        }
+    }
+
+    /// The part of a bulk load that needs only a shared reference, so it can
+    /// run beside queries. Into a store-backed table with an empty tail, the
+    /// rows are encoded, written and committed here (`Ok(None)`); statements
+    /// that start afterwards see them, statements already running do not.
+    /// Otherwise — a table without a store, or one whose unflushed `insert`
+    /// tail the rows must follow — the validated rows come back for
+    /// [`apply_load`](Self::apply_load). See [`Table::stage_load`].
+    pub fn stage_load(
+        &self,
+        table: &str,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<Option<StagedLoad>, EngineError> {
+        let t = self
+            .table(table)
+            .ok_or_else(|| EngineError::new(format!("unknown table {table}")))?;
+        let staged = t.stage_load(rows);
+        // Committed segments change what the statistics describe, whether or
+        // not the load then reports an invalid row.
+        self.invalidate_stats();
+        staged.map_err(EngineError::new)
+    }
+
+    /// Finishes a load [`stage_load`](Self::stage_load) staged: appends its
+    /// rows to the table's tail (flushing it when the table has a store).
+    pub fn apply_load(&mut self, staged: StagedLoad) -> Result<(), EngineError> {
         let t = self
             .tables
-            .get_mut(&table.to_lowercase())
-            .ok_or_else(|| EngineError::new(format!("unknown table {table}")))?;
-        t.bulk_load(rows).map_err(EngineError::new)?;
+            .get_mut(staged.table())
+            .ok_or_else(|| EngineError::new(format!("unknown table {}", staged.table())))?;
+        let applied = t.apply_load(staged);
         self.invalidate_stats();
-        Ok(())
+        applied.map_err(EngineError::new)
     }
 
     /// Looks up a table.

@@ -250,6 +250,7 @@ fn execute_query_spanned(
     let mut spans = if traced { Some(Vec::new()) } else { None };
     let statement = Statement {
         db,
+        catalog: db.store().map(|store| store.snapshot()),
         params,
         memo: SubqueryMemo::for_statement(db, query),
     };
@@ -285,6 +286,12 @@ fn timed<T>(
 /// tables and its subqueries — executes against.
 struct Statement<'q> {
     db: &'q Database,
+    /// The committed catalog pinned when the statement started. Every scan
+    /// takes its segments from it, so a statement that reads a table twice
+    /// (a self-join, an IN or correlated subquery) sees one version of it
+    /// however many loads commit meanwhile. Statistics and index-probe
+    /// planning read the latest catalog: they steer plans, never results.
+    catalog: Option<Arc<monomi_store::Manifest>>,
     params: &'q [Value],
     memo: SubqueryMemo<'q>,
 }
@@ -906,6 +913,7 @@ fn build_from_relation(
                 let probes = plan_index_probes(table, schema, &predicates, opts);
                 let scan = ScanFilter {
                     table,
+                    catalog: stmt.catalog.as_deref(),
                     schema,
                     predicates: &predicates,
                     keep: &keep,

@@ -52,7 +52,7 @@ pub use expr::{
 pub use ops::{ExecOptions, Morsel, DEFAULT_MORSEL_ROWS};
 pub use schema::{Catalog, ColumnDef, ColumnType, TableSchema};
 pub use stats::{QueryEstimate, TableStats};
-pub use storage::{ColumnBatch, SelectionVector, Table};
+pub use storage::{ColumnBatch, SelectionVector, StagedLoad, Table};
 pub use value::{date, Value};
 
 /// Error type for all engine operations.

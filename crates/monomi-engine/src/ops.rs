@@ -380,6 +380,8 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// rows are committed and which are in the tail.
 pub(crate) struct ScanFilter<'a> {
     pub table: &'a crate::storage::Table,
+    /// The catalog version the statement pinned: the segments scanned.
+    pub catalog: Option<&'a monomi_store::Manifest>,
     pub schema: &'a RowSchema,
     /// Compiled scan-level conjuncts, applied as successive narrowing passes.
     pub predicates: &'a [ColumnarPredicate],
@@ -429,7 +431,7 @@ impl ScanFilter<'_> {
 
     fn run_partition(
         &self,
-        plan: &crate::storage::ScanPlan,
+        plan: &crate::storage::ScanPlan<'_>,
         partition: crate::storage::ScanPartition,
     ) -> Result<ScanMorselOut, EngineError> {
         use crate::storage::ScanPartition;
@@ -571,7 +573,7 @@ impl ScanFilter<'_> {
         &self,
         opts: &ExecOptions,
     ) -> Result<(Vec<Vec<Value>>, crate::exec::ExecStats), EngineError> {
-        let plan = self.table.scan_plan(opts.morsel_rows);
+        let plan = self.table.scan_plan(opts.morsel_rows, self.catalog);
         // One claim per partition: partitions already embody the segment
         // alignment or the morsel granularity (tail ranges).
         let claim_opts = ExecOptions {

@@ -26,10 +26,16 @@
 //! (`Value::size_bytes`, the same number wherever the rows live — the space
 //! experiments depend on it), while the scan's `bytes_scanned` reports
 //! *stored* bytes for segments actually read — the honest disk I/O.
+//!
+//! Concurrency: the tail changes only through `&mut Table`, while committed
+//! segments can also grow under `&Table` — a bulk load into a store-backed
+//! table with an empty tail ([`Table::stage_load`]) writes and commits its
+//! segments without exclusive access. A scan therefore takes its segment list
+//! from the catalog version its statement pinned, never from "the latest".
 
 use crate::schema::TableSchema;
 use crate::value::Value;
-use monomi_store::{SegmentData, SegmentMeta, Store};
+use monomi_store::{Manifest, SegmentData, SegmentMeta, Store};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -161,11 +167,33 @@ impl<'a> ColumnBatch<'a> {
 }
 
 /// Memoized per-column statistics (the collector used to rebuild a `HashSet`
-/// / rescan the column on every call). Invalidated by `insert`/`bulk_load`.
+/// / rescan the column on every call). Tail mutations clear it; a commit of
+/// new segments makes it stale by changing the segment count it records.
 #[derive(Clone, Debug)]
 struct ColumnMemo {
+    /// Committed segments the statistics were computed over.
+    segments: usize,
     distinct: usize,
     min_max: Option<(Value, Value)>,
+}
+
+/// A bulk load that [`Table::stage_load`] could not finish under a shared
+/// reference: validated rows that must join the tail, and the error of the
+/// first invalid row, if there was one. [`Table::apply_load`] finishes it.
+#[must_use = "the staged rows are lost unless the load is applied"]
+#[derive(Debug)]
+pub struct StagedLoad {
+    /// Lower-cased name of the table the rows were validated against.
+    table: String,
+    rows: Vec<Vec<Value>>,
+    rejected: Option<String>,
+}
+
+impl StagedLoad {
+    /// Lower-cased name of the table the load goes to.
+    pub(crate) fn table(&self) -> &str {
+        &self.table
+    }
 }
 
 /// One unit of scan work.
@@ -177,14 +205,14 @@ pub(crate) enum ScanPartition {
     Segment(usize),
 }
 
-/// The partitioning of one table scan: segment-aligned partitions plus a
-/// consistent snapshot of the segment catalog entries (zone maps included).
-pub(crate) struct ScanPlan {
+/// The partitioning of one table scan: segment-aligned partitions plus the
+/// segment catalog entries (zone maps included) of the pinned catalog.
+pub(crate) struct ScanPlan<'c> {
     pub partitions: Vec<ScanPartition>,
-    pub segments: Vec<SegmentMeta>,
+    pub segments: &'c [SegmentMeta],
 }
 
-impl ScanPlan {
+impl ScanPlan<'_> {
     /// Total rows covered by the plan (diagnostics and tests).
     #[cfg(test)]
     pub fn total_rows(&self) -> usize {
@@ -239,6 +267,26 @@ fn logical_bytes(column: &[Value]) -> usize {
     column.iter().map(Value::size_bytes).sum()
 }
 
+/// Writes column-major `columns` as segments of at most the store's segment
+/// size and publishes them with one catalog commit: the one segment-writing
+/// loop, shared by tail flushes and staged bulk loads.
+fn commit_segments(store: &Arc<Store>, key: &str, columns: &[Vec<Value>]) -> Result<(), String> {
+    let rows = columns.first().map_or(0, Vec::len);
+    let segment_rows = store.segment_rows();
+    let mut load = store.begin_load(key);
+    for start in (0..rows).step_by(segment_rows) {
+        let end = (start + segment_rows).min(rows);
+        let written = if end - start == rows {
+            load.add_segment(columns)
+        } else {
+            let chunk: Vec<Vec<Value>> = columns.iter().map(|c| c[start..end].to_vec()).collect();
+            load.add_segment(&chunk)
+        };
+        written.map_err(|e| e.to_string())?;
+    }
+    load.commit().map_err(|e| e.to_string())
+}
+
 impl Table {
     /// Creates an empty table with no store: all rows stay in memory.
     pub fn new(schema: TableSchema) -> Self {
@@ -273,21 +321,36 @@ impl Table {
         &self.schema
     }
 
-    /// Runs `f` over a borrowed view of the committed segments' catalog
-    /// entries — empty for a table without a store. The store's manifest
-    /// lock is held for the duration of `f`: no segment decoding inside.
+    /// Runs `f` over the committed segments' catalog entries in the store's
+    /// latest snapshot — empty for a table without a store. For what does
+    /// not have to agree with a statement's other reads: statistics, sizes,
+    /// point reads.
     fn with_segments<R>(&self, f: impl FnOnce(&[SegmentMeta]) -> R) -> R {
-        match &self.store {
-            Some((store, key)) => store.with_table_meta(key, |meta| {
-                f(meta.map(|m| m.segments.as_slice()).unwrap_or_default())
-            }),
-            None => f(&[]),
-        }
+        let latest = self.pin();
+        f(self.segments_in(latest.as_deref()))
     }
 
-    /// An owned snapshot of the committed segments' catalog entries.
-    fn segments(&self) -> Vec<SegmentMeta> {
-        self.with_segments(<[SegmentMeta]>::to_vec)
+    /// The store's latest catalog snapshot, if the table has a store.
+    fn pin(&self) -> Option<Arc<Manifest>> {
+        self.store.as_ref().map(|(store, _)| store.snapshot())
+    }
+
+    /// This table's committed segments in `catalog`, a snapshot of the
+    /// table's store — empty for a table without a store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has a store and `catalog` is `None`: the caller
+    /// lost its pin, and answering "no segments" would drop rows silently.
+    fn segments_in<'c>(&self, catalog: Option<&'c Manifest>) -> &'c [SegmentMeta] {
+        let Some((_, key)) = &self.store else {
+            return &[];
+        };
+        catalog
+            .expect("a store-backed table is read under a pinned catalog")
+            .tables
+            .get(key)
+            .map_or(&[], |meta| meta.segments.as_slice())
     }
 
     /// Number of rows.
@@ -317,22 +380,74 @@ impl Table {
     /// kept, matching single-row `insert` semantics). The whole load — any
     /// earlier tail included — is flushed into segments and published with
     /// one atomic catalog commit, so zone maps exist as soon as the load
-    /// returns.
+    /// returns. [`stage_load`](Self::stage_load), then
+    /// [`apply_load`](Self::apply_load) when the stage left rows over.
     pub fn bulk_load(&mut self, rows: Vec<Vec<Value>>) -> Result<(), String> {
-        self.invalidate_stats();
-        for col in &mut self.tail {
-            col.reserve(rows.len());
+        match self.stage_load(rows)? {
+            Some(staged) => self.apply_load(staged),
+            None => Ok(()),
         }
-        let mut first_error = None;
+    }
+
+    /// The part of a bulk load that needs only a shared reference. Validates
+    /// `rows` up to the first invalid one; then, when the table has a store
+    /// and an empty tail, writes the valid rows as segments and commits them
+    /// — statements that pin the catalog afterwards see them, statements
+    /// already running do not — and returns `Ok(None)`, or the invalid row's
+    /// error. A failed commit leaves the table as it was. Otherwise the rows
+    /// must follow the tail (or have no store to go to), and come back
+    /// staged for [`apply_load`](Self::apply_load).
+    pub fn stage_load(&self, rows: Vec<Vec<Value>>) -> Result<Option<StagedLoad>, String> {
+        let mut valid = Vec::with_capacity(rows.len());
+        let mut rejected = None;
         for row in rows {
             if let Err(e) = self.schema.check_row(&row) {
-                first_error = Some(e);
+                rejected = Some(e);
                 break;
             }
+            valid.push(row);
+        }
+        // Rows for the tail, or a store-backed tail the load flushes.
+        let needs_tail = match &self.store {
+            Some(_) => self.tail_rows > 0,
+            None => !valid.is_empty(),
+        };
+        if needs_tail {
+            return Ok(Some(StagedLoad {
+                table: self.schema.name.to_lowercase(),
+                rows: valid,
+                rejected,
+            }));
+        }
+        if let (Some((store, key)), false) = (&self.store, valid.is_empty()) {
+            let mut columns: Vec<Vec<Value>> = self
+                .tail
+                .iter()
+                .map(|_| Vec::with_capacity(valid.len()))
+                .collect();
+            for row in valid {
+                for (col, v) in columns.iter_mut().zip(row) {
+                    col.push(v);
+                }
+            }
+            commit_segments(store, key, &columns)?;
+        }
+        rejected.map_or(Ok(None), Err)
+    }
+
+    /// Finishes a staged load: appends its rows to the tail, flushes the
+    /// tail into segments when the table has a store, and reports the first
+    /// invalid row's error, if the stage found one.
+    pub fn apply_load(&mut self, staged: StagedLoad) -> Result<(), String> {
+        self.invalidate_stats();
+        for col in &mut self.tail {
+            col.reserve(staged.rows.len());
+        }
+        for row in staged.rows {
             self.push_row(row);
         }
         self.flush()?;
-        first_error.map_or(Ok(()), Err)
+        staged.rejected.map_or(Ok(()), Err)
     }
 
     /// Appends an already validated row to the tail.
@@ -353,16 +468,7 @@ impl Table {
         if self.tail_rows == 0 {
             return Ok(());
         }
-        let segment_rows = store.segment_rows();
-        let mut load = store.begin_load(key);
-        let mut start = 0usize;
-        while start < self.tail_rows {
-            let end = (start + segment_rows).min(self.tail_rows);
-            let chunk: Vec<Vec<Value>> = self.tail.iter().map(|c| c[start..end].to_vec()).collect();
-            load.add_segment(&chunk).map_err(|e| e.to_string())?;
-            start = end;
-        }
-        load.commit().map_err(|e| e.to_string())?;
+        commit_segments(store, key, &self.tail)?;
         for col in &mut self.tail {
             col.clear();
         }
@@ -430,7 +536,8 @@ impl Table {
         let mut extend = |columns: &[Vec<Value>], rows: usize| {
             out.extend((0..rows).map(|r| columns.iter().map(|c| c[r].clone()).collect()));
         };
-        for seg in &self.segments() {
+        let latest = self.pin();
+        for seg in self.segments_in(latest.as_deref()) {
             let data = self.decode(seg);
             extend(&data.columns, data.rows);
         }
@@ -446,11 +553,17 @@ impl Table {
     }
 
     /// Partitions a scan of this table: one partition per committed segment
-    /// — aligned to segment boundaries so zone maps can skip whole
-    /// partitions — followed by `morsel_rows` ranges over the tail.
-    pub(crate) fn scan_plan(&self, morsel_rows: usize) -> ScanPlan {
+    /// of `catalog` (the statement's pin, see
+    /// [`segments_in`](Self::segments_in)) — aligned to segment boundaries so
+    /// zone maps can skip whole partitions — followed by `morsel_rows` ranges
+    /// over the tail.
+    pub(crate) fn scan_plan<'c>(
+        &self,
+        morsel_rows: usize,
+        catalog: Option<&'c Manifest>,
+    ) -> ScanPlan<'c> {
         let morsel_rows = morsel_rows.max(1);
-        let segments = self.segments();
+        let segments = self.segments_in(catalog);
         let mut partitions: Vec<ScanPartition> =
             (0..segments.len()).map(ScanPartition::Segment).collect();
         partitions.extend((0..self.tail_rows.div_ceil(morsel_rows)).map(|i| {
@@ -525,7 +638,7 @@ impl Table {
     /// Number of distinct values in a column (exact; used by the statistics
     /// collector on the sample the designer is given). Memoized — the
     /// collector calls this for every column, and rebuilding the `HashSet`
-    /// each time was pure waste; `insert`/`bulk_load` invalidate the memo.
+    /// each time was pure waste; loads and inserts invalidate the memo.
     pub fn distinct_count(&self, column: usize) -> usize {
         self.column_memo(column).distinct
     }
@@ -537,17 +650,24 @@ impl Table {
         self.column_memo(column).min_max
     }
 
-    /// The memoized statistics of one column, computing them on first use.
+    /// The memoized statistics of one column, computing them on first use
+    /// and again once a commit has added segments. A memo computed from an
+    /// older catalog and stored after a newer one was published records the
+    /// older segment count, so it is recomputed rather than trusted.
     fn column_memo(&self, column: usize) -> ColumnMemo {
+        let latest = self.pin();
+        let segments = self.segments_in(latest.as_deref());
         if let Some(memo) = &self.stats_memo.read()[column] {
-            return memo.clone();
+            if memo.segments == segments.len() {
+                return memo.clone();
+            }
         }
-        let memo = self.compute_column_memo(column);
+        let memo = self.compute_column_memo(column, segments);
         self.stats_memo.write()[column] = Some(memo.clone());
         memo
     }
 
-    fn compute_column_memo(&self, column: usize) -> ColumnMemo {
+    fn compute_column_memo(&self, column: usize, segments: &[SegmentMeta]) -> ColumnMemo {
         let mut set: std::collections::HashSet<Value> = std::collections::HashSet::new();
         let mut min: Option<Value> = None;
         let mut max: Option<Value> = None;
@@ -562,7 +682,7 @@ impl Table {
                 *max = Some(v.clone());
             }
         };
-        for seg in &self.segments() {
+        for seg in segments {
             // Bounds come straight from the zone map (computed under the
             // same total order at load time)...
             let zone = &seg.zones[column];
@@ -582,6 +702,7 @@ impl Table {
             fold_bound(v, &mut min, &mut max);
         }
         ColumnMemo {
+            segments: segments.len(),
             distinct: set.len(),
             min_max: min.zip(max),
         }
@@ -751,7 +872,7 @@ mod tests {
     #[test]
     fn memory_scan_plan_partitions_by_morsel_size() {
         let t = small_table();
-        let plan = t.scan_plan(2);
+        let plan = t.scan_plan(2, None);
         assert_eq!(plan.total_rows(), 3);
         assert_eq!(plan.partitions.len(), 2);
         assert!(plan.segments.is_empty());

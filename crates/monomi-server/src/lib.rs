@@ -32,12 +32,17 @@
 //!   carry request ids, and the server remembers which ids each client has
 //!   applied. A replayed request — the client retried because the connection
 //!   died before the acknowledgement arrived — is acknowledged without being
-//!   re-executed, so a `BulkLoad` is never double-applied;
+//!   re-executed, so a `BulkLoad` is never double-applied — not even when
+//!   the replay arrives while the original is still loading: it waits for
+//!   the original, then is acknowledged;
 //! * **graceful drain**: shutdown stops the accept loop, lets in-flight
 //!   requests finish and their responses flush (no mid-frame cuts), and
 //!   answers subsequent requests with a typed [`ErrorCode::ShuttingDown`];
 //! * one shared [`Database`] — `MONOMI_STORAGE` decides whether its tables
-//!   get a segment store, exactly as for in-process execution.
+//!   get a segment store, exactly as for in-process execution. Queries and
+//!   bulk loads into store-backed tables share its lock, so a load never
+//!   blocks a lookup; only `CreateTable` and `RegisterModulus` (and a load
+//!   into a table without a store, for its append) take it exclusively.
 //!
 //! Every message crossing the wire uses `monomi-proto`'s CRC-64 framed
 //! protocol; a connection must open with a `Hello` carrying a matching
@@ -51,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use monomi_engine::{ColumnDef, Database, ExecOptions, TableSchema};
+use monomi_engine::{ColumnDef, Database, ExecOptions, TableSchema, Value};
 use monomi_math::BigUint;
 use monomi_obs::{flatten_spans, slow_query_json, ServerMetrics};
 use monomi_proto::{
@@ -151,13 +156,30 @@ struct ClientState {
     conns: usize,
     /// Request ids this client has successfully applied (`CreateTable`,
     /// `RegisterModulus`, `BulkLoad`). Survives disconnects so replays after
-    /// a reconnect are acknowledged instead of re-executed.
-    applied: BTreeSet<u64>,
+    /// a reconnect are acknowledged instead of re-executed. Its lock is held
+    /// from the replay check through the apply to the record (see
+    /// [`journaled`]).
+    journal: Arc<Mutex<BTreeSet<u64>>>,
     /// Monotonic tick of the last activity, for journal eviction.
     last_seen: u64,
 }
 
 /// State shared by the accept loop and every connection thread.
+///
+/// Which lock each request takes on `db`:
+///
+/// * `Execute` and `ServerSize` take the shared lock;
+/// * `BulkLoad` takes the shared lock too ([`Database::stage_load`] encodes,
+///   writes and commits the segments beside running queries). It takes the
+///   exclusive lock afterwards only for a table with a tail to append to —
+///   one without a segment store — and then only for the append
+///   ([`Database::apply_load`]);
+/// * `CreateTable` and `RegisterModulus` take the exclusive lock: they edit
+///   the table map and the aggregation context that statements read, and a
+///   replaced table's files may be deleted only while no statement runs.
+///
+/// A statement pins one catalog version when it starts, so a load that
+/// commits mid-statement is invisible to it, and visible whole to the next.
 struct Shared {
     db: RwLock<Database>,
     /// Table name → owning client id. Entries disappear when the owner's
@@ -179,13 +201,24 @@ impl Shared {
         self.metrics.active_sessions.inc();
         let tick = self.tick.fetch_add(1, Ordering::SeqCst);
         let mut clients = self.clients.lock();
-        let state = clients.entry(client_id).or_insert(ClientState {
+        let state = Self::client_entry(&mut clients, client_id, tick);
+        state.conns += 1;
+    }
+
+    /// The state of `client_id`, created on first sight, marked active at
+    /// `tick`.
+    fn client_entry(
+        clients: &mut BTreeMap<u64, ClientState>,
+        client_id: u64,
+        tick: u64,
+    ) -> &mut ClientState {
+        let state = clients.entry(client_id).or_insert_with(|| ClientState {
             conns: 0,
-            applied: BTreeSet::new(),
+            journal: Arc::default(),
             last_seen: tick,
         });
-        state.conns += 1;
         state.last_seen = tick;
+        state
     }
 
     /// Unregisters a connection; when it was the client's last, releases the
@@ -544,31 +577,52 @@ fn session_loop(shared: &Shared, stream: &TcpStream, client_id: u64) -> Result<(
     }
 }
 
-/// Looks up whether `request_id` has already been applied for `client_id`,
-/// updating the client's activity tick either way.
-fn already_applied(shared: &Shared, client_id: u64, request_id: u64) -> bool {
+/// Runs a journaled request at most once per `(client_id, request_id)`:
+/// `apply` runs unless the id was applied before, and a `Response::Ok` from
+/// it records the id. Check, apply and record happen under the client's
+/// journal lock, so a replay that arrives while the original is still
+/// applying — the client timed out mid-load and resent the request over a
+/// new connection — waits for it and is then answered by `replay` instead
+/// of applying twice.
+fn journaled(
+    shared: &Shared,
+    client_id: u64,
+    request_id: u64,
+    replay: impl FnOnce() -> Response,
+    apply: impl FnOnce() -> Response,
+) -> Response {
     let tick = shared.tick.fetch_add(1, Ordering::SeqCst);
-    let mut clients = shared.clients.lock();
-    let replay = match clients.get_mut(&client_id) {
-        Some(state) => {
-            state.last_seen = tick;
-            state.applied.contains(&request_id)
-        }
-        None => false,
+    let journal = {
+        let mut clients = shared.clients.lock();
+        Arc::clone(&Shared::client_entry(&mut clients, client_id, tick).journal)
     };
-    if replay {
+    let mut applied = journal.lock();
+    if applied.contains(&request_id) {
         // The server-side face of a client retry: the request landed before
         // but its acknowledgement did not.
         shared.metrics.journal_replays_total.inc();
+        return replay();
     }
-    replay
+    let response = apply();
+    if matches!(response, Response::Ok) {
+        applied.insert(request_id);
+    }
+    response
 }
 
-/// Records `request_id` as applied for `client_id`.
-fn mark_applied(shared: &Shared, client_id: u64, request_id: u64) {
-    let mut clients = shared.clients.lock();
-    if let Some(state) = clients.get_mut(&client_id) {
-        state.applied.insert(request_id);
+/// Bulk-loads `rows` into `table`: staged under the shared lock, and applied
+/// under the exclusive one only when the stage left rows for the tail.
+fn bulk_load(db: &RwLock<Database>, table: &str, rows: Vec<Vec<Value>>) -> Response {
+    // Bound first: the shared guard must be gone before `write` below.
+    let staged = db.read().stage_load(table, rows);
+    let loaded = match staged {
+        Ok(Some(staged)) => db.write().apply_load(staged),
+        Ok(None) => Ok(()),
+        Err(e) => Err(e),
+    };
+    match loaded {
+        Ok(()) => Response::Ok,
+        Err(e) => Response::error(ErrorCode::Exec, e.to_string()),
     }
 }
 
@@ -588,90 +642,89 @@ fn handle_request(shared: &Shared, client_id: u64, request: Request) -> Response
             name,
             columns,
             unindexed,
-        } => {
-            if already_applied(shared, client_id, request_id) {
+        } => journaled(
+            shared,
+            client_id,
+            request_id,
+            || {
                 // Replay after a reconnect: the table exists and this client
                 // created it — re-claim ownership (it was released when the
                 // client's last connection dropped) and acknowledge.
-                shared.owners.lock().insert(name, client_id);
-                return Response::Ok;
-            }
-            let mut owners = shared.owners.lock();
-            let mut db = shared.db.write();
-            if db.table(&name).is_some() {
-                return match owners.get(&name) {
-                    Some(&owner) if owner == client_id => {
-                        Response::error(ErrorCode::BadRequest, format!("table {name} exists"))
-                    }
-                    _ => Response::error(
-                        ErrorCode::Ownership,
-                        format!("table {name} belongs to another client"),
-                    ),
-                };
-            }
-            let defs = columns
-                .into_iter()
-                .map(|(col, ty)| ColumnDef::new(col, ty))
-                .collect();
-            db.create_table_with(TableSchema::new(name.clone(), defs), unindexed);
-            owners.insert(name, client_id);
-            drop(db);
-            drop(owners);
-            mark_applied(shared, client_id, request_id);
-            Response::Ok
-        }
+                shared.owners.lock().insert(name.clone(), client_id);
+                Response::Ok
+            },
+            || {
+                let mut owners = shared.owners.lock();
+                let mut db = shared.db.write();
+                if db.table(&name).is_some() {
+                    return match owners.get(&name) {
+                        Some(&owner) if owner == client_id => {
+                            Response::error(ErrorCode::BadRequest, format!("table {name} exists"))
+                        }
+                        _ => Response::error(
+                            ErrorCode::Ownership,
+                            format!("table {name} belongs to another client"),
+                        ),
+                    };
+                }
+                let defs = columns
+                    .into_iter()
+                    .map(|(col, ty)| ColumnDef::new(col, ty))
+                    .collect();
+                db.create_table_with(TableSchema::new(name.clone(), defs), unindexed);
+                owners.insert(name.clone(), client_id);
+                Response::Ok
+            },
+        ),
         Request::RegisterModulus {
             request_id,
             n_squared_be,
-        } => {
-            if already_applied(shared, client_id, request_id) {
-                return Response::Ok;
-            }
-            if n_squared_be.is_empty() {
-                return Response::error(ErrorCode::BadRequest, "empty modulus");
-            }
-            shared
-                .db
-                .write()
-                .register_paillier_modulus(BigUint::from_bytes_be(&n_squared_be));
-            mark_applied(shared, client_id, request_id);
-            Response::Ok
-        }
+        } => journaled(
+            shared,
+            client_id,
+            request_id,
+            || Response::Ok,
+            || {
+                if n_squared_be.is_empty() {
+                    return Response::error(ErrorCode::BadRequest, "empty modulus");
+                }
+                shared
+                    .db
+                    .write()
+                    .register_paillier_modulus(BigUint::from_bytes_be(&n_squared_be));
+                Response::Ok
+            },
+        ),
         Request::BulkLoad {
             request_id,
             table,
             rows,
-        } => {
-            if already_applied(shared, client_id, request_id) {
-                // The chunk landed before the connection died; acknowledging
-                // without re-loading is what makes client retries safe.
-                return Response::Ok;
-            }
-            let owners = shared.owners.lock();
-            match owners.get(&table) {
-                Some(&owner) if owner == client_id => {}
-                Some(_) => {
-                    return Response::error(
-                        ErrorCode::Ownership,
-                        format!("table {table} belongs to another client"),
-                    )
+        } => journaled(
+            shared,
+            client_id,
+            request_id,
+            // The chunk landed before the connection died; acknowledging
+            // without re-loading is what makes client retries safe.
+            || Response::Ok,
+            || {
+                match shared.owners.lock().get(&table) {
+                    Some(&owner) if owner == client_id => {}
+                    Some(_) => {
+                        return Response::error(
+                            ErrorCode::Ownership,
+                            format!("table {table} belongs to another client"),
+                        )
+                    }
+                    None => {
+                        return Response::error(
+                            ErrorCode::BadRequest,
+                            format!("table {table} was not created by any live client"),
+                        )
+                    }
                 }
-                None => {
-                    return Response::error(
-                        ErrorCode::BadRequest,
-                        format!("table {table} was not created by any live client"),
-                    )
-                }
-            }
-            drop(owners);
-            match shared.db.write().bulk_load(&table, rows) {
-                Ok(()) => {
-                    mark_applied(shared, client_id, request_id);
-                    Response::Ok
-                }
-                Err(e) => Response::error(ErrorCode::Exec, e.to_string()),
-            }
-        }
+                bulk_load(&shared.db, &table, rows)
+            },
+        ),
         Request::Execute {
             sql,
             threads,

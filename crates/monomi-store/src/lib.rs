@@ -26,7 +26,9 @@
 //!   segment lists. Every mutation rewrites it via write-temp + fsync +
 //!   rename, so a killed bulk load leaves either the old or the new table
 //!   visible — never a torn one. Orphaned segment files from aborted loads
-//!   are swept on open.
+//!   are swept on open. In memory the catalog is an immutable snapshot that
+//!   each commit replaces by swap once it is durable, so a reader never
+//!   waits on a writer's I/O ([`Store::snapshot`]).
 //! * **Indexes** ([`index`]) are per-segment DET-equality dictionaries and
 //!   OPE-ordered postings built while a segment is written and published
 //!   through the same manifest commit, giving point and range predicates a

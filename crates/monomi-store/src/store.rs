@@ -7,6 +7,14 @@
 //! commit — dropping the loader before [`BulkLoad::commit`] (a simulated
 //! kill) leaves the catalog exactly as it was, and the orphaned files are
 //! swept the next time the directory is opened.
+//!
+//! The in-memory catalog is published by swap: it is an immutable
+//! `Arc<Manifest>` that readers take with [`Store::snapshot`] (a pointer copy
+//! under a lock held for nanoseconds). A writer builds the next catalog from
+//! the current one, runs the durable commit with no reader-visible lock held,
+//! and only then swaps the `Arc` in. Writers are serialized by a commit
+//! mutex no reader takes, so no update is lost; a reader never waits on a
+//! writer's I/O, and a snapshot never changes under its holder.
 
 use crate::cache::{ByteLru, SegmentCache};
 use crate::index::{encode_segment_indexes, IndexMode, SegmentIndexes};
@@ -14,7 +22,7 @@ use crate::manifest::{IndexMeta, Manifest, SegmentMeta, TableMeta, MANIFEST_FILE
 use crate::segment::{encode_segment, read_segment_file, write_segment_file};
 use crate::value::Value;
 use crate::{ColumnType, StoreError};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,7 +103,10 @@ impl SegmentData {
 /// A directory-backed segment store.
 pub struct Store {
     dir: PathBuf,
-    manifest: RwLock<Manifest>,
+    /// The published catalog. Held only to clone or replace the `Arc`.
+    catalog: RwLock<Arc<Manifest>>,
+    /// Serializes catalog writers across their read-modify-commit-publish.
+    commit_lock: Mutex<()>,
     cache: SegmentCache,
     index_cache: ByteLru<SegmentIndexes>,
     segment_rows: usize,
@@ -126,7 +137,8 @@ impl Store {
             index_cache: ByteLru::with_budget(options.index_cache_bytes),
             segment_rows: options.segment_rows.max(1),
             index_mode: options.index_mode,
-            manifest: RwLock::new(manifest),
+            catalog: RwLock::new(Arc::new(manifest)),
+            commit_lock: Mutex::new(()),
             seq: AtomicU64::new(0),
             dir,
         };
@@ -159,46 +171,64 @@ impl Store {
         self.index_mode
     }
 
-    /// Snapshot of one table's catalog entry. Deep-clones the segment list
+    /// The committed catalog as of now: an immutable version that later
+    /// commits never change. Costs one `Arc` clone.
+    pub fn snapshot(&self) -> Arc<Manifest> {
+        Arc::clone(&self.catalog.read())
+    }
+
+    /// Owned copy of one table's catalog entry. Deep-clones the segment list
     /// (zone maps included) — use [`with_table_meta`](Self::with_table_meta)
     /// for point lookups and aggregations that only need a borrow.
     pub fn table_meta(&self, table: &str) -> Option<TableMeta> {
-        self.manifest.read().tables.get(table).cloned()
+        self.snapshot().tables.get(table).cloned()
     }
 
-    /// Runs `f` over a borrowed view of one table's catalog entry, without
-    /// cloning anything. The manifest read lock is held for the duration of
-    /// `f`, so keep the closure short (no segment decoding inside).
+    /// Runs `f` over a borrowed view of one table's catalog entry in the
+    /// current [`snapshot`](Self::snapshot), without cloning anything. No
+    /// lock is held while `f` runs, so a concurrent commit neither waits for
+    /// it nor changes what it sees.
     pub fn with_table_meta<R>(&self, table: &str, f: impl FnOnce(Option<&TableMeta>) -> R) -> R {
-        f(self.manifest.read().tables.get(table))
+        f(self.snapshot().tables.get(table))
     }
 
     /// Committed rows of a table (0 if unknown).
     pub fn table_rows(&self, table: &str) -> u64 {
-        self.manifest
-            .read()
-            .tables
-            .get(table)
-            .map(TableMeta::rows)
-            .unwrap_or(0)
+        self.with_table_meta(table, |meta| meta.map_or(0, TableMeta::rows))
     }
 
     /// Every table in the catalog, with its schema.
     pub fn catalog(&self) -> Vec<(String, Vec<(String, ColumnType)>)> {
-        self.manifest
-            .read()
+        self.snapshot()
             .tables
             .iter()
             .map(|(name, t)| (name.clone(), t.columns.clone()))
             .collect()
     }
 
+    /// One catalog transaction: `edit` turns a copy of the current catalog
+    /// into the next version, which is committed durably and then published.
+    /// The commit mutex keeps writers from losing each other's updates; no
+    /// reader-visible lock is held during the durable commit. If it fails,
+    /// the published catalog still matches the on-disk `MANIFEST` — never a
+    /// half-applied mutation.
+    fn commit_catalog<R>(
+        &self,
+        edit: impl FnOnce(&mut Manifest) -> Result<R, StoreError>,
+    ) -> Result<R, StoreError> {
+        let _writer = self.commit_lock.lock();
+        let mut next = Manifest::clone(&self.snapshot());
+        let out = edit(&mut next)?;
+        next.version += 1;
+        next.commit(&self.dir)?;
+        *self.catalog.write() = Arc::new(next);
+        Ok(out)
+    }
+
     /// Registers (or replaces) a table schema. Replacement drops the previous
-    /// segment list; the files are deleted after the commit succeeds.
-    ///
-    /// The durable commit runs against a scratch copy of the catalog: if it
-    /// fails, the in-memory state still matches the on-disk `MANIFEST` —
-    /// never a half-applied mutation.
+    /// segment list; the files are deleted after the commit succeeds, so a
+    /// caller that replaces a table must know no reader still holds a
+    /// snapshot listing them.
     pub fn create_table(
         &self,
         table: &str,
@@ -219,20 +249,16 @@ impl Store {
     ) -> Result<(), StoreError> {
         unindexed.sort();
         unindexed.dedup();
-        let mut manifest = self.manifest.write();
-        let mut next = manifest.clone();
-        let old = next.tables.insert(
-            table.to_string(),
-            TableMeta {
-                columns,
-                segments: Vec::new(),
-                unindexed,
-            },
-        );
-        next.version += 1;
-        next.commit(&self.dir)?;
-        *manifest = next;
-        drop(manifest);
+        let old = self.commit_catalog(|next| {
+            Ok(next.tables.insert(
+                table.to_string(),
+                TableMeta {
+                    columns,
+                    segments: Vec::new(),
+                    unindexed,
+                },
+            ))
+        })?;
         if let Some(old) = old {
             for seg in old.segments {
                 if let Some(index) = &seg.index {
@@ -288,7 +314,7 @@ impl Store {
 
     /// A fresh file name no previous or concurrent segment uses.
     fn fresh_segment_name(&self, table: &str) -> String {
-        let version = self.manifest.read().version;
+        let version = self.snapshot().version;
         loop {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             let name = format!("{table}-{version}-{}-{seq}.seg", std::process::id());
@@ -301,8 +327,7 @@ impl Store {
     /// Removes `*.seg` and `*.idx` files the manifest does not reference.
     fn sweep_orphans(&self) -> Result<(), StoreError> {
         let referenced: std::collections::HashSet<String> = self
-            .manifest
-            .read()
+            .snapshot()
             .tables
             .values()
             .flat_map(|t| {
@@ -323,8 +348,7 @@ impl Store {
 
     /// Total stored (encoded) bytes across every committed segment.
     pub fn stored_bytes(&self) -> u64 {
-        self.manifest
-            .read()
+        self.snapshot()
             .tables
             .values()
             .flat_map(|t| t.segments.iter())
@@ -420,21 +444,19 @@ impl BulkLoad {
                 let _ = d.sync_all();
             }
         }
-        // The durable commit runs against a scratch copy of the catalog; the
-        // shared manifest is only replaced after the on-disk commit succeeds.
-        // On failure the in-memory state therefore still matches MANIFEST,
-        // `pending` is untouched, and Drop removes the staged files — a
-        // retried flush cannot double-publish rows.
-        let mut manifest = self.store.manifest.write();
-        let mut next = manifest.clone();
-        let table = next
-            .tables
-            .get_mut(&self.table)
-            .ok_or_else(|| StoreError::new(format!("unknown table {}", self.table)))?;
-        table.segments.extend(self.pending.iter().cloned());
-        next.version += 1;
-        next.commit(&self.store.dir)?;
-        *manifest = next;
+        // The published catalog is only replaced after the on-disk commit
+        // succeeds. On failure it therefore still matches MANIFEST, `pending`
+        // is untouched, and Drop removes the staged files — a retried flush
+        // cannot double-publish rows.
+        let (table, pending) = (&self.table, &self.pending);
+        self.store.commit_catalog(|next| {
+            next.tables
+                .get_mut(table)
+                .ok_or_else(|| StoreError::new(format!("unknown table {table}")))?
+                .segments
+                .extend(pending.iter().cloned());
+            Ok(())
+        })?;
         self.pending.clear();
         self.committed = true;
         Ok(())
@@ -677,6 +699,108 @@ mod tests {
         assert!(idx_file.exists());
         drop(load);
         assert!(!idx_file.exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_taken_before_a_commit_is_unchanged_after_it() {
+        let (dir, store) = temp_store("snapshot");
+        store
+            .create_table("t", vec![("x".into(), ColumnType::Int)])
+            .unwrap();
+        let mut load = store.begin_load("t");
+        load.add_segment(&int_column(0..4)).unwrap();
+        load.commit().unwrap();
+
+        let before = store.snapshot();
+        let frozen = (*before).clone();
+        let mut load = store.begin_load("t");
+        load.add_segment(&int_column(4..10)).unwrap();
+        load.commit().unwrap();
+        store
+            .create_table("u", vec![("y".into(), ColumnType::Str)])
+            .unwrap();
+
+        assert_eq!(*before, frozen, "a held snapshot changed under its holder");
+        assert_eq!(before.tables["t"].rows(), 4);
+        assert!(!before.tables.contains_key("u"));
+        let after = store.snapshot();
+        assert_eq!(after.tables["t"].rows(), 10);
+        assert_eq!(after.version, before.version + 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_commits_into_two_tables_lose_nothing() {
+        const LOADS: i64 = 20;
+        let (dir, store) = temp_store("two-writers");
+        for table in ["a", "b"] {
+            store
+                .create_table(table, vec![("x".into(), ColumnType::Int)])
+                .unwrap();
+        }
+        std::thread::scope(|scope| {
+            for table in ["a", "b"] {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..LOADS {
+                        let mut load = store.begin_load(table);
+                        load.add_segment(&int_column(i * 3..i * 3 + 3)).unwrap();
+                        load.commit().unwrap();
+                    }
+                });
+            }
+        });
+        let check = |store: &Store| {
+            for table in ["a", "b"] {
+                let meta = store.table_meta(table).unwrap();
+                assert_eq!(meta.segments.len(), LOADS as usize, "{table}");
+                // Each writer's own commits keep their order.
+                let firsts: Vec<Option<Value>> = meta
+                    .segments
+                    .iter()
+                    .map(|s| s.zones[0].min.clone())
+                    .collect();
+                let expected: Vec<Option<Value>> =
+                    (0..LOADS).map(|i| Some(Value::Int(i * 3))).collect();
+                assert_eq!(firsts, expected, "{table}");
+            }
+        };
+        check(&store);
+        drop(store);
+        check(&Store::open(&dir).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_durable_commit_leaves_the_published_snapshot_unchanged() {
+        let (dir, store) = temp_store("failed-commit");
+        store
+            .create_table("t", vec![("x".into(), ColumnType::Int)])
+            .unwrap();
+        let published = store.snapshot();
+        let on_disk = std::fs::read(store.manifest_path()).unwrap();
+        // A directory where the commit's temp file goes makes its create fail.
+        let blocker = dir.join("MANIFEST.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+
+        let mut load = store.begin_load("t");
+        load.add_segment(&int_column(0..8)).unwrap();
+        assert!(load.commit().is_err());
+        assert!(store
+            .create_table("u", vec![("y".into(), ColumnType::Int)])
+            .is_err());
+        assert!(Arc::ptr_eq(&published, &store.snapshot()));
+        assert_eq!(store.table_rows("t"), 0);
+        assert_eq!(std::fs::read(store.manifest_path()).unwrap(), on_disk);
+
+        // Once the obstacle is gone the same work commits.
+        std::fs::remove_dir(&blocker).unwrap();
+        let mut load = store.begin_load("t");
+        load.add_segment(&int_column(0..8)).unwrap();
+        load.commit().unwrap();
+        assert_eq!(store.table_rows("t"), 8);
+        assert_eq!(store.snapshot().version, published.version + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

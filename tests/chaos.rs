@@ -338,6 +338,85 @@ fn bulk_load_is_not_double_applied_across_reconnect() {
     assert_eq!(got, expected, "BulkLoad was double-applied after reconnect");
 }
 
+/// A replay racing its original must not double-apply either. A client
+/// whose first attempt times out mid-load reconnects and resends the same
+/// request id while the server is still applying the original; here two
+/// connections presenting one client id send the same `BulkLoad` before
+/// either reads its answer. Both are acknowledged, and the rows land once.
+#[test]
+fn a_replay_racing_its_original_bulk_load_applies_it_once() {
+    use monomi_proto::{read_response, write_request, Request, Response, WIRE_VERSION};
+    use std::net::TcpStream;
+
+    const ROWS: i64 = 20_000;
+    // On disk a load encodes, fsyncs and commits segments: long enough that
+    // the second request is checked while the first is still applying.
+    let dir = std::env::temp_dir().join(format!("monomi-replay-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::bind_with_db(
+        "127.0.0.1:0",
+        ServerOptions::default(),
+        Database::open(&dir).expect("store opens"),
+    )
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let connect = || {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let hello = Request::Hello {
+            version: WIRE_VERSION,
+            client_id: 0x5EED_0FC0_FFEE,
+        };
+        write_request(&mut stream, &hello).expect("send hello");
+        let (reply, _) = read_response(&mut stream).expect("hello reply");
+        assert_eq!(
+            reply,
+            Response::Hello {
+                version: WIRE_VERSION
+            }
+        );
+        stream
+    };
+    let ask = |stream: &mut TcpStream, request: &Request| {
+        write_request(stream, request).expect("send");
+        read_response(stream).expect("reply").0
+    };
+    let (mut first, mut second) = (connect(), connect());
+    let create = Request::CreateTable {
+        request_id: 1,
+        name: "race_t".into(),
+        columns: vec![("a".into(), ColumnType::Int)],
+        unindexed: Vec::new(),
+    };
+    assert_eq!(ask(&mut first, &create), Response::Ok);
+
+    let load = Request::BulkLoad {
+        request_id: 2,
+        table: "race_t".into(),
+        rows: (0..ROWS).map(|i| vec![Value::Int(i)]).collect(),
+    };
+    write_request(&mut first, &load).expect("send original");
+    write_request(&mut second, &load).expect("send replay");
+    assert_eq!(read_response(&mut first).expect("reply").0, Response::Ok);
+    assert_eq!(read_response(&mut second).expect("reply").0, Response::Ok);
+    assert_eq!(server.metrics().journal_replays_total.get(), 1);
+
+    let counter = TcpTransport::connect(&server.addr().to_string()).expect("connect");
+    let count = parse_query("SELECT COUNT(*) FROM race_t").expect("count parses");
+    let rows = counter
+        .execute(&count, &ExecOptions::serial())
+        .expect("count")
+        .result
+        .rows;
+    assert_eq!(
+        rows,
+        vec![vec![Value::Int(ROWS)]],
+        "the load was applied twice"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A trace id survives the retry machinery: when the response is cut and the
 /// request is re-sent over a fresh connection, the replayed Execute frame
 /// carries the same trace id, so the recovered result still comes back with
