@@ -11,7 +11,7 @@ use crate::designer::{DesignOutcome, Designer};
 use crate::localexec::{QueryTimings, SplitExecutor};
 use crate::network::NetworkModel;
 use crate::plan::{PlanOptions, SplitPlan};
-use crate::planner::Planner;
+use crate::planner::{Planner, TableFetches};
 use crate::transport::{
     load_database_with, InProcessTransport, ServerTransport, TcpTransport, TransportOptions,
     WireMetrics,
@@ -99,6 +99,9 @@ pub struct MonomiClient {
     /// same configuration.
     exec_options: ExecOptions,
     design_outcome: Option<DesignOutcome>,
+    /// The client fallback's per-table fetches, priced once at setup for
+    /// every query's plan choice.
+    fetches: TableFetches,
     /// Mints the per-query trace ids the traced execution paths carry across
     /// the wire. Seeded from the client seed, so a pinned-seed run produces
     /// the same id sequence every time.
@@ -194,7 +197,7 @@ impl MonomiClient {
         // schema + statistics, not data; we reuse the same object for both
         // since it lives on the trusted side anyway).
         let plain_stats_db = clone_database(plain);
-        Ok(MonomiClient {
+        let mut client = MonomiClient {
             plain_stats_db,
             encryptor,
             server,
@@ -203,8 +206,11 @@ impl MonomiClient {
             plan_options: config.plan_options,
             exec_options,
             design_outcome: None,
+            fetches: TableFetches::default(),
             trace_ids: TraceIdGen::new(config.seed),
-        })
+        };
+        client.fetches = client.planner().table_fetches(&client.encryptor);
+        Ok(client)
     }
 
     /// The physical design in use.
@@ -263,8 +269,8 @@ impl MonomiClient {
     fn planner(&self) -> Planner<'_> {
         Planner {
             plain: &self.plain_stats_db,
-            master: self.encryptor.master_key().clone(),
-            paillier: self.encryptor.paillier().clone(),
+            master: self.encryptor.master_key(),
+            paillier: self.encryptor.paillier(),
             profile: self.profile,
             network: self.network,
             options: self.plan_options,
@@ -285,7 +291,9 @@ impl MonomiClient {
     pub fn plan(&self, sql: &str, params: &[Value]) -> Result<SplitPlan, CoreError> {
         let query = parse_query(sql).map_err(|e| CoreError::new(e.to_string()))?;
         let bound = bind_params(&query, params);
-        let (plan, _) = self.planner().best_plan(&bound, &self.encryptor);
+        let (plan, _) = self
+            .planner()
+            .best_plan(&bound, &self.encryptor, &self.fetches);
         Ok(plan)
     }
 
@@ -307,7 +315,9 @@ impl MonomiClient {
         params: &[Value],
     ) -> Result<(ResultSet, QueryTimings), CoreError> {
         let bound = bind_params(query, params);
-        let (plan, _) = self.planner().best_plan(&bound, &self.encryptor);
+        let (plan, _) = self
+            .planner()
+            .best_plan(&bound, &self.encryptor, &self.fetches);
         let executor = self.executor();
         executor.execute(&plan)
     }
@@ -335,7 +345,9 @@ impl MonomiClient {
         let trace = self.trace_ids.next_id();
         let planning = Stopwatch::start();
         let bound = bind_params(&query, params);
-        let (plan, _) = self.planner().best_plan(&bound, &self.encryptor);
+        let (plan, _) = self
+            .planner()
+            .best_plan(&bound, &self.encryptor, &self.fetches);
         let plan_seconds = planning.seconds();
         let (result, timings, mut spans) = self.executor().execute_traced(&plan, trace)?;
         // One Plan leaf up front keeps the tree honest about where client
@@ -354,7 +366,9 @@ impl MonomiClient {
     pub fn explain_analyze(&self, sql: &str, params: &[Value]) -> Result<String, CoreError> {
         let query = parse_query(sql).map_err(|e| CoreError::new(e.to_string()))?;
         let bound = bind_params(&query, params);
-        let (plan, _) = self.planner().best_plan(&bound, &self.encryptor);
+        let (plan, _) = self
+            .planner()
+            .best_plan(&bound, &self.encryptor, &self.fetches);
         let predicted = CostModel {
             plain: &self.plain_stats_db,
             profile: self.profile,
@@ -414,9 +428,10 @@ impl MonomiClient {
                 options,
             ))
         } else {
+            // The fetch memo holds under any options: a table fetch reads none.
             let mut planner = self.planner();
             planner.options = *options;
-            Ok(planner.best_plan(&bound, &self.encryptor).0)
+            Ok(planner.best_plan(&bound, &self.encryptor, &self.fetches).0)
         }
     }
 }

@@ -7,7 +7,7 @@ use crate::design::{Encryptor, PhysicalDesign};
 use crate::network::NetworkModel;
 use crate::plan::{DecryptSpec, OutputColumn, RemotePlan, SplitPlan};
 use crate::schemes::EncScheme;
-use monomi_engine::{ColumnType, Database, ResultSet, Value};
+use monomi_engine::{ColumnType, Database, QueryEstimate, ResultSet, Value};
 use monomi_sql::ast::{Expr, Query, TableRef};
 use monomi_store::INDEX_SELECTIVITY_CROSSOVER;
 use rand::rngs::StdRng;
@@ -260,34 +260,74 @@ impl<'a> CostModel<'a> {
     /// Estimates the cost of a split plan for a query whose *plaintext* form
     /// is `original` (used for cardinality estimation).
     pub fn plan_cost(&self, plan: &SplitPlan, original: &Query) -> CostBreakdown {
+        self.plan_cost_estimated(plan, original, None)
+    }
+
+    /// [`plan_cost`](Self::plan_cost), reusing `est_original`, the estimate
+    /// of `original`, when the caller already holds it: the planner prices
+    /// several candidates of one query and estimates it once for all.
+    pub(crate) fn plan_cost_estimated(
+        &self,
+        plan: &SplitPlan,
+        original: &Query,
+        est_original: Option<&QueryEstimate>,
+    ) -> CostBreakdown {
         match plan {
-            SplitPlan::Remote(rp) => self.remote_cost(rp, original),
-            SplitPlan::Client { query, children } => {
-                let mut total = CostBreakdown::default();
-                let mut child_rows = 0.0;
-                for (_, child) in children {
-                    let child_query = match child {
-                        SplitPlan::Remote(r) => r.server_query.clone(),
-                        SplitPlan::Client { query, .. } => query.clone(),
-                    };
-                    let c = self.plan_cost(child, &child_query);
-                    total.server_seconds += c.server_seconds;
-                    total.network_seconds += c.network_seconds;
-                    total.decrypt_seconds += c.decrypt_seconds;
-                    total.client_seconds += c.client_seconds;
-                    child_rows += self.plain.estimate(&child_query).result_rows;
-                }
-                // Client-side evaluation of the original query over the
-                // materialized children.
-                let est = self.plain.estimate(query);
-                total.client_seconds +=
-                    child_rows * CLIENT_ROW_SECONDS * 4.0 + est.result_rows * CLIENT_ROW_SECONDS;
-                total
-            }
+            SplitPlan::Remote(rp) => match est_original {
+                Some(est) => self.remote_cost(rp, original, est),
+                None => self.remote_cost(rp, original, &self.plain.estimate(original)),
+            },
+            SplitPlan::Client { query, children } => self.client_cost(
+                children.iter().map(|(_, child)| self.child_cost(child)),
+                &self.plain.estimate(query),
+            ),
         }
     }
 
-    fn remote_cost(&self, rp: &RemotePlan, original: &Query) -> CostBreakdown {
+    /// Cost and estimated output rows of one child of a client plan: the
+    /// child is priced against its own server query (or client query).
+    pub(crate) fn child_cost(&self, child: &SplitPlan) -> (CostBreakdown, f64) {
+        let child_query = match child {
+            SplitPlan::Remote(r) => &r.server_query,
+            SplitPlan::Client { query, .. } => query,
+        };
+        (
+            self.plan_cost(child, child_query),
+            self.plain.estimate(child_query).result_rows,
+        )
+    }
+
+    /// Cost of a client plan from its children's `(cost, rows)` in plan
+    /// order and the estimate of the query the client evaluates over them.
+    /// Every client plan is summed here, in this order, so a caller that
+    /// memoizes children gets a bit-identical total.
+    pub(crate) fn client_cost(
+        &self,
+        children: impl IntoIterator<Item = (CostBreakdown, f64)>,
+        est: &QueryEstimate,
+    ) -> CostBreakdown {
+        let mut total = CostBreakdown::default();
+        let mut child_rows = 0.0;
+        for (c, rows) in children {
+            total.server_seconds += c.server_seconds;
+            total.network_seconds += c.network_seconds;
+            total.decrypt_seconds += c.decrypt_seconds;
+            total.client_seconds += c.client_seconds;
+            child_rows += rows;
+        }
+        // Client-side evaluation of the original query over the
+        // materialized children.
+        total.client_seconds +=
+            child_rows * CLIENT_ROW_SECONDS * 4.0 + est.result_rows * CLIENT_ROW_SECONDS;
+        total
+    }
+
+    fn remote_cost(
+        &self,
+        rp: &RemotePlan,
+        original: &Query,
+        est_original: &QueryEstimate,
+    ) -> CostBreakdown {
         let mut cost = CostBreakdown::default();
 
         // Children (sub-selects executed in separate rounds).
@@ -310,7 +350,6 @@ impl<'a> CostModel<'a> {
         let measured = self.profile.effective_parallelism.max(1.0);
         let parallelism =
             1.0 / (SERVER_SERIAL_FRACTION + (1.0 - SERVER_SERIAL_FRACTION) / measured);
-        let est_original = self.plain.estimate(original);
         let expansion = self.scan_expansion(original);
         cost.server_seconds +=
             est_original.server_cost * COST_UNIT_SECONDS * expansion / parallelism;
@@ -340,25 +379,31 @@ impl<'a> CostModel<'a> {
         cost.server_seconds +=
             est_original.post_filter_bytes * MATERIALIZE_BYTE_SECONDS * expansion / parallelism;
 
+        // Rows of the query with GROUP BY, HAVING and LIMIT removed. Without
+        // any of the three that query is the original, whose estimate is in
+        // hand.
+        let ungrouped_rows = || {
+            if original.group_by.is_empty() && original.having.is_none() && original.limit.is_none()
+            {
+                est_original.result_rows
+            } else {
+                let mut ungrouped = original.clone();
+                ungrouped.group_by = Vec::new();
+                ungrouped.having = None;
+                ungrouped.limit = None;
+                self.plain.estimate(&ungrouped).result_rows
+            }
+        };
         // Result cardinality of the server query.
         let grouped = rp.server_grouped && original.is_aggregate_query();
         let result_rows = if grouped {
             est_original.result_rows.max(1.0)
         } else {
             // Without server grouping the server ships (filtered) rows.
-            let mut ungrouped = original.clone();
-            ungrouped.group_by = Vec::new();
-            ungrouped.having = None;
-            ungrouped.projections = original.projections.clone();
-            ungrouped.limit = None;
-            self.plain.estimate(&ungrouped).result_rows.max(1.0)
+            ungrouped_rows().max(1.0)
         };
         let rows_per_group = if grouped {
-            let mut ungrouped = original.clone();
-            ungrouped.group_by = Vec::new();
-            ungrouped.having = None;
-            ungrouped.limit = None;
-            (self.plain.estimate(&ungrouped).result_rows / result_rows).max(1.0)
+            (ungrouped_rows() / result_rows).max(1.0)
         } else {
             1.0
         };

@@ -43,11 +43,11 @@ pub struct DesignOutcome {
 }
 
 impl<'a> Designer<'a> {
-    fn planner(&self) -> Planner<'a> {
+    fn planner(&self) -> Planner<'_> {
         Planner {
             plain: self.plain,
-            master: self.master.clone(),
-            paillier: self.paillier.clone(),
+            master: &self.master,
+            paillier: &self.paillier,
             profile: self.profile,
             network: self.network,
             options: self.options,

@@ -252,32 +252,53 @@ pub fn client_fallback_plan(
     encryptor: &Encryptor,
     options: &PlanOptions,
 ) -> SplitPlan {
-    let mut children = Vec::new();
-    let mut tables: Vec<String> = Vec::new();
-    collect_tables(query, &mut tables);
-    tables.sort();
-    tables.dedup();
-    for t in tables {
-        if plain.catalog().get(&t).is_none() {
-            continue;
-        }
-        let fetch_query = Query {
-            projections: vec![SelectItem::new(Expr::col("*"))],
-            from: vec![TableRef::Table {
-                name: t.clone(),
-                alias: None,
-            }],
-            ..Default::default()
-        };
-        let scope = QueryScope::for_query(&fetch_query, plain).expect("base table scope");
-        let plan = generate_remote_plan(&fetch_query, plain, encryptor, &scope, options)
-            .expect("table fetch plan must always exist");
-        children.push((t, SplitPlan::Remote(Box::new(plan))));
-    }
+    let children = fallback_tables(query, plain)
+        .into_iter()
+        .map(|t| {
+            let plan = table_fetch_plan(&t, plain, encryptor, options)
+                .expect("table fetch plan must always exist");
+            (t, plan)
+        })
+        .collect();
     SplitPlan::Client {
         query: query.clone(),
         children,
     }
+}
+
+/// The tables the client fallback fetches for `query`: every catalog table
+/// it references, at any depth, sorted and deduplicated — the order of the
+/// fallback plan's children.
+pub(crate) fn fallback_tables(query: &Query, plain: &Database) -> Vec<String> {
+    let mut tables: Vec<String> = Vec::new();
+    collect_tables(query, &mut tables);
+    tables.sort();
+    tables.dedup();
+    tables.retain(|t| plain.catalog().get(t).is_some());
+    tables
+}
+
+/// The remote `SELECT *` plan that ships one base table to the client, or
+/// `None` when the design cannot decrypt one of its columns. It depends only
+/// on the table, the statistics database and the design: `options` reaches
+/// no branch a bare fetch takes.
+pub fn table_fetch_plan(
+    table: &str,
+    plain: &Database,
+    encryptor: &Encryptor,
+    options: &PlanOptions,
+) -> Option<SplitPlan> {
+    let fetch_query = Query {
+        projections: vec![SelectItem::new(Expr::col("*"))],
+        from: vec![TableRef::Table {
+            name: table.to_string(),
+            alias: None,
+        }],
+        ..Default::default()
+    };
+    let scope = QueryScope::for_query(&fetch_query, plain)?;
+    let plan = generate_remote_plan(&fetch_query, plain, encryptor, &scope, options)?;
+    Some(SplitPlan::Remote(Box::new(plan)))
 }
 
 fn collect_tables(query: &Query, out: &mut Vec<String>) {
@@ -504,7 +525,7 @@ fn generate_remote_plan(
             // HAVING can rarely be pushed because it compares aggregates;
             // attempt it, otherwise evaluate on the client (plus optional
             // conservative pre-filter).
-            match rewrite_having(&rewriter, having) {
+            match rewrite_having(having) {
                 Some(server_having) => remote.having = Some(server_having),
                 None => {
                     local_having = Some(having.clone());
@@ -658,20 +679,6 @@ fn generate_remote_plan(
             match rewriter.fetch_source(&o.expr) {
                 Some(spec) => add_fetch(&mut outputs, &spec, normalize_expr(&o.expr)),
                 None => fetch_exprs_for(&mut outputs, &o.expr)?,
-            }
-        }
-    }
-
-    // Local HAVING / local filters may reference columns too.
-    if let Some(h) = &local_having {
-        for c in h.column_refs() {
-            if c.column == "*" {
-                continue;
-            }
-            let col_expr = Expr::Column(c.clone());
-            // Only fetch when it is a plain column (aggregates handled above).
-            if rewriter.fetch_source(&col_expr).is_some() && server_grouped {
-                // Group keys were fetched already; nothing more to do.
             }
         }
     }
@@ -833,7 +840,7 @@ fn plan_aggregate(
 
 /// Attempts to push a HAVING clause to the server. This only succeeds when it
 /// involves no cross-scheme comparisons, e.g. `COUNT(*) > 5`.
-fn rewrite_having(rewriter: &Rewriter<'_>, having: &Expr) -> Option<Expr> {
+fn rewrite_having(having: &Expr) -> Option<Expr> {
     match having {
         Expr::BinaryOp { left, op, right } if op.is_comparison() => {
             let count_side = |e: &Expr| {
@@ -863,7 +870,6 @@ fn rewrite_having(rewriter: &Rewriter<'_>, having: &Expr) -> Option<Expr> {
                     right: right.clone(),
                 });
             }
-            let _ = rewriter;
             None
         }
         _ => None,
@@ -896,11 +902,9 @@ fn prefilter_for(rewriter: &Rewriter<'_>, having: &Expr, plain: &Database) -> Op
     let threshold = constant.as_float()?;
     let spec = rewriter.scheme_column(&sum_arg, EncScheme::Ope)?;
     // m = maximum observed value of the column in the sample data.
-    let stats = plain.table_stats();
-    let m = stats
-        .get(&spec.table)
-        .and_then(|t| t.columns.get(&spec.base))
-        .and_then(|c| c.max.as_ref())
+    let m = plain
+        .column_max(&spec.table, &spec.base)
+        .as_ref()
         .and_then(Value::as_float)
         .unwrap_or(1.0)
         .max(1.0);

@@ -5,12 +5,13 @@
 use crate::cost::{CostBreakdown, CostModel, DecryptProfile};
 use crate::design::{Encryptor, PhysicalDesign};
 use crate::network::NetworkModel;
-use crate::plan::{generate_query_plan, PlanOptions, SplitPlan};
+use crate::plan::{fallback_tables, generate_query_plan, table_fetch_plan, PlanOptions, SplitPlan};
 use crate::rewrite::{normalize_expr, QueryScope};
 use crate::schemes::EncScheme;
 use monomi_crypto::{MasterKey, PaillierKey};
-use monomi_engine::{ColumnType, Database};
+use monomi_engine::{ColumnType, Database, QueryEstimate};
 use monomi_sql::ast::*;
+use std::collections::HashMap;
 
 /// One ⟨expression, scheme⟩ pair the designer could materialize (an element of
 /// the paper's set E).
@@ -320,8 +321,8 @@ pub struct PlannedQuery {
 /// The runtime/design-time planner.
 pub struct Planner<'a> {
     pub plain: &'a Database,
-    pub master: MasterKey,
-    pub paillier: PaillierKey,
+    pub master: &'a MasterKey,
+    pub paillier: &'a PaillierKey,
     pub profile: DecryptProfile,
     pub network: NetworkModel,
     pub options: PlanOptions,
@@ -331,7 +332,79 @@ pub struct Planner<'a> {
     pub max_subsets: usize,
 }
 
+/// One base table's `SELECT *` fetch — a child of the client fallback —
+/// with its cost and estimated rows as [`CostModel::child_cost`] prices it.
+#[derive(Clone, Debug)]
+struct TableFetch {
+    plan: SplitPlan,
+    cost: CostBreakdown,
+    rows: f64,
+}
+
+/// The client fallback's children, priced once per catalog table. A fetch
+/// plan depends only on the table, the statistics, the design (not on
+/// [`PlanOptions`]) and its price on the decrypt profile and the link — all
+/// fixed once a client is set up — so [`Planner::best_plan`] sums these
+/// instead of building and pricing the fallback for every query.
+#[derive(Clone, Debug, Default)]
+pub struct TableFetches {
+    by_table: HashMap<String, TableFetch>,
+}
+
+impl TableFetches {
+    fn get(&self, table: &str) -> &TableFetch {
+        self.by_table
+            .get(table)
+            .expect("table fetch plan must always exist")
+    }
+
+    /// The cost of the client fallback for `query`, whose estimate is
+    /// `est`: the memoized fetches of the tables it references, in plan
+    /// order, summed by `CostModel::client_cost` like any client plan —
+    /// bit-identical to pricing [`client_fallback_plan`] in full.
+    ///
+    /// [`client_fallback_plan`]: crate::plan::client_fallback_plan
+    pub fn fallback_cost(
+        &self,
+        cost_model: &CostModel<'_>,
+        query: &Query,
+        est: &QueryEstimate,
+    ) -> CostBreakdown {
+        let tables = fallback_tables(query, cost_model.plain);
+        let children = tables.iter().map(|t| {
+            let fetch = self.get(t);
+            (fetch.cost, fetch.rows)
+        });
+        cost_model.client_cost(children, est)
+    }
+
+    /// The client fallback for `query`, assembled from the memoized fetch
+    /// plans: equal to [`crate::plan::client_fallback_plan`] under the same
+    /// design.
+    pub fn fallback_plan(&self, query: &Query, plain: &Database) -> SplitPlan {
+        let children = fallback_tables(query, plain)
+            .into_iter()
+            .map(|t| {
+                let plan = self.get(&t).plan.clone();
+                (t, plan)
+            })
+            .collect();
+        SplitPlan::Client {
+            query: query.clone(),
+            children,
+        }
+    }
+}
+
 impl<'a> Planner<'a> {
+    fn cost_model(&self) -> CostModel<'a> {
+        CostModel {
+            plain: self.plain,
+            profile: self.profile,
+            network: self.network,
+        }
+    }
+
     /// Builds a design containing the baseline coverage plus the pairs of the
     /// enabled units (plus packing flags).
     pub fn design_for_pairs(&self, pairs: &[EncPair]) -> PhysicalDesign {
@@ -352,11 +425,7 @@ impl<'a> Planner<'a> {
     pub fn candidate_plans(&self, query: &Query, units: &[EncUnit]) -> Vec<PlannedQuery> {
         let n = units.len().min(16);
         let subset_count = (1usize << n).min(self.max_subsets.max(1));
-        let cost_model = CostModel {
-            plain: self.plain,
-            profile: self.profile,
-            network: self.network,
-        };
+        let cost_model = self.cost_model();
         let mut out = Vec::new();
         // Enumerate subsets from "all units enabled" downwards so the best
         // plans are found even if the cap truncates enumeration.
@@ -387,35 +456,91 @@ impl<'a> Planner<'a> {
         out
     }
 
-    /// Chooses the best plan for a query given a fixed design (runtime use).
-    pub fn best_plan(&self, query: &Query, encryptor: &Encryptor) -> (SplitPlan, CostBreakdown) {
-        let cost_model = CostModel {
-            plain: self.plain,
-            profile: self.profile,
-            network: self.network,
-        };
+    /// Builds and prices the fetch of every catalog table under
+    /// `encryptor`'s design, for [`best_plan`](Self::best_plan).
+    pub fn table_fetches(&self, encryptor: &Encryptor) -> TableFetches {
+        let cost_model = self.cost_model();
+        let by_table = self
+            .plain
+            .table_names()
+            .into_iter()
+            .filter_map(|table| {
+                let plan = table_fetch_plan(&table, self.plain, encryptor, &self.options)?;
+                let (cost, rows) = cost_model.child_cost(&plan);
+                Some((table, TableFetch { plan, cost, rows }))
+            })
+            .collect();
+        TableFetches { by_table }
+    }
+
+    /// Chooses the best plan for a query given a fixed design (runtime use):
+    /// the cheapest of the Algorithm-1 split plan, the same plan without
+    /// homomorphic aggregation, and the client-side fallback, in that order
+    /// of preference on ties. `fetches` must come from
+    /// [`table_fetches`](Self::table_fetches) under the same design, profile
+    /// and link.
+    pub fn best_plan(
+        &self,
+        query: &Query,
+        encryptor: &Encryptor,
+        fetches: &TableFetches,
+    ) -> (SplitPlan, CostBreakdown) {
+        let cost_model = self.cost_model();
+        let est = self.plain.estimate(query);
         // Candidate 1: Algorithm-1 split plan with every optimization allowed.
         let smart = generate_query_plan(query, self.plain, encryptor, &self.options);
-        let smart_cost = cost_model.plan_cost(&smart, query);
-        // Candidate 2: the client-side fallback.
-        let fallback =
-            crate::plan::client_fallback_plan(query, self.plain, encryptor, &self.options);
-        let fallback_cost = cost_model.plan_cost(&fallback, query);
-        // Candidate 3: split plan without homomorphic aggregation (ships group
-        // values instead) — this is the choice that matters for queries with
-        // many small groups (the paper's query 18 example).
-        let mut no_hom_options = self.options;
-        no_hom_options.use_hom_aggregation = false;
-        let no_hom = generate_query_plan(query, self.plain, encryptor, &no_hom_options);
-        let no_hom_cost = cost_model.plan_cost(&no_hom, query);
-
+        let smart_cost = cost_model.plan_cost_estimated(&smart, query, Some(&est));
         let mut best = (smart, smart_cost);
-        if no_hom_cost.total() < best.1.total() {
-            best = (no_hom, no_hom_cost);
+        // Candidate 2: split plan without homomorphic aggregation (ships group
+        // values instead) — this is the choice that matters for queries with
+        // many small groups (the paper's query 18 example). The option is
+        // read only when planning a SUM or AVG, so without one this plan is
+        // candidate 1 again.
+        if self.options.use_hom_aggregation && mentions_sum_or_avg(query) {
+            let mut no_hom_options = self.options;
+            no_hom_options.use_hom_aggregation = false;
+            let no_hom = generate_query_plan(query, self.plain, encryptor, &no_hom_options);
+            let no_hom_cost = cost_model.plan_cost_estimated(&no_hom, query, Some(&est));
+            if no_hom_cost.total() < best.1.total() {
+                best = (no_hom, no_hom_cost);
+            }
         }
+        // Candidate 3: the client-side fallback, priced from the memoized
+        // fetches and built only if it wins.
+        let fallback_cost = fetches.fallback_cost(&cost_model, query, &est);
         if fallback_cost.total() < best.1.total() {
-            best = (fallback, fallback_cost);
+            best = (fetches.fallback_plan(query, self.plain), fallback_cost);
         }
         best
     }
+}
+
+/// True if a SUM or AVG appears anywhere in `query`: any clause, derived
+/// tables and subqueries included.
+fn mentions_sum_or_avg(query: &Query) -> bool {
+    let in_expr = |e: &Expr| {
+        let mut found = false;
+        e.walk(&mut |node| match node {
+            Expr::Aggregate {
+                func: AggFunc::Sum | AggFunc::Avg,
+                ..
+            } => found = true,
+            Expr::InSubquery { subquery, .. }
+            | Expr::Exists { subquery, .. }
+            | Expr::ScalarSubquery(subquery) => found |= mentions_sum_or_avg(subquery),
+            _ => {}
+        });
+        found
+    };
+    let mut exprs = query
+        .projections
+        .iter()
+        .map(|p| &p.expr)
+        .chain(&query.where_clause)
+        .chain(&query.group_by)
+        .chain(&query.having)
+        .chain(query.order_by.iter().map(|o| &o.expr));
+    let in_derived =
+        |t: &TableRef| matches!(t, TableRef::Subquery { query, .. } if mentions_sum_or_avg(query));
+    exprs.any(in_expr) || query.from.iter().any(in_derived)
 }

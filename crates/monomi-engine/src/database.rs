@@ -411,22 +411,24 @@ impl Database {
     /// Returns EXPLAIN-style cost and cardinality estimates for a query, the
     /// interface MONOMI's planner uses instead of timing candidate plans.
     pub fn estimate(&self, query: &Query) -> QueryEstimate {
-        let mut cache = self.stats_cache.write();
-        if cache.is_none() {
-            *cache = Some(collect_stats(self));
-        }
-        let stats = cache.as_ref().expect("stats just computed");
-        Estimator::new(stats).estimate(query)
+        self.with_stats(|stats| Estimator::new(stats).estimate(query))
     }
 
-    /// Per-table statistics snapshot (used by the designer for data-driven
-    /// decisions such as pre-filter thresholds).
-    pub fn table_stats(&self) -> HashMap<String, TableStats> {
-        let mut cache = self.stats_cache.write();
-        if cache.is_none() {
-            *cache = Some(collect_stats(self));
+    /// The largest value of one column in the statistics (used by the
+    /// planner for data-driven decisions such as pre-filter thresholds).
+    pub fn column_max(&self, table: &str, column: &str) -> Option<Value> {
+        self.with_stats(|stats| stats.get(table)?.columns.get(column)?.max.clone())
+    }
+
+    /// Runs `f` over the per-table statistics, collecting them first when
+    /// the cache is cold. A warm cache is only read, so concurrent planners
+    /// never serialize on it.
+    fn with_stats<R>(&self, f: impl FnOnce(&HashMap<String, TableStats>) -> R) -> R {
+        if let Some(stats) = self.stats_cache.read().as_ref() {
+            return f(stats);
         }
-        cache.as_ref().expect("stats just computed").clone()
+        let mut cache = self.stats_cache.write();
+        f(cache.get_or_insert_with(|| collect_stats(self)))
     }
 
     fn invalidate_stats(&self) {
