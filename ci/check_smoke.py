@@ -10,6 +10,12 @@ depend only on the data and the code, never on the host: the wire megabytes
 per pass and the space overhead. Any difference fails the check; a change that
 moves one on purpose updates the baseline in the same commit and says why.
 Times are not checked: a shared runner is no place to bound them.
+
+`<dir>/traced/<workload>.json` holds the result line of the same run with
+`--trace 1`, for every workload the baseline's `traced_values` names. Its
+`store.*` work counters (bytes scanned, segments read and pruned, index
+probes, index rows fetched, postings bytes) are as exact: they count what the
+server's scans read, which only the data, the plans and the executor decide.
 """
 
 import json
@@ -24,15 +30,17 @@ def main(argv):
     with open(baseline_path) as f:
         baseline = json.load(f)
     failures = []
-    for workload, expected in sorted(baseline["values"].items()):
-        with open(os.path.join(results_dir, f"{workload}.json")) as f:
-            metrics = json.load(f)["metrics"]
-        for name, want in sorted(expected.items()):
-            got = metrics.get(name, {}).get("value")
-            status = "ok" if got == want else "DIFFERS"
-            print(f"{workload:<14} {name:<18} baseline {want!r:<22} smoke {got!r:<22} {status}")
-            if got != want:
-                failures.append(f"{workload} {name}")
+    for section, subdir in (("values", ""), ("traced_values", "traced")):
+        for workload, expected in sorted(baseline.get(section, {}).items()):
+            with open(os.path.join(results_dir, subdir, f"{workload}.json")) as f:
+                metrics = json.load(f)["metrics"]
+            run = os.path.join(subdir, workload)
+            for name, want in sorted(expected.items()):
+                got = metrics.get(name, {}).get("value")
+                status = "ok" if got == want else "DIFFERS"
+                print(f"{run:<20} {name:<24} baseline {want!r:<22} smoke {got!r:<22} {status}")
+                if got != want:
+                    failures.append(f"{run} {name}")
     if failures:
         sys.exit("smoke values differ from the baseline: " + ", ".join(failures))
     return 0

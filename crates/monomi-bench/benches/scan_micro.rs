@@ -4,14 +4,15 @@
 //!
 //! The scan evaluates compiled predicates directly over the column slices
 //! and clones only the survivors' referenced columns. Before timing, its
-//! output is checked against the row-at-a-time evaluator (`expr::eval` over
-//! every materialized row), the engine's in-tree oracle.
+//! output is checked against row-at-a-time evaluation: the predicate bound
+//! once as a `BoundExpr` and evaluated over every materialized row.
 
 use monomi_bench::print_header;
-use monomi_engine::expr::eval;
 use monomi_engine::{
-    apply_predicate, compile_predicate, EvalContext, RowSchema, SelectionVector, Table, Value,
+    apply_predicate, compile_predicate, BoundExpr, NoSubqueries, RowSchema, SelectionVector, Table,
+    Value,
 };
+use monomi_sql::ast::Expr;
 use monomi_sql::parse_query;
 use monomi_tpch::datagen;
 use std::time::Instant;
@@ -53,15 +54,19 @@ const CASES: &[ScanCase] = &[
 fn row_at_a_time_scan(
     table: &Table,
     schema: &RowSchema,
-    pred: &monomi_sql::ast::Expr,
+    pred: &Expr,
     referenced: &[usize],
 ) -> Vec<Vec<Value>> {
-    let ctx = EvalContext::with_params(&[]);
+    let resolve = |e: &Expr| match e {
+        Expr::Column(c) => schema.resolve(c).map(BoundExpr::Column),
+        _ => None,
+    };
+    let pred = BoundExpr::bind(pred, &resolve, &|_| None);
     table
         .rows()
         .into_iter()
         .filter(|row| {
-            eval(pred, schema, row, &ctx)
+            pred.eval(row, &NoSubqueries)
                 .expect("predicate evaluates")
                 .as_bool()
                 .unwrap_or(false)
@@ -75,20 +80,13 @@ fn row_at_a_time_scan(
 fn vectorized_scan(
     table: &Table,
     schema: &RowSchema,
-    pred: &monomi_sql::ast::Expr,
+    pred: &Expr,
     referenced: &[usize],
 ) -> Vec<Vec<Value>> {
-    let ctx = EvalContext::with_params(&[]);
     let batch = table.tail_batch();
-    let compiled = compile_predicate(pred, schema, &ctx);
-    let selection = apply_predicate(
-        &compiled,
-        &batch,
-        &SelectionVector::all(table.row_count()),
-        schema,
-        &ctx,
-    )
-    .expect("columnar filter");
+    let compiled = compile_predicate(pred, schema, &[]);
+    let selection = apply_predicate(&compiled, &batch, &SelectionVector::all(table.row_count()))
+        .expect("columnar filter");
     batch.gather(&selection, referenced)
 }
 

@@ -23,7 +23,9 @@ use monomi_crypto::{
     CipherError, DetBytes, FormatPreservingCipher, MasterKey, OpeCipher, PaillierKey, RndCipher,
     SearchScheme,
 };
-use monomi_engine::{ColumnDef, ColumnType, Database, EvalContext, RowSchema, TableSchema, Value};
+use monomi_engine::{
+    BoundExpr, ColumnDef, ColumnType, Database, NoSubqueries, RowSchema, TableSchema, Value,
+};
 use monomi_math::BigUint;
 use monomi_sql::ast::{ColumnRef, Expr};
 use rand::rngs::StdRng;
@@ -618,11 +620,6 @@ impl Encryptor {
     /// from the seeded RNG, and with them every ciphertext, do not depend on
     /// how the work is organised.
     pub fn encrypt_database(&self, plain: &Database, seed: u64) -> Result<Database, CoreError> {
-        /// Where one source's plaintext comes from.
-        enum Source<'a> {
-            Column(usize),
-            Computed(&'a Expr),
-        }
         /// What one encrypted column stores.
         enum Cell<'a> {
             Scheme(usize, ColumnCrypto<'a>, EncScheme),
@@ -655,16 +652,16 @@ impl Encryptor {
                     .map(|c| (Some(td.table.clone()), c.name.clone()))
                     .collect(),
             );
-            let sources: Vec<Source<'_>> = td
+            // Each source — a plaintext column or an expression over them —
+            // bound once to the plaintext row's positions.
+            let resolve = |e: &Expr| match e {
+                Expr::Column(c) => plain_schema.resolve(c).map(BoundExpr::Column),
+                _ => None,
+            };
+            let sources: Vec<BoundExpr> = td
                 .columns
                 .iter()
-                .map(|cd| match &cd.source {
-                    Expr::Column(c) => match plain_schema.resolve(c) {
-                        Some(i) => Source::Column(i),
-                        None => Source::Computed(&cd.source),
-                    },
-                    other => Source::Computed(other),
-                })
+                .map(|cd| BoundExpr::bind(&cd.source, &resolve, &|_| None))
                 .collect();
             let source_index = |base: &str| {
                 td.base_index(base)
@@ -694,7 +691,6 @@ impl Encryptor {
                 })
                 .collect::<Result<Vec<Cell<'_>>, CoreError>>()?;
 
-            let ctx = EvalContext::with_params(&[]);
             let mut enc_rows: Vec<Vec<Value>> = Vec::with_capacity(table.row_count());
             let mut source_values: Vec<Value> = Vec::with_capacity(sources.len());
             let mut hom_slot_values: Vec<u64> = Vec::new();
@@ -703,13 +699,11 @@ impl Encryptor {
                 // Evaluate each source expression once.
                 source_values.clear();
                 for source in &sources {
-                    source_values.push(match source {
-                        Source::Column(i) => row[*i].clone(),
-                        Source::Computed(expr) => {
-                            monomi_engine::expr::eval(expr, &plain_schema, &row, &ctx)
-                                .map_err(|e| CoreError::new(e.to_string()))?
-                        }
-                    });
+                    source_values.push(
+                        source
+                            .eval(&row, &NoSubqueries)
+                            .map_err(|e| CoreError::new(e.to_string()))?,
+                    );
                 }
                 let mut enc_row: Vec<Value> = Vec::with_capacity(cells.len());
                 for cell in &cells {

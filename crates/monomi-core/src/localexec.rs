@@ -15,13 +15,13 @@
 
 use crate::decrypt::DecryptPipeline;
 use crate::design::Encryptor;
-use crate::plan::{DecryptSpec, OutputColumn, RemotePlan, SplitPlan};
+use crate::plan::{RemotePlan, SplitPlan};
 use crate::rewrite::normalize_expr;
 use crate::transport::ServerTransport;
 use crate::CoreError;
 use monomi_engine::{
-    BoundExpr, ColumnDef, ColumnType, Database, ExecOptions, ResultSet, SubqueryResult,
-    TableSchema, Value,
+    BoundExpr, ColumnDef, ColumnType, Database, ExecOptions, ResultSet, SortKey, Subqueries,
+    SubqueryResult, TableSchema, Value,
 };
 use monomi_obs::{Span, Stopwatch, TraceId};
 use monomi_sql::ast::*;
@@ -188,12 +188,15 @@ impl<'a> SplitExecutor<'a> {
         spans: &mut Vec<Span>,
     ) -> Result<(ResultSet, QueryTimings), CoreError> {
         let mut timings = QueryTimings::default();
-        let local_db = self.residual_database(children, trace, spans, &mut timings)?;
+        let (local_db, load_seconds) =
+            self.residual_database(children, trace, spans, &mut timings)?;
         let started = Stopwatch::start();
         let (rs, _) = local_db
             .execute_with(query, &[], &self.exec_options)
             .map_err(|e| CoreError::new(e.to_string()))?;
-        let residual_seconds = started.seconds();
+        // The step's own client time, all under its span: building its
+        // tables, then running the residual query over them.
+        let residual_seconds = load_seconds + started.seconds();
         timings.client_seconds += residual_seconds;
         if !trace.is_zero() {
             spans.push(Span::leaf(
@@ -206,17 +209,19 @@ impl<'a> SplitExecutor<'a> {
     }
 
     /// Materializes every child of a client-side step into the plaintext
-    /// database its residual query runs over. Always storeless: decrypted
-    /// intermediates must never be written to disk by the trusted side,
-    /// whatever `MONOMI_STORAGE` says.
+    /// database its residual query runs over, returning it and the seconds
+    /// spent building its tables (the children's own timings go to
+    /// `timings`). Always storeless: decrypted intermediates must never be
+    /// written to disk by the trusted side, whatever `MONOMI_STORAGE` says.
     fn residual_database(
         &self,
         children: &[(String, SplitPlan)],
         trace: TraceId,
         spans: &mut Vec<Span>,
         timings: &mut QueryTimings,
-    ) -> Result<Database, CoreError> {
+    ) -> Result<(Database, f64), CoreError> {
         let mut local_db = Database::in_memory();
+        let mut load_seconds = 0.0;
         for (binding, child) in children {
             let mut child_spans = Vec::new();
             let dispatched = Stopwatch::start();
@@ -231,34 +236,21 @@ impl<'a> SplitExecutor<'a> {
                 ));
             }
             let started = Stopwatch::start();
-            // Column types come from the child plan's declared schema first;
-            // sniffing the rows is only a fallback for expressions the
-            // inference cannot type. Without the declared types, an all-NULL
-            // intermediate column silently became Int, which then made
-            // comparisons against its real type vacuously false.
-            let declared = output_column_types(child);
             let schema = TableSchema::new(
                 binding.clone(),
                 rs.columns
                     .iter()
                     .enumerate()
-                    .map(|(i, name)| {
-                        let ty = declared
-                            .get(i)
-                            .and_then(|(_, t)| *t)
-                            .or_else(|| rs.rows.iter().find_map(|r| value_column_type(&r[i])))
-                            .unwrap_or(ColumnType::Int);
-                        ColumnDef::new(name.clone(), ty)
-                    })
+                    .map(|(i, name)| ColumnDef::new(name.clone(), column_type(&rs.rows, i)))
                     .collect(),
             );
             local_db.create_table(schema);
             local_db
                 .bulk_load(binding, rs.rows)
                 .map_err(|e| CoreError::new(e.to_string()))?;
-            timings.client_seconds += started.seconds();
+            load_seconds += started.seconds();
         }
-        Ok(local_db)
+        Ok((local_db, load_seconds))
     }
 
     fn execute_remote(
@@ -444,15 +436,6 @@ struct LocalAggregate {
     distinct: bool,
 }
 
-/// Where one ORDER BY key comes from.
-enum SortKey {
-    /// The projected value at this position: the key names a projection's
-    /// alias, its position, or its expression.
-    Output(usize),
-    /// Evaluated over the row the projections run over.
-    Eval(BoundExpr),
-}
-
 impl<'p> Residual<'p> {
     fn compile(rp: &'p RemotePlan) -> Self {
         let slot = |q: &Query| rp.subquery_children.iter().position(|(sub, _)| sub == q);
@@ -498,9 +481,10 @@ impl<'p> Residual<'p> {
         let sort_keys = rp
             .order_by
             .iter()
-            .map(|ob| match projection_of(&ob.expr, rp) {
-                Some(pos) => SortKey::Output(pos),
-                None => SortKey::Eval(final_env.bind(&ob.expr, &slot)),
+            .map(|ob| {
+                SortKey::bind(&ob.expr, &rp.projections, rp.projections.len(), |key| {
+                    final_env.bind(key, &slot)
+                })
             })
             .collect();
         Residual {
@@ -525,7 +509,7 @@ impl<'p> Residual<'p> {
     fn run(
         &self,
         rows: Vec<Vec<Value>>,
-        subqueries: &[Arc<SubqueryResult>],
+        subqueries: &dyn Subqueries,
         traced: bool,
     ) -> Result<(ResultSet, Vec<Span>), CoreError> {
         let eval = |e: &BoundExpr, row: &[Value]| {
@@ -611,9 +595,9 @@ impl<'p> Residual<'p> {
             let sort_key = self
                 .sort_keys
                 .iter()
-                .map(|key| match key {
-                    SortKey::Output(pos) => Ok(out[*pos].clone()),
-                    SortKey::Eval(e) => eval(e, &row),
+                .map(|key| {
+                    key.value(&out, &row, subqueries)
+                        .map_err(|e| CoreError::new(e.to_string()))
                 })
                 .collect::<Result<_, _>>()?;
             let out = if self.projections.is_empty() {
@@ -719,31 +703,6 @@ fn local_aggregates(rp: &RemotePlan) -> Vec<&Expr> {
     found
 }
 
-/// The projection an ORDER BY key names, if any: by alias, by 1-based
-/// position, or by repeating its expression.
-fn projection_of(key: &Expr, rp: &RemotePlan) -> Option<usize> {
-    if let Expr::Column(c) = key {
-        if c.table.is_none() {
-            let by_alias = rp.projections.iter().position(|p| {
-                p.alias
-                    .as_deref()
-                    .is_some_and(|a| a.eq_ignore_ascii_case(&c.column))
-            });
-            if by_alias.is_some() {
-                return by_alias;
-            }
-        }
-    }
-    if let Expr::Literal(Literal::Number(n)) = key {
-        if let Ok(pos) = n.parse::<usize>() {
-            if pos >= 1 && pos <= rp.projections.len() {
-                return Some(pos - 1);
-            }
-        }
-    }
-    rp.projections.iter().position(|p| p.expr == *key)
-}
-
 /// Folds a list of plaintext values with an aggregate function (or keeps the
 /// list when `agg` is `None`).
 pub(crate) fn fold_group(values: Vec<Value>, agg: Option<AggFunc>, distinct: bool) -> Value {
@@ -793,217 +752,25 @@ pub(crate) fn fold_group(values: Vec<Value>, agg: Option<AggFunc>, distinct: boo
     }
 }
 
-/// One plan's output schema: column name, and its declared type where one can
-/// be derived statically.
-type OutputColumnTypes = Vec<(String, Option<ColumnType>)>;
-
-/// The declared output schema of a split plan: one `(name, type)` pair per
-/// result column, with `None` where the type cannot be derived statically.
-///
-/// This is what `execute_client` materializes child results with, so that an
-/// all-NULL intermediate column keeps its declared type instead of being
-/// sniffed (and silently defaulting to `Int`). Types flow from the plan:
-/// [`DecryptSpec`] carries the plaintext type of every decrypted output, and
-/// projection/grouping expressions are typed structurally on top of that
-/// environment.
-fn output_column_types(plan: &SplitPlan) -> OutputColumnTypes {
-    match plan {
-        SplitPlan::Remote(rp) => {
-            // Environment the residual operators see: outputs keyed by their
-            // plaintext source expression, typed by their decrypt spec.
-            let env: Vec<(Expr, Option<ColumnType>)> = rp
-                .outputs
-                .iter()
-                .map(|o| (normalize_expr(&o.source), decrypt_spec_type(o)))
-                .collect();
-            let resolve_env = |e: &Expr| -> Option<ColumnType> {
-                let n = normalize_expr(e);
-                env.iter().find(|(k, _)| *k == n).and_then(|(_, t)| *t)
-            };
-
-            // A local GROUP BY replaces the environment with the compiled
-            // residual's group keys and aggregates.
-            let residual = Residual::compile(rp);
-            let final_keys: Vec<(Expr, Option<ColumnType>)> = if residual.grouping.is_some() {
-                residual
-                    .final_env
-                    .keys
-                    .into_iter()
-                    .map(|k| {
-                        let ty = infer_expr_type(&k, &resolve_env);
-                        (k, ty)
-                    })
-                    .collect()
-            } else {
-                env.clone()
-            };
-            let resolve_final = |e: &Expr| -> Option<ColumnType> {
-                let n = normalize_expr(e);
-                final_keys
-                    .iter()
-                    .find(|(k, _)| *k == n)
-                    .and_then(|(_, t)| *t)
-            };
-
-            if rp.projections.is_empty() {
-                // Table-fetch plan: the environment columns come out directly.
-                final_keys
-                    .iter()
-                    .map(|(k, t)| {
-                        let name = match k {
-                            Expr::Column(c) => c.column.clone(),
-                            other => other.to_string(),
-                        };
-                        (name, *t)
-                    })
-                    .collect()
-            } else {
-                rp.projections
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (p.output_name(i), infer_expr_type(&p.expr, &resolve_final)))
-                    .collect()
-            }
-        }
-        SplitPlan::Client { query, children } => {
-            // The residual query runs over local tables materialized from the
-            // children; resolve column references against their schemas.
-            let bindings: Vec<(String, OutputColumnTypes)> = children
-                .iter()
-                .map(|(b, c)| (b.clone(), output_column_types(c)))
-                .collect();
-            let resolve = |e: &Expr| -> Option<ColumnType> {
-                let Expr::Column(c) = e else { return None };
-                let mut found: Option<ColumnType> = None;
-                for (binding, cols) in &bindings {
-                    if c.table
-                        .as_deref()
-                        .is_some_and(|t| !t.eq_ignore_ascii_case(binding))
-                    {
-                        continue;
-                    }
-                    if let Some((_, t)) = cols
-                        .iter()
-                        .find(|(name, _)| name.eq_ignore_ascii_case(&c.column))
-                    {
-                        if found.is_some() {
-                            // Ambiguous across bindings: give up.
-                            return None;
-                        }
-                        found = *t;
-                    }
-                }
-                found
-            };
-            query
-                .projections
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.output_name(i), infer_expr_type(&p.expr, &resolve)))
-                .collect()
-        }
-    }
-}
-
-/// The plaintext type a decrypted output column carries, per its spec.
-fn decrypt_spec_type(out: &OutputColumn) -> Option<ColumnType> {
-    match &out.decrypt {
-        // Plain covers server-computable plaintext (e.g. COUNT(*)); its type
-        // follows from the source expression's structure, resolved by the
-        // caller's structural inference.
-        DecryptSpec::Plain => None,
-        DecryptSpec::Column { ty, .. } => Some(*ty),
-        DecryptSpec::HomSum { ty, .. } | DecryptSpec::HomGroupSum { ty, .. } => Some(*ty),
-        DecryptSpec::GroupValues { ty, agg, .. } => match agg {
-            // `fold_group` keeps the list; it materializes as a Bytes column.
-            None => Some(ColumnType::Bytes),
-            Some(AggFunc::Count) => Some(ColumnType::Int),
-            Some(AggFunc::Avg) => Some(ColumnType::Float),
-            Some(AggFunc::Sum) => match ty {
-                ColumnType::Float => Some(ColumnType::Float),
-                ColumnType::Int => Some(ColumnType::Int),
-                _ => None,
-            },
-            Some(AggFunc::Min) | Some(AggFunc::Max) => Some(*ty),
-        },
-    }
-}
-
-/// Structural type inference for residual expressions, mirroring the engine's
-/// evaluation semantics (`Int/Int` division yields `Float`, AVG is always
-/// `Float`, …). `resolve` types whole subtrees the environment already
-/// carries; `None` means "unknown", in which case the caller falls back to
-/// sniffing row values.
-fn infer_expr_type(
-    expr: &Expr,
-    resolve: &dyn Fn(&Expr) -> Option<ColumnType>,
-) -> Option<ColumnType> {
-    if let Some(t) = resolve(expr) {
-        return Some(t);
-    }
-    match expr {
-        Expr::Literal(Literal::Number(n)) => {
-            if n.contains(['.', 'e', 'E']) {
-                Some(ColumnType::Float)
-            } else {
-                Some(ColumnType::Int)
-            }
-        }
-        Expr::Literal(Literal::String(_)) => Some(ColumnType::Str),
-        Expr::Literal(Literal::Date(_)) => Some(ColumnType::Date),
-        Expr::UnaryOp { expr, .. } => infer_expr_type(expr, resolve),
-        Expr::BinaryOp { left, op, right } => match op {
-            // The engine evaluates division in floating point even for
-            // integer operands (TPC-H ratios).
-            BinaryOp::Div => Some(ColumnType::Float),
-            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Mod => {
-                match (
-                    infer_expr_type(left, resolve),
-                    infer_expr_type(right, resolve),
-                ) {
-                    (Some(ColumnType::Float), Some(_)) | (Some(_), Some(ColumnType::Float)) => {
-                        Some(ColumnType::Float)
-                    }
-                    (Some(ColumnType::Int), Some(ColumnType::Int)) => Some(ColumnType::Int),
-                    _ => None,
-                }
-            }
-            _ => None,
-        },
-        Expr::Aggregate { func, arg, .. } => match func {
-            AggFunc::Count => Some(ColumnType::Int),
-            AggFunc::Avg => Some(ColumnType::Float),
-            AggFunc::Sum => match arg.as_deref().and_then(|a| infer_expr_type(a, resolve)) {
-                Some(ColumnType::Float) => Some(ColumnType::Float),
-                Some(ColumnType::Int) => Some(ColumnType::Int),
-                _ => None,
-            },
-            AggFunc::Min | AggFunc::Max => arg.as_deref().and_then(|a| infer_expr_type(a, resolve)),
-        },
-        Expr::Case {
-            when_then,
-            else_expr,
-            ..
-        } => when_then
-            .iter()
-            .map(|(_, t)| t)
-            .chain(else_expr.iter().map(|e| e.as_ref()))
-            .find_map(|e| infer_expr_type(e, resolve)),
-        Expr::Extract { .. } => Some(ColumnType::Int),
-        _ => None,
-    }
-}
-
-/// Infers an engine column type from a value (for materializing client-side
-/// relations).
-fn value_column_type(v: &Value) -> Option<ColumnType> {
-    match v {
-        Value::Null => None,
-        Value::Int(_) => Some(ColumnType::Int),
+/// The type of column `i` of a client-side table over `rows`: that of its
+/// first non-NULL value, widened to Float or Date when an Int shares the
+/// column with one. Only `TableSchema::check_row` reads it, so an all-NULL
+/// column may have any type.
+fn column_type(rows: &[Vec<Value>], i: usize) -> ColumnType {
+    let type_of = |v: &Value| match v {
         Value::Float(_) => Some(ColumnType::Float),
         Value::Str(_) => Some(ColumnType::Str),
         Value::Date(_) => Some(ColumnType::Date),
         Value::Bytes(_) | Value::List(_) => Some(ColumnType::Bytes),
+        Value::Int(_) | Value::Null => None,
+    };
+    let mut values = rows.iter().map(|r| &r[i]).filter(|v| !v.is_null());
+    match values.next() {
+        None => ColumnType::Int,
+        Some(Value::Int(_)) => values
+            .find_map(|v| type_of(v).filter(|t| matches!(t, ColumnType::Float | ColumnType::Date)))
+            .unwrap_or(ColumnType::Int),
+        Some(v) => type_of(v).unwrap_or(ColumnType::Int),
     }
 }
 
@@ -1011,6 +778,7 @@ fn value_column_type(v: &Value) -> Option<ColumnType> {
 mod tests {
     use super::*;
     use crate::design::PhysicalDesign;
+    use crate::plan::{DecryptSpec, OutputColumn};
     use crate::transport::InProcessTransport;
     use monomi_crypto::MasterKey;
     use monomi_sql::parse_query;
@@ -1035,7 +803,7 @@ mod tests {
         let children = vec![("c".to_string(), child)];
 
         let mut timings = QueryTimings::default();
-        let db = executor
+        let (db, _) = executor
             .residual_database(&children, TraceId::ZERO, &mut Vec::new(), &mut timings)
             .unwrap();
         assert!(!db.is_disk_backed());

@@ -7,9 +7,9 @@
 //! `LocalGroupFilter`, `LocalProjection`, `LocalSort`).
 
 use crate::design::Encryptor;
-use crate::rewrite::{fold_constant, normalize_expr, FetchSpec, QueryScope, Rewriter};
+use crate::rewrite::{normalize_expr, FetchSpec, QueryScope, Rewriter};
 use crate::schemes::EncScheme;
-use monomi_engine::{ColumnType, Database, Value};
+use monomi_engine::{fold_constant, ColumnType, Database, Value};
 use monomi_sql::ast::*;
 
 /// How the client decrypts one column of a RemoteSQL result and what
@@ -853,7 +853,7 @@ fn rewrite_having(having: &Expr) -> Option<Expr> {
                 )
             };
             if count_side(left) {
-                let c = fold_constant(right)?;
+                let c = fold_constant(right, &[])?;
                 let lit = value_to_literal(&c)?;
                 return Some(Expr::BinaryOp {
                     left: left.clone(),
@@ -862,7 +862,7 @@ fn rewrite_having(having: &Expr) -> Option<Expr> {
                 });
             }
             if count_side(right) {
-                let c = fold_constant(left)?;
+                let c = fold_constant(left, &[])?;
                 let lit = value_to_literal(&c)?;
                 return Some(Expr::BinaryOp {
                     left: Box::new(lit),
@@ -886,7 +886,7 @@ fn prefilter_for(rewriter: &Rewriter<'_>, having: &Expr, plain: &Database) -> Op
             left,
             op: BinaryOp::Gt | BinaryOp::GtEq,
             right,
-        } => match (&**left, fold_constant(right)) {
+        } => match (&**left, fold_constant(right, &[])) {
             (
                 Expr::Aggregate {
                     func: AggFunc::Sum,

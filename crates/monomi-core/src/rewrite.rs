@@ -9,7 +9,7 @@
 
 use crate::design::{Encryptor, PhysicalDesign, TableDesign};
 use crate::schemes::EncScheme;
-use monomi_engine::{encode_hex, ColumnType, Database, EvalContext, RowSchema, Value};
+use monomi_engine::{encode_hex, fold_constant, ColumnType, Database, Value};
 use monomi_sql::ast::*;
 
 /// Resolves unqualified column references to their tables and types for one
@@ -135,16 +135,6 @@ impl QueryScope {
             _ => ColumnType::Int,
         }
     }
-}
-
-/// Constant-folds an expression with no column references into a value.
-pub fn fold_constant(expr: &Expr) -> Option<Value> {
-    if !expr.column_refs().is_empty() || expr.contains_subquery() || expr.contains_aggregate() {
-        return None;
-    }
-    let schema = RowSchema::default();
-    let ctx = EvalContext::with_params(&[]);
-    monomi_engine::expr::eval(expr, &schema, &[], &ctx).ok()
 }
 
 /// Context for rewriting one query against a physical design.
@@ -299,7 +289,7 @@ impl<'a> Rewriter<'a> {
                 let spec = self.scheme_column(inner, EncScheme::Det)?;
                 let mut enc_list = Vec::with_capacity(list.len());
                 for item in list {
-                    let v = fold_constant(item)?;
+                    let v = fold_constant(item, &[])?;
                     enc_list.push(self.encrypt_constant(
                         &FetchSpecLike {
                             table: &spec.table,
@@ -321,7 +311,7 @@ impl<'a> Rewriter<'a> {
                 negated,
             } => {
                 let spec = self.scheme_column(inner, EncScheme::Search)?;
-                let pattern_value = fold_constant(pattern)?;
+                let pattern_value = fold_constant(pattern, &[])?;
                 let pattern_str = pattern_value.as_str()?.to_string();
                 let keywords: Vec<&str> = pattern_str
                     .split(|c: char| !c.is_alphanumeric())
@@ -375,8 +365,8 @@ impl<'a> Rewriter<'a> {
         op: BinaryOp,
         right: &Expr,
     ) -> Option<Expr> {
-        let left_const = fold_constant(left);
-        let right_const = fold_constant(right);
+        let left_const = fold_constant(left, &[]);
+        let right_const = fold_constant(right, &[]);
         match (left_const, right_const) {
             // column-ish <op> constant
             (None, Some(v)) => self.rewrite_col_vs_const(whole, left, op, &v),

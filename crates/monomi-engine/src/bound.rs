@@ -1,14 +1,15 @@
-//! Expressions bound once to the rows they run over.
+//! Expressions bound once to the rows they run over: the engine's one
+//! evaluator, on the server and in the client's residual alike.
 //!
-//! [`eval`](crate::expr::eval) interprets an [`Expr`] against a row: every
-//! column reference is resolved by name, every literal parsed, and every
-//! subquery handed to a callback — for every row. A [`BoundExpr`] does that
-//! work once, when it is bound: what the row carries (a column, or a whole
-//! expression computed upstream) becomes a position in the row, literals
-//! become values, and each subquery becomes the index of a result computed
-//! before any row is evaluated. What is left per row is the evaluation
-//! itself, with `eval`'s SQL semantics: both evaluators share every
-//! value-level operation.
+//! A [`BoundExpr`] does the by-name work once, when it is bound: what the row
+//! carries (a column, or a whole expression computed upstream) becomes a
+//! position in the row, literals, parameters and a correlated subquery's
+//! outer references become values, and each subquery becomes a slot. What
+//! is left per row is the evaluation itself, with SQL semantics: the
+//! value-level operations live in [`crate::expr`]. A subquery slot is
+//! answered per row by a [`Subqueries`] source, so one interface serves
+//! results computed before any row (the client's) and correlated subqueries
+//! run with the current row as their outer row (the engine's).
 
 use crate::expr::{
     aggregate_outside_aggregation, apply_function, eval_between, eval_binop, eval_extract,
@@ -26,9 +27,9 @@ pub enum BoundExpr {
     Column(usize),
     /// A literal or parameter, evaluated at bind time.
     Const(Value),
-    /// A node `eval` rejects (an unknown column, an aggregate outside an
-    /// aggregation, a subquery with no precomputed result): the error is
-    /// raised when a row reaches the node, as `eval` raises it, so a node no
+    /// A node that cannot be evaluated (an unknown column, a missing
+    /// parameter, an aggregate outside an aggregation, a subquery with no
+    /// slot): the error is raised when a row reaches the node, so a node no
     /// row reaches fails nothing.
     Fail(EngineError),
     BinaryOp {
@@ -91,20 +92,19 @@ impl BoundExpr {
     /// node's bound form (typically a [`Column`](Self::Column) of a value the
     /// row carries), `None` binds the node structurally. A column reference
     /// or parameter nothing resolves, and any aggregate, fails when a row
-    /// reaches it, with `eval`'s error. Each subquery is bound to the index
-    /// `subquery` assigns it: the index into the results
-    /// [`eval`](Self::eval) is given.
-    pub fn bind(
-        expr: &Expr,
-        resolve: &dyn Fn(&Expr) -> Option<BoundExpr>,
-        subquery: &dyn Fn(&Query) -> Option<usize>,
+    /// reaches it. Each subquery is bound to the slot `subquery` assigns it:
+    /// the slot [`eval`](Self::eval) asks its [`Subqueries`] for.
+    pub fn bind<'e>(
+        expr: &'e Expr,
+        resolve: &dyn Fn(&'e Expr) -> Option<BoundExpr>,
+        subquery: &dyn Fn(&'e Query) -> Option<usize>,
     ) -> BoundExpr {
         if let Some(bound) = resolve(expr) {
             return bound;
         }
-        let bind = |e: &Expr| Self::bind(e, resolve, subquery);
-        let boxed = |e: &Expr| Box::new(bind(e));
-        let slot = |q: &Query| {
+        let bind = |e: &'e Expr| Self::bind(e, resolve, subquery);
+        let boxed = |e: &'e Expr| Box::new(bind(e));
+        let slot = |q: &'e Query| {
             subquery(q).ok_or_else(|| EngineError::new("subquery result not precomputed"))
         };
         match expr {
@@ -196,19 +196,11 @@ impl BoundExpr {
         }
     }
 
-    /// Evaluates the expression over `row`, reading subquery `i` from
-    /// `subqueries[i]`.
-    pub fn eval(
-        &self,
-        row: &[Value],
-        subqueries: &[Arc<SubqueryResult>],
-    ) -> Result<Value, EngineError> {
+    /// Evaluates the expression over `row`, asking `subqueries` for the
+    /// result of each subquery slot a row reaches.
+    pub fn eval(&self, row: &[Value], subqueries: &dyn Subqueries) -> Result<Value, EngineError> {
         let eval = |e: &BoundExpr| e.eval(row, subqueries);
-        let result = |i: usize| {
-            subqueries
-                .get(i)
-                .ok_or_else(|| EngineError::new("subquery result not precomputed"))
-        };
+        let result = |slot: usize| subqueries.result(slot, row);
         match self {
             BoundExpr::Column(idx) => row
                 .get(*idx)
@@ -290,17 +282,60 @@ impl BoundExpr {
     }
 }
 
+/// Where a bound expression's subquery results come from: the result of
+/// slot `slot` for the row being evaluated.
+pub trait Subqueries {
+    fn result(&self, slot: usize, row: &[Value]) -> Result<Arc<SubqueryResult>, EngineError>;
+}
+
+/// Results computed before any row is evaluated: slot `i` is `self[i]`,
+/// whatever the row.
+impl Subqueries for Vec<Arc<SubqueryResult>> {
+    fn result(&self, slot: usize, _row: &[Value]) -> Result<Arc<SubqueryResult>, EngineError> {
+        self.get(slot)
+            .cloned()
+            .ok_or_else(|| EngineError::new("subquery result not precomputed"))
+    }
+}
+
+/// The source of expressions that bind no subquery: every slot fails.
+pub struct NoSubqueries;
+
+impl Subqueries for NoSubqueries {
+    fn result(&self, _slot: usize, _row: &[Value]) -> Result<Arc<SubqueryResult>, EngineError> {
+        Err(EngineError::new(
+            "subquery evaluation not available in this context",
+        ))
+    }
+}
+
+/// The value of an expression with no column reference, subquery or
+/// aggregate, with `:n` read from `params`; `None` for any other expression
+/// and for one whose evaluation fails.
+pub fn fold_constant(expr: &Expr, params: &[Value]) -> Option<Value> {
+    if !expr.column_refs().is_empty() || expr.contains_subquery() || expr.contains_aggregate() {
+        return None;
+    }
+    let resolve = |e: &Expr| match e {
+        Expr::Param(n) => params.get(n - 1).cloned().map(BoundExpr::Const),
+        _ => None,
+    };
+    BoundExpr::bind(expr, &resolve, &|_| None)
+        .eval(&[], &NoSubqueries)
+        .ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{eval, EvalContext, RowSchema};
+    use crate::expr::{eval, RowSchema};
     use monomi_sql::parse_query;
 
     /// Binds against `schema`'s columns and `params`, as `eval` resolves them.
-    fn bind(
-        expr: &Expr,
+    fn bind<'e>(
+        expr: &'e Expr,
         params: &[Value],
-        subquery: &dyn Fn(&Query) -> Option<usize>,
+        subquery: &dyn Fn(&'e Query) -> Option<usize>,
     ) -> BoundExpr {
         let resolve = |e: &Expr| match e {
             Expr::Column(c) => schema().resolve(c).map(BoundExpr::Column),
@@ -333,7 +368,7 @@ mod tests {
     #[test]
     fn bound_evaluation_matches_eval() {
         let sub_rows = vec![vec![Value::Int(3)], vec![Value::Null], vec![Value::Int(10)]];
-        let subqueries = [
+        let subqueries = vec![
             Arc::new(SubqueryResult::new(sub_rows.clone())),
             Arc::new(SubqueryResult::new(Vec::new())),
         ];
@@ -375,24 +410,18 @@ mod tests {
             "nosuchfn(a)",
         ];
         let params = [Value::Int(7)];
-        let sub_fn = |q: &Query, _: Option<(&RowSchema, &[Value])>| {
+        let sub_fn = |q: &Query| {
             Ok(if q.projections[0].output_name(0) == "x" {
                 subqueries[0].clone()
             } else {
                 subqueries[1].clone()
             })
         };
-        let ctx = EvalContext {
-            params: &params,
-            aggregates: None,
-            subquery: Some(&sub_fn),
-            outer: None,
-        };
         let slot = |q: &Query| Some(usize::from(q.projections[0].output_name(0) != "x"));
         for case in cases {
             let q = parse_query(&format!("SELECT {case} FROM t")).unwrap();
             let expr = &q.projections[0].expr;
-            let interpreted = eval(expr, &schema(), &row(), &ctx);
+            let interpreted = eval(expr, &schema(), &row(), &params, Some(&sub_fn));
             let bound = bind(expr, &params, &slot).eval(&row(), &subqueries);
             assert_eq!(
                 format!("{interpreted:?}"),
@@ -409,8 +438,8 @@ mod tests {
         let q =
             parse_query("SELECT CASE WHEN a > 100 THEN a IN (SELECT x FROM s) END FROM t").unwrap();
         let bound = bind(&q.projections[0].expr, &[], &|_| None);
-        assert_eq!(bound.eval(&row(), &[]).unwrap(), Value::Null);
+        assert_eq!(bound.eval(&row(), &NoSubqueries).unwrap(), Value::Null);
         let reached = vec![Value::Int(200), Value::Null, Value::Null, Value::Null];
-        assert!(bound.eval(&reached, &[]).is_err());
+        assert!(bound.eval(&reached, &NoSubqueries).is_err());
     }
 }

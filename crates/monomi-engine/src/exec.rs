@@ -11,10 +11,16 @@
 //! Aggregation is morsel-partitioned: workers build thread-local
 //! [`AggState`](crate::ops::AggState)s and the partials merge in partition
 //! order, so results are bit-identical at any thread count
-//! ([`ExecOptions::threads`]). Subqueries are evaluated through a recursive
-//! callback on the serial paths: a correlated one runs once per outer row,
-//! an uncorrelated one at most once per statement ([`SubqueryMemo`]), and
-//! `IN` probes its result by hash.
+//! ([`ExecOptions::threads`]).
+//!
+//! Every row-level expression — a residual filter, a join key, a group key,
+//! an aggregate argument, HAVING, a projection, an ORDER BY key — is bound
+//! once per execution to the positions of the rows it runs over, as a
+//! [`BoundExpr`]; parameters and a correlated subquery's outer references
+//! are bound as constants. Each subquery becomes a slot its operator's
+//! [`Subqueries`] source answers on the serial paths: a correlated one runs
+//! once per outer row that reaches it, an uncorrelated one at most once per
+//! statement ([`SubqueryMemo`]), and `IN` probes its result by hash.
 //!
 //! Encrypted execution uses exactly the same code path — the rewritten queries
 //! produced by `monomi-core` reference encrypted columns and the engine's
@@ -22,10 +28,9 @@
 //! handled in the aggregation phase; `paillier_sum` partials combine with one
 //! CIOS multiply ([`monomi_crypto::PaillierSum::merge`]).
 
+use crate::bound::{BoundExpr, NoSubqueries, Subqueries};
 use crate::database::Database;
-use crate::expr::{
-    compile_predicate, eval, ColumnarPredicate, EvalContext, RowSchema, SubqueryFn, SubqueryResult,
-};
+use crate::expr::{compile_predicate, ColumnarPredicate, RowSchema, SubqueryResult};
 use crate::ops::{
     AggSpec, AggState, CrossJoin, ExecOptions, GroupEntry, HashJoin, IndexProbe, MorselAggregate,
     ParallelMetrics, ProbeOp, Relation, RowFilter, ScanFilter, Sort,
@@ -37,8 +42,7 @@ use crate::EngineError;
 use monomi_obs::Span;
 use monomi_sql::ast::*;
 use monomi_store::INDEX_SELECTIVITY_CROSSOVER;
-use std::cell::{Cell, OnceCell};
-use std::collections::HashMap;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::sync::Arc;
 
 /// A query result: named columns and materialized rows.
@@ -312,16 +316,8 @@ fn execute_inner(
         .unwrap_or_default();
     let relation = build_from_relation(stmt, query, &where_conjuncts, outer, stats, opts, spans)?;
 
-    // 2. Aggregate or plain projection. UDF aggregates (paillier_sum,
-    // group_concat) make a query an aggregation even though the parser does
-    // not know they aggregate.
-    let is_aggregate = query.is_aggregate_query() || !collect_aggregates(query).is_empty();
-    let mut output = if is_aggregate {
-        aggregate_and_project(stmt, query, &relation, outer, stats, opts, spans)?
-    } else {
-        let subquery_fn = make_subquery_fn(stmt, *opts);
-        project_rows(query, &relation, stmt.params, outer, &subquery_fn)?
-    };
+    // 2. Aggregation, if any, and projection.
+    let mut output = project_rows(stmt, query, &relation, outer, stats, opts, spans)?;
 
     // 3. DISTINCT.
     if query.distinct {
@@ -374,29 +370,91 @@ struct ProjectedRows {
 /// An outer row visible to a correlated subquery: its schema and values.
 type OuterRow<'s, 'v> = Option<(&'s RowSchema, &'v [Value])>;
 
-fn make_subquery_fn<'a>(
-    stmt: &'a Statement<'a>,
+/// Binds the expressions a query evaluates over the rows of one relation —
+/// each column reference to its position in `schema` or, failing that, to
+/// the outer row's value as a constant of this execution; each parameter to
+/// its value; each subquery to the next slot — and then answers those
+/// slots. An uncorrelated subquery ([`SubqueryMemo`]) runs without an outer
+/// row, once per statement; a correlated one runs for every row that
+/// reaches it, with that row as its outer row. Subqueries run serially and
+/// untraced: a correlated one re-runs per outer row, so a worker pool or a
+/// span per evaluation would cost far more than it tells. Their scan work
+/// goes to a local counter; the morsel size is kept, so results stay
+/// partition-identical.
+struct Binder<'b> {
+    stmt: &'b Statement<'b>,
     opts: ExecOptions,
-) -> impl Fn(&Query, OuterRow<'_, '_>) -> Result<Arc<SubqueryResult>, EngineError> + 'a {
-    // Subqueries track their scan work in a local counter; the parent query's
-    // own scans dominate the statistics we report. They run serially: a
-    // correlated subquery is re-evaluated once per outer row, and spawning a
-    // worker pool for each evaluation would cost far more than it saves.
-    // The morsel size is kept, so results stay partition-identical; only the
-    // parent's own regions (and derived tables in FROM) parallelize.
-    let opts = ExecOptions { threads: 1, ..opts };
-    // Subqueries are never traced: a correlated one re-runs per outer row,
-    // and a span per evaluation would swamp the trace with thousands of
-    // entries while timing regions the parent's spans already cover.
-    move |q: &Query, outer: OuterRow<'_, '_>| {
+    schema: &'b RowSchema,
+    outer: OuterRow<'b, 'b>,
+    subqueries: RefCell<Vec<&'b Query>>,
+}
+
+impl<'b> Binder<'b> {
+    fn new(
+        stmt: &'b Statement<'b>,
+        schema: &'b RowSchema,
+        outer: OuterRow<'b, 'b>,
+        opts: &ExecOptions,
+    ) -> Self {
+        Binder {
+            stmt,
+            opts: ExecOptions {
+                threads: 1,
+                ..*opts
+            },
+            schema,
+            outer,
+            subqueries: RefCell::new(Vec::new()),
+        }
+    }
+
+    fn bind(&self, expr: &'b Expr) -> BoundExpr {
+        self.bind_with(expr, &|_| None)
+    }
+
+    /// Binds `expr`, taking `computed`'s answer first at every node: the
+    /// position of a value computed upstream, such as an aggregate.
+    fn bind_with(
+        &self,
+        expr: &'b Expr,
+        computed: &dyn Fn(&Expr) -> Option<BoundExpr>,
+    ) -> BoundExpr {
+        let resolve = |e: &'b Expr| {
+            computed(e).or_else(|| match e {
+                Expr::Column(c) => self.schema.resolve(c).map(BoundExpr::Column).or_else(|| {
+                    let (schema, row) = self.outer?;
+                    schema.resolve(c).map(|i| BoundExpr::Const(row[i].clone()))
+                }),
+                Expr::Param(n) => self.stmt.params.get(n - 1).cloned().map(BoundExpr::Const),
+                _ => None,
+            })
+        };
+        let slot = |q: &'b Query| {
+            let mut subqueries = self.subqueries.borrow_mut();
+            subqueries.push(q);
+            Some(subqueries.len() - 1)
+        };
+        BoundExpr::bind(expr, &resolve, &slot)
+    }
+
+    /// The subquery source of what was bound; `None` when nothing bound a
+    /// subquery, so that the expressions may run on worker threads.
+    fn source(&self) -> Option<&dyn Subqueries> {
+        (!self.subqueries.borrow().is_empty()).then_some(self)
+    }
+}
+
+impl Subqueries for Binder<'_> {
+    fn result(&self, slot: usize, row: &[Value]) -> Result<Arc<SubqueryResult>, EngineError> {
+        let q = self.subqueries.borrow()[slot];
         let run = |outer: OuterRow<'_, '_>| {
             SUBQUERY_RUNS.with(|runs| runs.set(runs.get() + 1));
             let mut local_stats = ExecStats::default();
-            let rs = execute_inner(stmt, q, outer, &mut local_stats, &opts, &mut None)?;
+            let rs = execute_inner(self.stmt, q, outer, &mut local_stats, &self.opts, &mut None)?;
             Ok(Arc::new(SubqueryResult::new(rs.rows)))
         };
-        let Some(cell) = stmt.memo.cell(q) else {
-            return run(outer);
+        let Some(cell) = self.stmt.memo.cell(q) else {
+            return run(Some((self.schema, row)));
         };
         if let Some(result) = cell.get() {
             return Ok(result.clone());
@@ -406,6 +464,26 @@ fn make_subquery_fn<'a>(
         let result = run(None)?;
         Ok(cell.get_or_init(|| result).clone())
     }
+}
+
+/// Filters `rows` of `schema` by one WHERE conjunct.
+fn filter_rows(
+    stmt: &Statement<'_>,
+    conjunct: &Expr,
+    schema: &RowSchema,
+    rows: Vec<Vec<Value>>,
+    outer: OuterRow<'_, '_>,
+    stats: &mut ExecStats,
+    opts: &ExecOptions,
+) -> Result<Vec<Vec<Value>>, EngineError> {
+    let binder = Binder::new(stmt, schema, outer, opts);
+    let predicate = binder.bind(conjunct);
+    let (rows, metrics) = RowFilter {
+        predicate: &predicate,
+    }
+    .execute(rows, opts, binder.source())?;
+    stats.note_parallel(&metrics);
+    Ok(rows)
 }
 
 thread_local! {
@@ -468,15 +546,11 @@ impl<'q> SubqueryMemo<'q> {
         memo
     }
 
-    /// The result cell of `q` when it is uncorrelated. A node of the
-    /// statement is found by address; a copy the executor made of one (an
-    /// aggregate's argument) by structure.
+    /// The result cell of the statement's subquery node `q` when it is
+    /// uncorrelated. Nodes are found by address: the executor binds the
+    /// statement's own expressions, never copies of them.
     fn cell(&self, q: &Query) -> Option<&OnceCell<Arc<SubqueryResult>>> {
-        let (_, slot) = self
-            .nodes
-            .iter()
-            .find(|(n, _)| std::ptr::eq(*n, q))
-            .or_else(|| self.nodes.iter().find(|(n, _)| *n == q))?;
+        let (_, slot) = self.nodes.iter().find(|(n, _)| std::ptr::eq(*n, q))?;
         Some(&self.results[*slot])
     }
 }
@@ -807,7 +881,6 @@ fn build_from_relation(
     }
 
     let (db, params) = (stmt.db, stmt.params);
-    let subquery_fn = make_subquery_fn(stmt, *opts);
 
     // Load each FROM entry. Derived tables execute eagerly (their schema is
     // only known from their result); base tables are *not* materialized yet —
@@ -872,12 +945,6 @@ fn build_from_relation(
                     .filter(|(i, _)| *i != ri)
                     .map(|(_, s)| s)
                     .collect();
-                let ctx = EvalContext {
-                    params,
-                    aggregates: None,
-                    subquery: None,
-                    outer,
-                };
                 let mut predicates: Vec<ColumnarPredicate> = Vec::new();
                 for (ci, conj) in where_conjuncts.iter().enumerate() {
                     if used[ci] || conj.contains_subquery() || conj.contains_aggregate() {
@@ -888,7 +955,7 @@ fn build_from_relation(
                     {
                         // Conjunct references only this scan: compile it for
                         // direct evaluation over the column slices.
-                        predicates.push(compile_predicate(conj, schema, &ctx));
+                        predicates.push(compile_predicate(conj, schema, params));
                         used[ci] = true;
                     }
                 }
@@ -914,11 +981,8 @@ fn build_from_relation(
                 let scan = ScanFilter {
                     table,
                     catalog: stmt.catalog.as_deref(),
-                    schema,
                     predicates: &predicates,
                     keep: &keep,
-                    params,
-                    outer,
                     probes: &probes,
                     index_mode: opts.index_mode,
                 };
@@ -955,16 +1019,8 @@ fn build_from_relation(
                 && !refs_resolvable_elsewhere(conj, &other_schemas)
             {
                 // Conjunct references only this relation: apply it now.
-                let filter = RowFilter {
-                    schema: &rel.schema,
-                    predicate: conj,
-                    params,
-                    outer,
-                };
-                let (rows, metrics) =
-                    filter.execute(std::mem::take(&mut rel.rows), opts, Some(&subquery_fn))?;
-                stats.note_parallel(&metrics);
-                rel.rows = rows;
+                let rows = std::mem::take(&mut rel.rows);
+                rel.rows = filter_rows(stmt, conj, &rel.schema, rows, outer, stats, opts)?;
                 used[ci] = true;
             }
         }
@@ -1002,11 +1058,13 @@ fn build_from_relation(
         acc = if join_keys.is_empty() {
             CrossJoin::execute(&acc, &right)
         } else {
-            let join = HashJoin {
-                keys: &join_keys,
-                params,
-                outer,
-            };
+            let left_binder = Binder::new(stmt, &acc.schema, outer, opts);
+            let right_binder = Binder::new(stmt, &right.schema, outer, opts);
+            let keys: Vec<(BoundExpr, BoundExpr)> = join_keys
+                .iter()
+                .map(|(l, r)| (left_binder.bind(l), right_binder.bind(r)))
+                .collect();
+            let join = HashJoin { keys: &keys };
             let (joined, metrics) = timed(
                 spans,
                 || "HashJoin".to_string(),
@@ -1024,16 +1082,8 @@ fn build_from_relation(
                 continue;
             }
             if refs_resolvable(conj, &acc.schema) {
-                let filter = RowFilter {
-                    schema: &acc.schema,
-                    predicate: conj,
-                    params,
-                    outer,
-                };
-                let (rows, metrics) =
-                    filter.execute(std::mem::take(&mut acc.rows), opts, Some(&subquery_fn))?;
-                stats.note_parallel(&metrics);
-                acc.rows = rows;
+                let rows = std::mem::take(&mut acc.rows);
+                acc.rows = filter_rows(stmt, conj, &acc.schema, rows, outer, stats, opts)?;
                 used[ci] = true;
             }
         }
@@ -1044,16 +1094,8 @@ fn build_from_relation(
         if used[ci] {
             continue;
         }
-        let filter = RowFilter {
-            schema: &acc.schema,
-            predicate: conj,
-            params,
-            outer,
-        };
-        let (rows, metrics) =
-            filter.execute(std::mem::take(&mut acc.rows), opts, Some(&subquery_fn))?;
-        stats.note_parallel(&metrics);
-        acc.rows = rows;
+        let rows = std::mem::take(&mut acc.rows);
+        acc.rows = filter_rows(stmt, conj, &acc.schema, rows, outer, stats, opts)?;
         used[ci] = true;
     }
 
@@ -1215,25 +1257,22 @@ fn find_equi_join_keys(
 
 /// Collects every aggregate-like expression (true aggregates and the encrypted
 /// aggregation UDFs) appearing in the query's post-grouping clauses.
-fn collect_aggregates(query: &Query) -> Vec<Expr> {
-    let mut found: Vec<Expr> = Vec::new();
-    let mut push_from = |e: &Expr| {
-        e.walk(&mut |node| {
+fn collect_aggregates(query: &Query) -> Vec<&Expr> {
+    let mut found: Vec<&Expr> = Vec::new();
+    let exprs = query
+        .projections
+        .iter()
+        .map(|p| &p.expr)
+        .chain(&query.having)
+        .chain(query.order_by.iter().map(|o| &o.expr));
+    for expr in exprs {
+        expr.walk(&mut |node| {
             let is_agg = matches!(node, Expr::Aggregate { .. })
                 || matches!(node, Expr::Function { name, .. } if is_udf_aggregate(name));
-            if is_agg && !found.contains(node) {
-                found.push(node.clone());
+            if is_agg && !found.contains(&node) {
+                found.push(node);
             }
         });
-    };
-    for p in &query.projections {
-        push_from(&p.expr);
-    }
-    if let Some(h) = &query.having {
-        push_from(h);
-    }
-    for o in &query.order_by {
-        push_from(&o.expr);
     }
     found
 }
@@ -1243,36 +1282,38 @@ pub fn is_udf_aggregate(name: &str) -> bool {
     matches!(name, "paillier_sum" | "group_concat")
 }
 
-fn aggregate_and_project(
-    stmt: &Statement<'_>,
-    query: &Query,
+/// PartialAggregate → Merge: morsel-partitioned grouping with thread-local
+/// aggregation states, merged in partition order (bit-identical to the
+/// serial first-encounter accumulation at any thread count). Returns one row
+/// per group: its representative row (for group-key expressions), then the
+/// finished value of each of `aggregates`. `binder` binds the group keys
+/// and the aggregates' arguments to the relation's rows.
+fn aggregate<'b>(
+    binder: &Binder<'b>,
+    query: &'b Query,
+    aggregates: &[&'b Expr],
     relation: &Relation,
-    outer: Option<(&RowSchema, &[Value])>,
     stats: &mut ExecStats,
     opts: &ExecOptions,
     spans: &mut Option<Vec<Span>>,
-) -> Result<ProjectedRows, EngineError> {
-    let (db, params) = (stmt.db, stmt.params);
-    let subquery_fn = make_subquery_fn(stmt, *opts);
-    let agg_exprs = collect_aggregates(query);
-    let specs: Vec<AggSpec> = agg_exprs.iter().map(AggSpec::of).collect();
-
-    // PartialAggregate → Merge: morsel-partitioned grouping with thread-local
-    // aggregation states, merged in partition order (bit-identical to the
-    // serial first-encounter accumulation at any thread count).
+) -> Result<Vec<Vec<Value>>, EngineError> {
+    let db = binder.stmt.db;
+    let group_by: Vec<BoundExpr> = query.group_by.iter().map(|g| binder.bind(g)).collect();
+    let specs: Vec<AggSpec> = aggregates
+        .iter()
+        .map(|e| AggSpec::of(e, |arg| binder.bind(arg)))
+        .collect();
     let aggregate = MorselAggregate {
         relation,
-        group_by: &query.group_by,
+        group_by: &group_by,
         specs: &specs,
         db,
-        params,
-        outer,
     };
     let (mut groups, metrics) = timed(
         spans,
         || "MorselAggregate".to_string(),
         |(groups, _): &(Vec<GroupEntry>, ParallelMetrics)| groups.len() as u64,
-        || aggregate.execute(opts, Some(&subquery_fn)),
+        || aggregate.execute(opts, binder.source()),
     )?;
     stats.note_parallel(&metrics);
 
@@ -1283,174 +1324,174 @@ fn aggregate_and_project(
             rep_row: None,
             states: specs
                 .iter()
-                .map(|s| AggState::new(&s.expr, db))
+                .map(|s| AggState::new(s.expr, db))
                 .collect::<Result<Vec<_>, _>>()?,
         });
     }
+    Ok(groups
+        .into_iter()
+        .map(|group| {
+            let mut row = group.rep_row.map_or_else(
+                || vec![Value::Null; relation.schema.len()],
+                |i| relation.rows[i].clone(),
+            );
+            row.extend(group.states.into_iter().map(AggState::finish));
+            row
+        })
+        .collect())
+}
 
-    let mut columns = Vec::new();
-    for (i, p) in query.projections.iter().enumerate() {
-        columns.push(p.output_name(i));
-    }
+/// Evaluates the query's HAVING, projections and ORDER BY keys over its
+/// rows: the relation's, or for an aggregation (UDF aggregates such as
+/// `paillier_sum` make one too) the rows [`aggregate`] returns.
+fn project_rows(
+    stmt: &Statement<'_>,
+    query: &Query,
+    relation: &Relation,
+    outer: OuterRow<'_, '_>,
+    stats: &mut ExecStats,
+    opts: &ExecOptions,
+    spans: &mut Option<Vec<Span>>,
+) -> Result<ProjectedRows, EngineError> {
+    let aggregates = collect_aggregates(query);
+    let groups = if query.is_aggregate_query() || !aggregates.is_empty() {
+        let binder = Binder::new(stmt, &relation.schema, outer, opts);
+        Some(aggregate(
+            &binder,
+            query,
+            &aggregates,
+            relation,
+            stats,
+            opts,
+            spans,
+        )?)
+    } else {
+        None
+    };
+    let width = relation.schema.len();
+    let star = groups.is_none()
+        && query
+            .projections
+            .iter()
+            .any(|p| matches!(&p.expr, Expr::Column(c) if c.column == "*"));
+    let columns: Vec<String> = if star {
+        relation
+            .schema
+            .columns
+            .iter()
+            .map(|(_, n)| n.clone())
+            .collect()
+    } else {
+        query
+            .projections
+            .iter()
+            .enumerate()
+            .map(|(i, p)| p.output_name(i))
+            .collect()
+    };
 
-    let mut rows_out = Vec::new();
-    let mut sort_keys_out = Vec::new();
-    for group in groups {
-        // Finished aggregate values for this group, keyed by expression node.
-        let mut agg_values: HashMap<Expr, Value> = HashMap::new();
-        for (spec, state) in specs.iter().zip(group.states) {
-            agg_values.insert(spec.expr.clone(), state.finish());
-        }
+    let aggregate_column = |e: &Expr| {
+        aggregates
+            .iter()
+            .position(|a| *a == e)
+            .map(|i| BoundExpr::Column(width + i))
+    };
+    let binder = Binder::new(stmt, &relation.schema, outer, opts);
+    let bind = |e| binder.bind_with(e, &aggregate_column);
+    let having = query.having.as_ref().map(bind);
+    let projections: Vec<BoundExpr> = if star {
+        (0..width).map(BoundExpr::Column).collect()
+    } else {
+        query.projections.iter().map(|p| bind(&p.expr)).collect()
+    };
+    let sort_keys: Vec<SortKey> = query
+        .order_by
+        .iter()
+        .map(|ob| SortKey::bind(&ob.expr, &query.projections, columns.len(), bind))
+        .collect();
+    let subqueries = binder.source().unwrap_or(&NoSubqueries);
 
-        // Representative row for evaluating group-key expressions in
-        // projections / HAVING / ORDER BY.
-        let representative: Vec<Value> = group
-            .rep_row
-            .map(|i| relation.rows[i].clone())
-            .unwrap_or_else(|| vec![Value::Null; relation.schema.len()]);
-
-        let ctx = EvalContext {
-            params,
-            aggregates: Some(&agg_values),
-            subquery: Some(&subquery_fn),
-            outer,
-        };
-
-        // HAVING.
-        if let Some(having) = &query.having {
-            let keep = eval(having, &relation.schema, &representative, &ctx)?
-                .as_bool()
-                .unwrap_or(false);
-            if !keep {
+    let rows = groups.as_ref().unwrap_or(&relation.rows);
+    let mut output = ProjectedRows {
+        columns,
+        rows: Vec::with_capacity(rows.len()),
+        sort_keys: Vec::with_capacity(rows.len()),
+    };
+    for row in rows {
+        if let Some(having) = &having {
+            if !having.eval(row, subqueries)?.as_bool().unwrap_or(false) {
                 continue;
             }
         }
-
-        // Projections.
-        let mut out_row = Vec::with_capacity(query.projections.len());
-        for p in &query.projections {
-            out_row.push(eval(&p.expr, &relation.schema, &representative, &ctx)?);
-        }
-
-        // ORDER BY keys: aliases refer to projection outputs.
-        let mut keys = Vec::with_capacity(query.order_by.len());
-        for ob in &query.order_by {
-            keys.push(resolve_order_key(
-                ob,
-                query,
-                &out_row,
-                &relation.schema,
-                &representative,
-                &ctx,
-            )?);
-        }
-
-        rows_out.push(out_row);
-        sort_keys_out.push(keys);
+        let out_row = projections
+            .iter()
+            .map(|p| p.eval(row, subqueries))
+            .collect::<Result<Vec<_>, _>>()?;
+        let keys = sort_keys
+            .iter()
+            .map(|k| k.value(&out_row, row, subqueries))
+            .collect::<Result<Vec<_>, _>>()?;
+        output.rows.push(out_row);
+        output.sort_keys.push(keys);
     }
-
-    Ok(ProjectedRows {
-        columns,
-        rows: rows_out,
-        sort_keys: sort_keys_out,
-    })
+    Ok(output)
 }
 
-fn project_rows(
-    query: &Query,
-    relation: &Relation,
-    params: &[Value],
-    outer: Option<(&RowSchema, &[Value])>,
-    subquery_fn: SubqueryFn<'_>,
-) -> Result<ProjectedRows, EngineError> {
-    let mut columns = Vec::new();
-    let star = query
-        .projections
-        .iter()
-        .any(|p| matches!(&p.expr, Expr::Column(c) if c.column == "*"));
-    if star {
-        for (_, name) in &relation.schema.columns {
-            columns.push(name.clone());
-        }
-    } else {
-        for (i, p) in query.projections.iter().enumerate() {
-            columns.push(p.output_name(i));
-        }
-    }
-
-    let mut rows_out = Vec::with_capacity(relation.rows.len());
-    let mut sort_keys_out = Vec::with_capacity(relation.rows.len());
-    for row in &relation.rows {
-        let ctx = EvalContext {
-            params,
-            aggregates: None,
-            subquery: Some(subquery_fn),
-            outer,
-        };
-        let out_row = if star {
-            row.clone()
-        } else {
-            query
-                .projections
-                .iter()
-                .map(|p| eval(&p.expr, &relation.schema, row, &ctx))
-                .collect::<Result<Vec<_>, _>>()?
-        };
-        let mut keys = Vec::with_capacity(query.order_by.len());
-        for ob in &query.order_by {
-            keys.push(resolve_order_key(
-                ob,
-                query,
-                &out_row,
-                &relation.schema,
-                row,
-                &ctx,
-            )?);
-        }
-        rows_out.push(out_row);
-        sort_keys_out.push(keys);
-    }
-    Ok(ProjectedRows {
-        columns,
-        rows: rows_out,
-        sort_keys: sort_keys_out,
-    })
+/// Where one ORDER BY key's value comes from.
+pub enum SortKey {
+    /// The output value at this position: the key names an output column.
+    Output(usize),
+    /// Evaluated over the row the projections run over.
+    Eval(BoundExpr),
 }
 
-/// Resolves an ORDER BY key: projection aliases and positions take precedence,
-/// otherwise the expression is evaluated against the source row.
-fn resolve_order_key(
-    ob: &OrderByItem,
-    query: &Query,
-    out_row: &[Value],
-    schema: &RowSchema,
-    row: &[Value],
-    ctx: &EvalContext<'_>,
-) -> Result<Value, EngineError> {
-    if let Expr::Column(c) = &ob.expr {
-        if c.table.is_none() {
-            if let Some(pos) = query.projections.iter().position(|p| {
+impl SortKey {
+    /// The ORDER BY key `key` of a query projecting `projections` into
+    /// `width` output columns (more than `projections.len()` under `SELECT
+    /// *`). The key names an output column by a projection's alias, by its
+    /// 1-based position, or by repeating a projection's expression, in that
+    /// order; `bind` binds any other key.
+    pub fn bind<'e>(
+        key: &'e Expr,
+        projections: &[SelectItem],
+        width: usize,
+        bind: impl FnOnce(&'e Expr) -> BoundExpr,
+    ) -> SortKey {
+        let by_alias = || match key {
+            Expr::Column(c) if c.table.is_none() => projections.iter().position(|p| {
                 p.alias
                     .as_deref()
                     .is_some_and(|a| a.eq_ignore_ascii_case(&c.column))
-            }) {
-                return Ok(out_row[pos].clone());
-            }
+            }),
+            _ => None,
+        };
+        let by_position = || match key {
+            Expr::Literal(Literal::Number(n)) => n
+                .parse::<usize>()
+                .ok()
+                .filter(|pos| (1..=width).contains(pos))
+                .map(|pos| pos - 1),
+            _ => None,
+        };
+        let by_expr = || projections.iter().position(|p| p.expr == *key);
+        match by_alias().or_else(by_position).or_else(by_expr) {
+            Some(pos) => SortKey::Output(pos),
+            None => SortKey::Eval(bind(key)),
         }
     }
-    if let Expr::Literal(Literal::Number(n)) = &ob.expr {
-        if let Ok(pos) = n.parse::<usize>() {
-            if pos >= 1 && pos <= out_row.len() {
-                return Ok(out_row[pos - 1].clone());
-            }
+
+    /// The key's value for the output row `out`, projected from `row`.
+    pub fn value(
+        &self,
+        out: &[Value],
+        row: &[Value],
+        subqueries: &dyn Subqueries,
+    ) -> Result<Value, EngineError> {
+        match self {
+            SortKey::Output(pos) => Ok(out[*pos].clone()),
+            SortKey::Eval(e) => e.eval(row, subqueries),
         }
     }
-    // The expression may itself be (or contain) one of the projection
-    // expressions; evaluate directly.
-    if let Some(pos) = query.projections.iter().position(|p| p.expr == ob.expr) {
-        return Ok(out_row[pos].clone());
-    }
-    eval(&ob.expr, schema, row, ctx)
 }
 
 #[cfg(test)]

@@ -1,19 +1,23 @@
-//! Expression evaluation over rows.
+//! SQL expression semantics: the value-level operations every evaluation
+//! shares, and the vectorized scan predicate.
 //!
-//! The evaluator implements SQL semantics for the subset MONOMI needs:
+//! The operations implement SQL semantics for the subset MONOMI needs:
 //! arithmetic with integer/float coercion, date ± interval arithmetic,
 //! three-valued comparisons, LIKE patterns, IN / BETWEEN / CASE / EXTRACT,
 //! and the engine's encrypted-data scalar functions (e.g. `search_match`).
-//!
-//! Aggregates are *not* evaluated here: the executor computes them per group
-//! and exposes the results through [`EvalContext::aggregates`], so expressions
-//! such as `HAVING SUM(x) > 10` resolve the `SUM(x)` node by lookup.
+//! Rows are evaluated by [`BoundExpr`](crate::BoundExpr), which binds an
+//! expression once to row positions; [`compile_predicate`] turns a scan's
+//! conjunct into column-slice comparisons and falls back to a bound
+//! expression for the rest. The by-name interpreter `eval` the engine once
+//! ran per row survives only in tests, as the oracle both are checked
+//! against.
 
+use crate::bound::{fold_constant, BoundExpr, NoSubqueries};
 use crate::value::{date, Value};
 use crate::EngineError;
 use monomi_sql::ast::*;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Describes the columns of the rows an expression is evaluated against.
 #[derive(Clone, Debug, Default)]
@@ -62,12 +66,6 @@ impl RowSchema {
         self.columns.is_empty()
     }
 }
-
-/// Callback used to evaluate subqueries; receives the subquery and the current
-/// outer row (schema + values) for correlated references, and returns the
-/// result — shared, when the subquery is uncorrelated and has already run.
-pub type SubqueryFn<'a> =
-    &'a dyn Fn(&Query, Option<(&RowSchema, &[Value])>) -> Result<Arc<SubqueryResult>, EngineError>;
 
 /// The rows one subquery execution returned, as every evaluation that reads
 /// them sees them: `EXISTS` asks whether there are any, a scalar subquery
@@ -120,84 +118,43 @@ impl SubqueryResult {
     }
 }
 
-/// Everything an expression evaluation might need besides the row itself.
-pub struct EvalContext<'a> {
-    /// Positional parameter values (`:1` is `params[0]`).
-    pub params: &'a [Value],
-    /// Computed aggregate values for the current group, keyed by the aggregate
-    /// expression node.
-    pub aggregates: Option<&'a HashMap<Expr, Value>>,
-    /// Callback for executing subqueries.
-    pub subquery: Option<SubqueryFn<'a>>,
-    /// Outer row for correlated subqueries (schema and values of the row in
-    /// the enclosing query).
-    pub outer: Option<(&'a RowSchema, &'a [Value])>,
-}
+/// A subquery runner for the test oracle [`eval`].
+#[cfg(test)]
+pub(crate) type OracleSubquery<'a> =
+    Option<&'a dyn Fn(&Query) -> Result<std::sync::Arc<SubqueryResult>, EngineError>>;
 
-impl<'a> EvalContext<'a> {
-    /// A context with only parameters.
-    pub fn with_params(params: &'a [Value]) -> Self {
-        EvalContext {
-            params,
-            aggregates: None,
-            subquery: None,
-            outer: None,
-        }
-    }
-}
-
-/// Evaluates `expr` against a row.
-pub fn eval(
+/// The by-name interpreter, kept as a test oracle: it resolves every column
+/// of `expr` in `schema` on every call, reads `:n` from `params`, and runs
+/// each subquery through `subquery`. Production code evaluates
+/// [`BoundExpr`]s; tests check them, and the vectorized scan, against this
+/// independent reading of the same semantics.
+#[cfg(test)]
+pub(crate) fn eval(
     expr: &Expr,
     schema: &RowSchema,
     row: &[Value],
-    ctx: &EvalContext<'_>,
+    params: &[Value],
+    subquery: OracleSubquery<'_>,
 ) -> Result<Value, EngineError> {
+    let eval = |e: &Expr| eval(e, schema, row, params, subquery);
+    let run = |q: &Query| {
+        subquery.ok_or_else(|| EngineError::new("subquery evaluation not available"))?(q)
+    };
     match expr {
-        Expr::Column(c) => {
-            if let Some(idx) = schema.resolve(c) {
-                return Ok(row[idx].clone());
-            }
-            // Correlated reference to the outer query's row.
-            if let Some((outer_schema, outer_row)) = ctx.outer {
-                if let Some(idx) = outer_schema.resolve(c) {
-                    return Ok(outer_row[idx].clone());
-                }
-            }
-            Err(EngineError::new(format!("unknown column {c}")))
-        }
+        Expr::Column(c) => schema
+            .resolve(c)
+            .map(|idx| row[idx].clone())
+            .ok_or_else(|| EngineError::new(format!("unknown column {c}"))),
         Expr::Literal(l) => literal_value(l),
-        Expr::Param(n) => ctx
-            .params
+        Expr::Param(n) => params
             .get(n - 1)
             .cloned()
             .ok_or_else(|| EngineError::new(format!("missing parameter :{n}"))),
-        Expr::BinaryOp { left, op, right } => {
-            let l = eval(left, schema, row, ctx)?;
-            let r = eval(right, schema, row, ctx)?;
-            eval_binop(&l, *op, &r)
-        }
-        Expr::UnaryOp { op, expr } => eval_unary(*op, eval(expr, schema, row, ctx)?),
-        Expr::Aggregate { .. } => {
-            if let Some(aggs) = ctx.aggregates {
-                if let Some(v) = aggs.get(expr) {
-                    return Ok(v.clone());
-                }
-            }
-            Err(aggregate_outside_aggregation(expr))
-        }
+        Expr::BinaryOp { left, op, right } => eval_binop(&eval(left)?, *op, &eval(right)?),
+        Expr::UnaryOp { op, expr } => eval_unary(*op, eval(expr)?),
+        Expr::Aggregate { .. } => Err(aggregate_outside_aggregation(expr)),
         Expr::Function { name, args } => {
-            // UDF aggregates (paillier_sum, group_concat) are computed by the
-            // executor per group; resolve them from the aggregate context.
-            if let Some(aggs) = ctx.aggregates {
-                if let Some(v) = aggs.get(expr) {
-                    return Ok(v.clone());
-                }
-            }
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval(a, schema, row, ctx))
-                .collect::<Result<_, _>>()?;
+            let vals: Vec<Value> = args.iter().map(eval).collect::<Result<_, _>>()?;
             apply_function(name, &vals)
         }
         Expr::Case {
@@ -207,42 +164,32 @@ pub fn eval(
         } => {
             for (when, then) in when_then {
                 let matched = match operand {
-                    Some(op_expr) => {
-                        let op_v = eval(op_expr, schema, row, ctx)?;
-                        let w_v = eval(when, schema, row, ctx)?;
-                        op_v.equals(&w_v)
-                    }
-                    None => eval(when, schema, row, ctx)?.as_bool().unwrap_or(false),
+                    Some(op_expr) => eval(op_expr)?.equals(&eval(when)?),
+                    None => eval(when)?.as_bool().unwrap_or(false),
                 };
                 if matched {
-                    return eval(then, schema, row, ctx);
+                    return eval(then);
                 }
             }
-            match else_expr {
-                Some(e) => eval(e, schema, row, ctx),
-                None => Ok(Value::Null),
-            }
+            else_expr.as_deref().map_or(Ok(Value::Null), eval)
         }
         Expr::Like {
             expr,
             pattern,
             negated,
-        } => {
-            let v = eval(expr, schema, row, ctx)?;
-            eval_like(v, eval(pattern, schema, row, ctx)?, *negated)
-        }
+        } => eval_like(eval(expr)?, eval(pattern)?, *negated),
         Expr::InList {
             expr,
             list,
             negated,
         } => {
-            let v = eval(expr, schema, row, ctx)?;
+            let v = eval(expr)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut found = false;
             for item in list {
-                if v.equals(&eval(item, schema, row, ctx)?) {
+                if v.equals(&eval(item)?) {
                     found = true;
                     break;
                 }
@@ -254,54 +201,36 @@ pub fn eval(
             subquery,
             negated,
         } => {
-            let v = eval(expr, schema, row, ctx)?;
-            let result = run_subquery(subquery, schema, row, ctx)?;
-            Ok(truth(result.contains(&v) ^ negated))
+            let v = eval(expr)?;
+            Ok(truth(run(subquery)?.contains(&v) ^ negated))
         }
-        Expr::Exists { subquery, negated } => {
-            let result = run_subquery(subquery, schema, row, ctx)?;
-            Ok(truth(!result.is_empty() ^ negated))
-        }
-        Expr::ScalarSubquery(subquery) => Ok(run_subquery(subquery, schema, row, ctx)?.scalar()),
+        Expr::Exists { subquery, negated } => Ok(truth(!run(subquery)?.is_empty() ^ negated)),
+        Expr::ScalarSubquery(subquery) => Ok(run(subquery)?.scalar()),
         Expr::Between {
             expr,
             low,
             high,
             negated,
-        } => {
-            let v = eval(expr, schema, row, ctx)?;
-            let lo = eval(low, schema, row, ctx)?;
-            let hi = eval(high, schema, row, ctx)?;
-            Ok(eval_between(&v, &lo, &hi, *negated))
-        }
-        Expr::Extract { field, expr } => eval_extract(*field, eval(expr, schema, row, ctx)?),
-        Expr::IsNull { expr, negated } => {
-            Ok(truth(eval(expr, schema, row, ctx)?.is_null() ^ negated))
-        }
+        } => Ok(eval_between(
+            &eval(expr)?,
+            &eval(low)?,
+            &eval(high)?,
+            *negated,
+        )),
+        Expr::Extract { field, expr } => eval_extract(*field, eval(expr)?),
+        Expr::IsNull { expr, negated } => Ok(truth(eval(expr)?.is_null() ^ negated)),
     }
 }
 
-fn run_subquery(
-    subquery: &Query,
-    schema: &RowSchema,
-    row: &[Value],
-    ctx: &EvalContext<'_>,
-) -> Result<Arc<SubqueryResult>, EngineError> {
-    let f = ctx
-        .subquery
-        .ok_or_else(|| EngineError::new("subquery evaluation not available in this context"))?;
-    f(subquery, Some((schema, row)))
-}
-
-// Value-level semantics, shared by `eval` and `BoundExpr::eval` so the
-// interpreted and the bound evaluator cannot drift apart.
+// Value-level semantics, shared by `BoundExpr::eval`, the scan's fast paths
+// and the test oracle `eval`.
 
 /// A SQL truth value as the engine represents it.
 pub(crate) fn truth(b: bool) -> Value {
     Value::Int(b as i64)
 }
 
-/// The error `eval` raises for an aggregate no aggregation context supplies.
+/// The error an aggregate raises where no aggregation computed it.
 pub(crate) fn aggregate_outside_aggregation(expr: &Expr) -> EngineError {
     EngineError::new(format!(
         "aggregate {expr} used outside of an aggregation context"
@@ -552,7 +481,8 @@ pub(crate) fn apply_function(name: &str, vals: &[Value]) -> Result<Value, Engine
 /// so the per-row work is a borrowed `Value` comparison — no cloning, no
 /// re-evaluation of the constant expression. Anything else falls back to
 /// [`ColumnarPredicate::General`], which still avoids materializing rows: it
-/// clones only the columns the predicate references into a reused scratch row.
+/// clones only the columns the predicate references into a reused scratch row
+/// and evaluates a [`BoundExpr`] bound to that row's positions.
 ///
 /// Selection semantics are SQL's WHERE semantics: a row is selected iff the
 /// predicate evaluates to *true* (NULL and false both drop the row). AND/OR
@@ -596,29 +526,23 @@ pub enum ColumnarPredicate {
     IsNullTest { col: usize, negated: bool },
     /// A predicate folded to a constant truth value at compile time.
     Const(bool),
-    /// Fallback: row-at-a-time evaluation that clones only the referenced
-    /// columns into a scratch row.
-    General { expr: Expr, referenced: Vec<usize> },
+    /// Fallback: row-at-a-time evaluation of `expr`, bound to a scratch row
+    /// holding only the referenced columns: position `i` is batch column
+    /// `referenced[i]`.
+    General {
+        expr: BoundExpr,
+        referenced: Vec<usize>,
+    },
 }
 
 /// Compiles a single-relation predicate for vectorized evaluation.
 ///
 /// The caller must guarantee the predicate contains no subqueries or
 /// aggregates and that every column reference resolves in `schema` (the
-/// executor's scan path checks this before compiling). `ctx` supplies
-/// parameter values for constant folding.
-pub fn compile_predicate(
-    expr: &Expr,
-    schema: &RowSchema,
-    ctx: &EvalContext<'_>,
-) -> ColumnarPredicate {
-    // A constant sub-expression: no columns, no subqueries, no aggregates.
-    let fold = |e: &Expr| -> Option<Value> {
-        if !e.column_refs().is_empty() || e.contains_subquery() || e.contains_aggregate() {
-            return None;
-        }
-        eval(e, &RowSchema::default(), &[], ctx).ok()
-    };
+/// executor's scan path checks this before compiling). `:n` reads
+/// `params`. Only sub-expressions with no column reference are folded.
+pub fn compile_predicate(expr: &Expr, schema: &RowSchema, params: &[Value]) -> ColumnarPredicate {
+    let fold = |e: &Expr| fold_constant(e, params);
     let as_column = |e: &Expr| -> Option<usize> {
         match e {
             Expr::Column(c) => schema.resolve(c),
@@ -633,8 +557,16 @@ pub fn compile_predicate(
             .collect();
         referenced.sort_unstable();
         referenced.dedup();
+        let resolve = |e: &Expr| match e {
+            Expr::Column(c) => schema
+                .resolve(c)
+                .and_then(|col| referenced.iter().position(|&r| r == col))
+                .map(BoundExpr::Column),
+            Expr::Param(n) => params.get(n - 1).cloned().map(BoundExpr::Const),
+            _ => None,
+        };
         ColumnarPredicate::General {
-            expr: expr.clone(),
+            expr: BoundExpr::bind(expr, &resolve, &|_| None),
             referenced,
         }
     };
@@ -645,16 +577,16 @@ pub fn compile_predicate(
             op: BinaryOp::And,
             right,
         } => ColumnarPredicate::And(vec![
-            compile_predicate(left, schema, ctx),
-            compile_predicate(right, schema, ctx),
+            compile_predicate(left, schema, params),
+            compile_predicate(right, schema, params),
         ]),
         Expr::BinaryOp {
             left,
             op: BinaryOp::Or,
             right,
         } => ColumnarPredicate::Or(vec![
-            compile_predicate(left, schema, ctx),
-            compile_predicate(right, schema, ctx),
+            compile_predicate(left, schema, params),
+            compile_predicate(right, schema, params),
         ]),
         Expr::BinaryOp { left, op, right } if op.is_comparison() => {
             // Orient as column <op> constant, flipping the operator if the
@@ -765,8 +697,6 @@ pub fn apply_predicate(
     pred: &ColumnarPredicate,
     batch: &crate::storage::ColumnBatch<'_>,
     input: &crate::storage::SelectionVector,
-    schema: &RowSchema,
-    ctx: &EvalContext<'_>,
 ) -> Result<crate::storage::SelectionVector, EngineError> {
     use crate::storage::SelectionVector;
     match pred {
@@ -776,14 +706,14 @@ pub fn apply_predicate(
                 if sel.is_empty() {
                     break;
                 }
-                sel = apply_predicate(p, batch, &sel, schema, ctx)?;
+                sel = apply_predicate(p, batch, &sel)?;
             }
             Ok(sel)
         }
         ColumnarPredicate::Or(parts) => {
             let mut merged = SelectionVector::empty();
             for p in parts {
-                let sel = apply_predicate(p, batch, input, schema, ctx)?;
+                let sel = apply_predicate(p, batch, input)?;
                 merged = union_selections(&merged, &sel);
             }
             Ok(merged)
@@ -875,13 +805,14 @@ pub fn apply_predicate(
         ColumnarPredicate::Const(true) => Ok(input.clone()),
         ColumnarPredicate::Const(false) => Ok(SelectionVector::empty()),
         ColumnarPredicate::General { expr, referenced } => {
-            let mut scratch = vec![Value::Null; schema.len()];
+            let mut scratch = vec![Value::Null; referenced.len()];
             let mut out = SelectionVector::empty();
             for ridx in input.iter() {
-                for &c in referenced {
-                    scratch[c] = batch.column(c)[ridx].clone();
+                for (slot, &c) in scratch.iter_mut().zip(referenced) {
+                    *slot = batch.column(c)[ridx].clone();
                 }
-                if eval(expr, schema, &scratch, ctx)?
+                if expr
+                    .eval(&scratch, &NoSubqueries)?
                     .as_bool()
                     .unwrap_or(false)
                 {
@@ -1078,8 +1009,14 @@ mod tests {
     fn eval_str(expr_sql: &str) -> Value {
         // Parse by wrapping into a SELECT.
         let q = parse_query(&format!("SELECT {expr_sql} FROM t")).unwrap();
-        let ctx = EvalContext::with_params(&[Value::Int(7)]);
-        eval(&q.projections[0].expr, &schema(), &row(), &ctx).unwrap()
+        eval(
+            &q.projections[0].expr,
+            &schema(),
+            &row(),
+            &[Value::Int(7)],
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1306,17 +1243,12 @@ mod tests {
         fn select(where_sql: &str, params: &[Value]) -> Vec<usize> {
             let q = parse_query(&format!("SELECT a FROM t WHERE {where_sql}")).unwrap();
             let pred = q.where_clause.unwrap();
-            let schema = row_schema();
-            let ctx = EvalContext::with_params(params);
-            let compiled = compile_predicate(&pred, &schema, &ctx);
+            let compiled = compile_predicate(&pred, &row_schema(), params);
             let t = table();
-            let batch = t.tail_batch();
             let sel = apply_predicate(
                 &compiled,
-                &batch,
+                &t.tail_batch(),
                 &SelectionVector::all(t.row_count()),
-                &schema,
-                &ctx,
             )
             .unwrap();
             sel.iter().collect()
@@ -1327,11 +1259,10 @@ mod tests {
             let q = parse_query(&format!("SELECT a FROM t WHERE {where_sql}")).unwrap();
             let pred = q.where_clause.unwrap();
             let schema = row_schema();
-            let ctx = EvalContext::with_params(params);
             let t = table();
             (0..t.row_count())
                 .filter(|&i| {
-                    eval(&pred, &schema, &t.row(i), &ctx)
+                    eval(&pred, &schema, &t.row(i), params, None)
                         .unwrap()
                         .as_bool()
                         .unwrap_or(false)
@@ -1342,10 +1273,9 @@ mod tests {
         #[test]
         fn fast_paths_compile_away_from_general() {
             let schema = row_schema();
-            let ctx = EvalContext::with_params(&[Value::Int(50)]);
             let compiled_of = |sql: &str| {
                 let q = parse_query(&format!("SELECT a FROM t WHERE {sql}")).unwrap();
-                compile_predicate(&q.where_clause.unwrap(), &schema, &ctx)
+                compile_predicate(&q.where_clause.unwrap(), &schema, &[Value::Int(50)])
             };
             assert!(matches!(
                 compiled_of("a < 10 + 2"),
@@ -1382,7 +1312,7 @@ mod tests {
                 compiled_of("a < 10 AND ship = 'AIR'"),
                 ColumnarPredicate::And(_)
             ));
-            // Computed column side falls back to the scratch-row evaluator.
+            // Computed column side falls back to a bound expression.
             assert!(matches!(
                 compiled_of("a + 1 < 10"),
                 ColumnarPredicate::General { .. }
@@ -1427,20 +1357,135 @@ mod tests {
 
         #[test]
         fn like_on_non_string_column_errors_like_the_row_path() {
-            let schema = row_schema();
-            let ctx = EvalContext::with_params(&[]);
             let q = parse_query("SELECT a FROM t WHERE a LIKE 'A%'").unwrap();
-            let compiled = compile_predicate(&q.where_clause.unwrap(), &schema, &ctx);
+            let compiled = compile_predicate(&q.where_clause.unwrap(), &row_schema(), &[]);
             let t = table();
-            let batch = t.tail_batch();
             let err = apply_predicate(
                 &compiled,
-                &batch,
+                &t.tail_batch(),
                 &SelectionVector::all(t.row_count()),
-                &schema,
-                &ctx,
             );
             assert!(err.is_err());
+        }
+
+        /// A random table of four columns (nullable int, int, categorical
+        /// string, date) in a storeless database: the scan reads its tail
+        /// batch, the memory columns the direct check borrows.
+        fn random_table(rows: &[(i64, i64, u8, i16)]) -> crate::Database {
+            let mut db = crate::Database::in_memory();
+            db.create_table(TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::new("a", ColumnType::Int),
+                    ColumnDef::new("b", ColumnType::Int),
+                    ColumnDef::new("s", ColumnType::Str),
+                    ColumnDef::new("d", ColumnType::Date),
+                ],
+            ));
+            let cats = ["AIR", "RAIL", "TRUCK", "SHIP"];
+            for &(a, b, c, d) in rows {
+                db.insert(
+                    "t",
+                    vec![
+                        // a % 7 == 0 injects NULLs so predicates see them.
+                        if a % 7 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int(a)
+                        },
+                        Value::Int(b),
+                        Value::Str(cats[(c % 4) as usize].into()),
+                        Value::Date(d as i32),
+                    ],
+                )
+                .expect("insert");
+            }
+            db
+        }
+
+        /// Predicate templates stitched together by the generator.
+        fn predicate_sql(template: u8, c1: i64, c2: i64) -> String {
+            let (lo, hi) = (c1.min(c2), c1.max(c2));
+            match template % 12 {
+                0 => format!("a < {c1}"),
+                1 => format!("a = {c1}"),
+                2 => format!("{c1} >= b"),
+                3 => format!("b BETWEEN {lo} AND {hi}"),
+                4 => format!("b NOT BETWEEN {lo} AND {hi}"),
+                5 => "s IN ('AIR', 'TRUCK')".to_string(),
+                6 => "s LIKE 'R%'".to_string(),
+                7 => "a IS NULL".to_string(),
+                8 => "a IS NOT NULL".to_string(),
+                9 => format!("a + b < {c1}"),
+                10 => format!("NOT (a < {c1})"),
+                _ => format!("d < DATE '{}'", date::format_date(c1 as i32)),
+            }
+        }
+
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Full query execution through the vectorized scan, and the
+            /// compiled predicate applied directly over the column batch,
+            /// both select exactly the rows the oracle `eval` keeps when it
+            /// filters every materialized row.
+            #[test]
+            fn vectorized_scan_agrees_with_row_materializing_scan(
+                rows in proptest::collection::vec(
+                    (-40i64..40, -40i64..40, any::<u8>(), -200i16..200), 0..60),
+                t1 in any::<u8>(), t2 in any::<u8>(), t3 in any::<u8>(),
+                c1 in -50i64..50, c2 in -50i64..50,
+                connective in 0u8..3,
+            ) {
+                let db = random_table(&rows);
+                let p1 = predicate_sql(t1, c1, c2);
+                let p2 = predicate_sql(t2, c2, c1);
+                let p3 = predicate_sql(t3, c1.wrapping_mul(2), c2);
+                let pred = match connective {
+                    0 => p1,
+                    1 => format!("({p1}) AND ({p2})"),
+                    _ => format!("(({p1}) OR ({p2})) AND ({p3})"),
+                };
+
+                let (got, stats) = db
+                    .execute_sql(&format!("SELECT a, b, s, d FROM t WHERE {pred}"), &[])
+                    .expect("vectorized execution");
+
+                let table = db.table("t").unwrap();
+                let schema = RowSchema::new(
+                    ["a", "b", "s", "d"]
+                        .iter()
+                        .map(|c| (Some("t".to_string()), c.to_string()))
+                        .collect(),
+                );
+                let parsed = parse_query(&format!("SELECT a FROM t WHERE {pred}")).unwrap();
+                let where_clause = parsed.where_clause.unwrap();
+                let expected: Vec<Vec<Value>> = (0..table.row_count())
+                    .map(|i| table.row(i))
+                    .filter(|row| {
+                        eval(&where_clause, &schema, row, &[], None)
+                            .expect("row evaluation")
+                            .as_bool()
+                            .unwrap_or(false)
+                    })
+                    .collect();
+
+                prop_assert_eq!(&got.rows, &expected, "predicate: {}", pred);
+                prop_assert_eq!(stats.rows_materialized as usize, expected.len());
+                prop_assert_eq!(stats.rows_scanned as usize, rows.len());
+
+                let compiled = compile_predicate(&where_clause, &schema, &[]);
+                let sel = apply_predicate(
+                    &compiled,
+                    &table.tail_batch(),
+                    &SelectionVector::all(table.row_count()),
+                )
+                .expect("columnar filter");
+                let direct: Vec<Vec<Value>> = sel.iter().map(|i| table.row(i)).collect();
+                prop_assert_eq!(&direct, &expected, "predicate: {}", pred);
+            }
         }
     }
 }

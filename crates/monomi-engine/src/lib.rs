@@ -42,12 +42,12 @@ pub mod stats;
 pub mod storage;
 pub mod value;
 
-pub use bound::BoundExpr;
+pub use bound::{fold_constant, BoundExpr, NoSubqueries, Subqueries};
 pub use database::{Database, PaillierServerCtx, STORAGE_ENV};
-pub use exec::{subquery_runs, ExecStats, ResultSet};
+pub use exec::{subquery_runs, ExecStats, ResultSet, SortKey};
 pub use expr::{
     apply_predicate, compile_predicate, decode_hex, encode_hex, zone_may_match, ColumnarPredicate,
-    EvalContext, RowSchema, SubqueryResult,
+    RowSchema, SubqueryResult,
 };
 pub use ops::{ExecOptions, Morsel, DEFAULT_MORSEL_ROWS};
 pub use schema::{Catalog, ColumnDef, ColumnType, TableSchema};

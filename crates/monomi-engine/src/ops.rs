@@ -28,8 +28,9 @@
 //! The same morsel partitioning runs at `threads = 1` (just without spawning),
 //! so results are bit-identical at *any* thread count, not merely "close".
 
+use crate::bound::{BoundExpr, NoSubqueries, Subqueries};
 use crate::database::{Database, PaillierServerCtx};
-use crate::expr::{apply_predicate, eval, ColumnarPredicate, EvalContext, RowSchema, SubqueryFn};
+use crate::expr::{apply_predicate, ColumnarPredicate, RowSchema};
 use crate::storage::{ColumnBatch, SelectionVector};
 use crate::value::Value;
 use crate::EngineError;
@@ -175,7 +176,7 @@ fn morsels_of(total_rows: usize, morsel_rows: usize) -> Vec<Morsel> {
 
 /// Runs `f` over every morsel sequentially, in partition order. Used directly
 /// when the per-morsel work needs context a worker thread cannot share (e.g.
-/// a subquery callback), and by [`run_morsels`] for the single-thread case —
+/// a subquery source), and by [`run_morsels`] for the single-thread case —
 /// both paths see the *same* partition boundaries, which is what keeps results
 /// identical at every thread count.
 pub(crate) fn run_morsels_serial<T>(
@@ -382,7 +383,6 @@ pub(crate) struct ScanFilter<'a> {
     pub table: &'a crate::storage::Table,
     /// The catalog version the statement pinned: the segments scanned.
     pub catalog: Option<&'a monomi_store::Manifest>,
-    pub schema: &'a RowSchema,
     /// Compiled scan-level conjuncts, applied as successive narrowing passes.
     pub predicates: &'a [ColumnarPredicate],
     /// Index probes the planner extracted from the conjuncts (empty = plain
@@ -394,8 +394,6 @@ pub(crate) struct ScanFilter<'a> {
     pub index_mode: monomi_store::IndexMode,
     /// Column indices to materialize for surviving rows.
     pub keep: &'a [usize],
-    pub params: &'a [Value],
-    pub outer: Option<(&'a RowSchema, &'a [Value])>,
 }
 
 impl ScanFilter<'_> {
@@ -406,20 +404,11 @@ impl ScanFilter<'_> {
         batch: &ColumnBatch<'_>,
         mut selection: SelectionVector,
     ) -> Result<(Vec<Vec<Value>>, u64), EngineError> {
-        // Scan predicates never contain subqueries (the executor checks before
-        // compiling), so no subquery callback is needed — which is what makes
-        // this closure shareable across worker threads.
-        let ctx = EvalContext {
-            params: self.params,
-            aggregates: None,
-            subquery: None,
-            outer: self.outer,
-        };
         for pred in self.predicates {
             if selection.is_empty() {
                 break;
             }
-            selection = apply_predicate(pred, batch, &selection, self.schema, &ctx)?;
+            selection = apply_predicate(pred, batch, &selection)?;
         }
         let rows = batch.gather(&selection, self.keep);
         let bytes_materialized: usize = rows
@@ -605,42 +594,37 @@ impl ScanFilter<'_> {
 
 /// Filter: row-at-a-time predicate evaluation over a materialized relation
 /// (residual conjuncts joins could not consume, subquery-bearing predicates).
-/// Subquery-free predicates run morsel-parallel; predicates with subqueries
-/// fall back to the serial morsel loop with the recursive callback.
 pub(crate) struct RowFilter<'a> {
-    pub schema: &'a RowSchema,
-    pub predicate: &'a Expr,
-    pub params: &'a [Value],
-    pub outer: Option<(&'a RowSchema, &'a [Value])>,
+    /// The predicate, bound to the relation's rows.
+    pub predicate: &'a BoundExpr,
 }
 
 impl RowFilter<'_> {
+    /// Keeps the rows the predicate holds for. `subqueries` answers the
+    /// predicate's subquery slots: with a source the morsels run serially on
+    /// this thread (subqueries run on the statement's thread), without one
+    /// they run in parallel.
     pub fn execute(
         &self,
         rows: Vec<Vec<Value>>,
         opts: &ExecOptions,
-        subquery: Option<SubqueryFn<'_>>,
+        subqueries: Option<&dyn Subqueries>,
     ) -> Result<(Vec<Vec<Value>>, ParallelMetrics), EngineError> {
-        let keep_of =
-            |m: Morsel, subquery: Option<SubqueryFn<'_>>| -> Result<Vec<bool>, EngineError> {
-                let ctx = EvalContext {
-                    params: self.params,
-                    aggregates: None,
-                    subquery,
-                    outer: self.outer,
-                };
-                rows[m.start..m.end]
-                    .iter()
-                    .map(|row| {
-                        eval(self.predicate, self.schema, row, &ctx)
-                            .map(|v| v.as_bool().unwrap_or(false))
-                    })
-                    .collect()
-            };
-        let (parts, metrics) = if self.predicate.contains_subquery() {
-            run_morsels_serial(rows.len(), opts.morsel_rows, |m| keep_of(m, subquery))?
-        } else {
-            run_morsels(rows.len(), opts, |m| keep_of(m, None))?
+        let keep_of = |m: Morsel, subqueries: &dyn Subqueries| -> Result<Vec<bool>, EngineError> {
+            rows[m.start..m.end]
+                .iter()
+                .map(|row| {
+                    self.predicate
+                        .eval(row, subqueries)
+                        .map(|v| v.as_bool().unwrap_or(false))
+                })
+                .collect()
+        };
+        let (parts, metrics) = match subqueries {
+            Some(subqueries) => {
+                run_morsels_serial(rows.len(), opts.morsel_rows, |m| keep_of(m, subqueries))?
+            }
+            None => run_morsels(rows.len(), opts, |m| keep_of(m, &NoSubqueries))?,
         };
         let keep: Vec<bool> = parts.into_iter().flatten().collect();
         let filtered: Vec<Vec<Value>> = rows
@@ -678,10 +662,9 @@ impl CrossJoin {
 /// (`NULL = NULL` is NULL), so keeping them would invent matches through
 /// `Value`'s reflexive `Eq`.
 pub(crate) struct HashJoin<'a> {
-    /// `(left_key_expr, right_key_expr)` pairs, oriented accumulator-first.
-    pub keys: &'a [(Expr, Expr)],
-    pub params: &'a [Value],
-    pub outer: Option<(&'a RowSchema, &'a [Value])>,
+    /// `(left_key, right_key)` pairs, oriented accumulator-first, each bound
+    /// to its side's rows.
+    pub keys: &'a [(BoundExpr, BoundExpr)],
 }
 
 impl HashJoin<'_> {
@@ -691,19 +674,13 @@ impl HashJoin<'_> {
         right: &Relation,
         opts: &ExecOptions,
     ) -> Result<(Relation, ParallelMetrics), EngineError> {
-        let ctx = EvalContext {
-            params: self.params,
-            aggregates: None,
-            subquery: None,
-            outer: self.outer,
-        };
         // Build phase.
         let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
         for (idx, row) in right.rows.iter().enumerate() {
             let key: Vec<Value> = self
                 .keys
                 .iter()
-                .map(|(_, r)| eval(r, &right.schema, row, &ctx))
+                .map(|(_, r)| r.eval(row, &NoSubqueries))
                 .collect::<Result<_, _>>()?;
             if key.iter().any(Value::is_null) {
                 continue;
@@ -715,18 +692,12 @@ impl HashJoin<'_> {
         // emission order).
         let table = &table;
         let (parts, metrics) = run_morsels(left.rows.len(), opts, |m| {
-            let ctx = EvalContext {
-                params: self.params,
-                aggregates: None,
-                subquery: None,
-                outer: self.outer,
-            };
             let mut out: Vec<Vec<Value>> = Vec::new();
             for lrow in &left.rows[m.start..m.end] {
                 let key: Vec<Value> = self
                     .keys
                     .iter()
-                    .map(|(l, _)| eval(l, &left.schema, lrow, &ctx))
+                    .map(|(l, _)| l.eval(lrow, &NoSubqueries))
                     .collect::<Result<_, _>>()?;
                 if key.iter().any(Value::is_null) {
                     continue;
@@ -773,41 +744,26 @@ impl Sort<'_> {
 }
 
 /// One aggregate expression, pre-analyzed for the per-row update loop.
-pub(crate) struct AggSpec {
-    /// The aggregate expression node (the key HAVING/projections resolve).
-    pub expr: Expr,
-    /// Its argument expression, if any.
-    pub arg: Option<Expr>,
-    /// `COUNT(*)`: update with no argument value.
-    pub count_star: bool,
+pub(crate) struct AggSpec<'q> {
+    /// The aggregate expression node.
+    pub expr: &'q Expr,
+    /// Its argument, bound to the aggregated rows; `None` (`COUNT(*)`)
+    /// updates with no value.
+    pub arg: Option<BoundExpr>,
 }
 
-impl AggSpec {
-    pub fn of(expr: &Expr) -> AggSpec {
+impl<'q> AggSpec<'q> {
+    /// The aggregate `expr`, its argument bound by `bind`.
+    pub fn of(expr: &'q Expr, bind: impl FnOnce(&'q Expr) -> BoundExpr) -> AggSpec<'q> {
         let arg = match expr {
-            Expr::Aggregate { arg, .. } => arg.as_deref().cloned(),
-            Expr::Function { args, .. } => args.first().cloned(),
+            Expr::Aggregate { arg, .. } => arg.as_deref(),
+            Expr::Function { args, .. } => args.first(),
             _ => None,
         };
-        let count_star = matches!(
-            expr,
-            Expr::Aggregate {
-                func: AggFunc::Count,
-                arg: None,
-                ..
-            }
-        );
         AggSpec {
-            expr: expr.clone(),
-            arg,
-            count_star,
+            expr,
+            arg: arg.map(bind),
         }
-    }
-
-    /// True when the per-row update needs a subquery callback (which forces
-    /// the serial morsel loop).
-    pub fn needs_subquery(&self) -> bool {
-        self.arg.as_ref().is_some_and(Expr::contains_subquery)
     }
 }
 
@@ -1140,39 +1096,21 @@ impl GroupPartial {
 /// order, reproducing the serial group order and accumulation exactly.
 pub(crate) struct MorselAggregate<'a> {
     pub relation: &'a Relation,
-    pub group_by: &'a [Expr],
-    pub specs: &'a [AggSpec],
+    /// The group keys, bound to the relation's rows.
+    pub group_by: &'a [BoundExpr],
+    pub specs: &'a [AggSpec<'a>],
     pub db: &'a Database,
-    pub params: &'a [Value],
-    pub outer: Option<(&'a RowSchema, &'a [Value])>,
 }
 
 impl MorselAggregate<'_> {
-    /// True when every per-row expression (group keys and aggregate
-    /// arguments) is subquery-free, so morsels can run on worker threads.
-    pub fn parallelizable(&self) -> bool {
-        !self.group_by.iter().any(Expr::contains_subquery)
-            && !self.specs.iter().any(AggSpec::needs_subquery)
-    }
-
-    fn partial(
-        &self,
-        m: Morsel,
-        subquery: Option<SubqueryFn<'_>>,
-    ) -> Result<GroupPartial, EngineError> {
-        let ctx = EvalContext {
-            params: self.params,
-            aggregates: None,
-            subquery,
-            outer: self.outer,
-        };
+    fn partial(&self, m: Morsel, subqueries: &dyn Subqueries) -> Result<GroupPartial, EngineError> {
         let mut partial = GroupPartial::empty();
         for ridx in m.start..m.end {
             let row = &self.relation.rows[ridx];
             let key: Vec<Value> = self
                 .group_by
                 .iter()
-                .map(|g| eval(g, &self.relation.schema, row, &ctx))
+                .map(|g| g.eval(row, subqueries))
                 .collect::<Result<_, _>>()?;
             let gidx = match partial.index.get(&key) {
                 Some(&i) => i,
@@ -1180,7 +1118,7 @@ impl MorselAggregate<'_> {
                     let states = self
                         .specs
                         .iter()
-                        .map(|s| AggState::new(&s.expr, self.db))
+                        .map(|s| AggState::new(s.expr, self.db))
                         .collect::<Result<Vec<_>, _>>()?;
                     partial.groups.push(GroupEntry {
                         key: key.clone(),
@@ -1193,14 +1131,11 @@ impl MorselAggregate<'_> {
             };
             let entry = &mut partial.groups[gidx];
             for (spec, state) in self.specs.iter().zip(entry.states.iter_mut()) {
-                if spec.count_star {
-                    state.update(None);
-                } else if let Some(arg) = &spec.arg {
-                    let v = eval(arg, &self.relation.schema, row, &ctx)?;
-                    state.update(Some(v));
-                } else {
-                    state.update(None);
-                }
+                let value = match &spec.arg {
+                    Some(arg) => Some(arg.eval(row, subqueries)?),
+                    None => None,
+                };
+                state.update(value);
             }
         }
         Ok(partial)
@@ -1208,16 +1143,20 @@ impl MorselAggregate<'_> {
 
     /// Runs partial aggregation over all morsels and merges the partials in
     /// partition order, returning groups in the serial first-encounter order.
+    /// `subqueries` answers the subquery slots of the group keys and
+    /// arguments: with a source the morsels run serially on this thread,
+    /// without one on worker threads.
     pub fn execute(
         &self,
         opts: &ExecOptions,
-        subquery: Option<SubqueryFn<'_>>,
+        subqueries: Option<&dyn Subqueries>,
     ) -> Result<(Vec<GroupEntry>, ParallelMetrics), EngineError> {
         let rows = self.relation.rows.len();
-        let (partials, metrics) = if self.parallelizable() {
-            run_morsels(rows, opts, |m| self.partial(m, None))?
-        } else {
-            run_morsels_serial(rows, opts.morsel_rows, |m| self.partial(m, subquery))?
+        let (partials, metrics) = match subqueries {
+            Some(subqueries) => {
+                run_morsels_serial(rows, opts.morsel_rows, |m| self.partial(m, subqueries))?
+            }
+            None => run_morsels(rows, opts, |m| self.partial(m, &NoSubqueries))?,
         };
         let mut merged = GroupPartial::empty();
         for partial in partials {

@@ -3,17 +3,12 @@
 //! 1. `Value`'s `Hash`/`Eq` contract (`a == b ⇒ hash(a) == hash(b)`, plus
 //!    antisymmetry of the total order) — everything the executor's hash
 //!    joins, GROUP BY, and DISTINCT silently rely on;
-//! 2. the vectorized selection-vector scan returns exactly the rows the old
-//!    row-materializing scan returned, on random tables and predicates;
-//! 3. the morsel-parallel executor is deterministic: at any worker thread
+//! 2. the morsel-parallel executor is deterministic: at any worker thread
 //!    count (1, 2, 4, 8) a query returns byte-identical results — float
 //!    sums, group order, and encrypted `paillier_sum` ciphertexts included —
 //!    because partials merge in partition order at fixed morsel boundaries.
 
-use monomi_engine::{
-    apply_predicate, compile_predicate, expr::eval, ColumnDef, ColumnType, Database, EvalContext,
-    ExecOptions, RowSchema, SelectionVector, TableSchema, Value,
-};
+use monomi_engine::{ColumnDef, ColumnType, Database, ExecOptions, TableSchema, Value};
 use monomi_sql::parse_query;
 use proptest::prelude::*;
 
@@ -76,11 +71,9 @@ proptest! {
 }
 
 /// A random table of four columns (nullable int, int, categorical string,
-/// date) loaded into a [`Database`].
-/// Builds the reference table explicitly in memory: this suite compares the
-/// vectorized scan against the row-at-a-time scan over `Table::batch()`'s
-/// borrowed memory columns, so it must not follow `MONOMI_STORAGE=disk`
-/// (the disk backend's scan equivalence is covered by `disk_backend.rs`).
+/// date) loaded into a storeless [`Database`] (the disk backend's
+/// equivalence is covered by `disk_backend.rs`). The vectorized scan's own
+/// check against the row-at-a-time oracle is a unit test of `expr.rs`.
 fn build_table(rows: &[(i64, i64, u8, i16)]) -> Database {
     let mut db = Database::in_memory();
     db.create_table(TableSchema::new(
@@ -129,75 +122,6 @@ fn predicate_sql(template: u8, c1: i64, c2: i64) -> String {
         9 => format!("a + b < {c1}"),
         10 => format!("NOT (a < {c1})"),
         _ => format!("d < DATE '{}'", monomi_engine::date::format_date(c1 as i32)),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn vectorized_scan_agrees_with_row_materializing_scan(
-        rows in proptest::collection::vec(
-            (-40i64..40, -40i64..40, any::<u8>(), -200i16..200), 0..60),
-        t1 in any::<u8>(), t2 in any::<u8>(), t3 in any::<u8>(),
-        c1 in -50i64..50, c2 in -50i64..50,
-        connective in 0u8..3,
-    ) {
-        let db = build_table(&rows);
-        let p1 = predicate_sql(t1, c1, c2);
-        let p2 = predicate_sql(t2, c2, c1);
-        let p3 = predicate_sql(t3, c1.wrapping_mul(2), c2);
-        let pred = match connective {
-            0 => p1,
-            1 => format!("({p1}) AND ({p2})"),
-            _ => format!("(({p1}) OR ({p2})) AND ({p3})"),
-        };
-
-        // New path: full query execution through the vectorized scan.
-        let (got, stats) = db
-            .execute_sql(&format!("SELECT a, b, s, d FROM t WHERE {pred}"), &[])
-            .expect("vectorized execution");
-
-        // Reference: the seed's row-materializing scan — clone every row,
-        // then filter with the row-at-a-time evaluator.
-        let table = db.table("t").unwrap();
-        let schema = RowSchema::new(
-            ["a", "b", "s", "d"]
-                .iter()
-                .map(|c| (Some("t".to_string()), c.to_string()))
-                .collect(),
-        );
-        let parsed = parse_query(&format!("SELECT a FROM t WHERE {pred}")).unwrap();
-        let where_clause = parsed.where_clause.unwrap();
-        let ctx = EvalContext::with_params(&[]);
-        let expected: Vec<Vec<Value>> = (0..table.row_count())
-            .map(|i| table.row(i))
-            .filter(|row| {
-                eval(&where_clause, &schema, row, &ctx)
-                    .expect("row evaluation")
-                    .as_bool()
-                    .unwrap_or(false)
-            })
-            .collect();
-
-        prop_assert_eq!(&got.rows, &expected, "predicate: {}", pred);
-        prop_assert_eq!(stats.rows_materialized as usize, expected.len());
-        prop_assert_eq!(stats.rows_scanned as usize, rows.len());
-
-        // The compiled predicate applied directly over the column batch must
-        // select exactly the same row indices.
-        let batch = table.tail_batch();
-        let compiled = compile_predicate(&where_clause, &schema, &ctx);
-        let sel = apply_predicate(
-            &compiled,
-            &batch,
-            &SelectionVector::all(table.row_count()),
-            &schema,
-            &ctx,
-        )
-        .expect("columnar filter");
-        let direct: Vec<Vec<Value>> = sel.iter().map(|i| table.row(i)).collect();
-        prop_assert_eq!(&direct, &expected, "predicate: {}", pred);
     }
 }
 

@@ -82,6 +82,11 @@ struct Case {
 
 fn cases() -> Vec<Case> {
     let col = |vs: &[i64]| vs.iter().map(|&v| vec![int(v)]).collect::<Vec<_>>();
+    let pairs = |vs: &[(i64, i64)]| {
+        vs.iter()
+            .map(|&(a, b)| vec![int(a), int(b)])
+            .collect::<Vec<_>>()
+    };
     vec![
         Case {
             what: "uncorrelated IN: a NULL probe finds the NULL row, as the linear scan did",
@@ -197,8 +202,7 @@ fn cases() -> Vec<Case> {
             runs: 2,
         },
         Case {
-            what: "an uncorrelated subquery in an aggregate argument, which the executor \
-                   evaluates from its own copy of the expression",
+            what: "an uncorrelated subquery in an aggregate argument",
             sql: "SELECT SUM(CASE WHEN a IN (SELECT x FROM t2) THEN b ELSE 0 END) FROM t1",
             rows: col(&[130]),
             runs: 1,
@@ -208,6 +212,90 @@ fn cases() -> Vec<Case> {
             sql: "SELECT COUNT(*) FROM (SELECT a FROM t1 WHERE a NOT IN (SELECT x FROM t2)) AS d",
             rows: col(&[2]),
             runs: 1,
+        },
+        Case {
+            what: "correlated scalar subquery in the SELECT list: once per outer row",
+            sql: "SELECT b, (SELECT COUNT(*) FROM t2 WHERE t2.x = t1.a) FROM t1 ORDER BY b",
+            rows: pairs(&[(10, 1), (20, 2), (30, 0), (40, 0), (50, 0), (60, 2)]),
+            runs: 6,
+        },
+        Case {
+            what: "correlated scalar subquery in HAVING: once per group, whose row is \
+                   the outer row",
+            sql: "SELECT a, COUNT(*) FROM t1 GROUP BY a \
+                  HAVING COUNT(*) >= (SELECT COUNT(*) FROM t2 WHERE t2.x = t1.a) ORDER BY a",
+            rows: vec![
+                vec![N, int(1)],
+                vec![int(1), int(1)],
+                vec![int(2), int(2)],
+                vec![int(3), int(1)],
+                vec![int(5), int(1)],
+            ],
+            runs: 5,
+        },
+        Case {
+            what: "correlated HAVING subquery whose unqualified `b` is t2.b: inner wins",
+            sql: "SELECT a, SUM(b) FROM t1 GROUP BY a \
+                  HAVING SUM(b) > (SELECT SUM(b) FROM t2 WHERE t2.x = t1.a) / 10 ORDER BY a",
+            rows: pairs(&[(2, 80)]),
+            runs: 5,
+        },
+        Case {
+            what: "correlated scalar subquery as an ORDER BY key",
+            sql: "SELECT b FROM t1 ORDER BY (SELECT MAX(z) FROM t2 WHERE t2.x = t1.a), b",
+            rows: col(&[30, 40, 50, 10, 20, 60]),
+            runs: 6,
+        },
+        Case {
+            what: "correlated scalar subquery in an aggregate argument",
+            sql: "SELECT SUM((SELECT COUNT(*) FROM t2 WHERE t2.x = t1.a)) FROM t1",
+            rows: col(&[5]),
+            runs: 6,
+        },
+        Case {
+            what: "correlated scalar subquery as a GROUP BY key: once per row for the key, \
+                   then once per group for the projection repeating it",
+            sql: "SELECT (SELECT COUNT(*) FROM t2 WHERE t2.x = t1.a) AS n, COUNT(*) FROM t1 \
+                  GROUP BY (SELECT COUNT(*) FROM t2 WHERE t2.x = t1.a) ORDER BY n",
+            rows: pairs(&[(0, 3), (1, 1), (2, 2)]),
+            runs: 6 + 3,
+        },
+        Case {
+            what: "an outer reference inside a computed conjunct of the subquery's only table",
+            sql: "SELECT b FROM t1 WHERE EXISTS (SELECT y FROM t3 WHERE y + w > t1.b * 10) \
+                  ORDER BY b",
+            rows: col(&[10, 20, 30, 40, 50, 60]),
+            runs: 6,
+        },
+        Case {
+            what: "a correlated subquery whose own scan conjunct `z + x > 9` runs the \
+                   vectorized scan's General path",
+            sql: "SELECT b FROM t1 WHERE EXISTS (SELECT x FROM t2 WHERE t2.x = t1.a \
+                  AND z + x > 9 AND b > 50) ORDER BY b",
+            rows: col(&[20, 60]),
+            runs: 6,
+        },
+        Case {
+            what: "an outer reference inside a derived table of a correlated subquery",
+            sql: "SELECT b FROM t1 WHERE a IN \
+                  (SELECT x FROM (SELECT x FROM t2 WHERE z + x > t1.a + 6) AS d) ORDER BY b",
+            rows: col(&[10, 20, 60]),
+            runs: 6,
+        },
+        Case {
+            what: "two-level correlation in the SELECT list: the outer subquery per t1 row, \
+                   the inner one per t2 row that passes `t2.x = t1.a`",
+            sql: "SELECT b, (SELECT MAX(z) FROM t2 WHERE t2.x = t1.a AND \
+                  EXISTS (SELECT w FROM t3 WHERE t3.y = t2.b)) FROM t1 ORDER BY b",
+            rows: vec![
+                vec![int(10), int(7)],
+                vec![int(20), int(8)],
+                vec![int(30), N],
+                vec![int(40), N],
+                vec![int(50), N],
+                vec![int(60), int(8)],
+            ],
+            runs: 6 + 5,
         },
     ]
 }
@@ -246,4 +334,23 @@ fn uncorrelated_subqueries_run_once_and_answers_match_per_row_execution() {
     }
     drop(disk);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A correlated subquery sees one outer row, its immediate parent's: a
+/// reference two levels out fails once a row reaches it, after the runs
+/// that reach it.
+#[test]
+fn a_reference_two_levels_out_does_not_resolve() {
+    let mut db = Database::in_memory();
+    load(&mut db);
+    let before = subquery_runs();
+    let err = db
+        .execute_sql(
+            "SELECT b FROM t1 WHERE EXISTS (SELECT x FROM t2 WHERE t2.x = t1.a AND \
+             EXISTS (SELECT w FROM t3 WHERE t3.y = t2.b AND t3.w < t1.b)) ORDER BY b",
+            &[],
+        )
+        .unwrap_err();
+    assert_eq!(err.message, "unknown column t1.b");
+    assert_eq!(subquery_runs() - before, 2);
 }

@@ -229,6 +229,50 @@ fn join_db_with_nulls(left: &[(i64, i64)], right: &[(i64, i64)]) -> Database {
     db
 }
 
+/// A client-side step — here, the derived table `d` the client materializes
+/// — types each column of its in-memory tables from the rows it holds. A
+/// CASE whose branches are Int and Float, and a column no row fills, answer
+/// what plaintext answers.
+#[test]
+fn client_step_tables_take_their_column_types_from_their_rows() {
+    let mut plain = Database::new();
+    plain.create_table(TableSchema::new(
+        "t",
+        vec![
+            ColumnDef::new("a", ColumnType::Int),
+            ColumnDef::new("b", ColumnType::Int),
+        ],
+    ));
+    for (a, b) in [(1, 3), (4, 7), (6, 2), (9, 5), (8, 4)] {
+        plain
+            .insert("t", vec![Value::Int(a), Value::Int(b)])
+            .unwrap();
+    }
+    let sqls = [
+        "SELECT SUM(v) FROM (SELECT CASE WHEN a > 5 THEN a ELSE b / 2 END AS v FROM t) AS d",
+        "SELECT MAX(v) FROM (SELECT CASE WHEN a > 5 THEN 1 ELSE 2.5 END AS v FROM t) AS d",
+        "SELECT COUNT(*), MAX(n) FROM (SELECT a, CASE WHEN a > 100 THEN a END AS n FROM t) AS d",
+    ];
+    let parsed: Vec<_> = sqls.iter().map(|s| parse_query(s).unwrap()).collect();
+    let (client, _) =
+        MonomiClient::setup(&plain, &parsed, DesignStrategy::Designer, &fast_config())
+            .expect("setup succeeds");
+    for sql in sqls {
+        assert!(
+            matches!(
+                client.plan(sql, &[]).unwrap(),
+                monomi_core::SplitPlan::Client { .. }
+            ),
+            "{sql}: not a client-side step"
+        );
+        let (expected, _) = plain.execute_sql(sql, &[]).unwrap();
+        let (got, _) = client
+            .execute(sql, &[])
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(got.rows, expected.rows, "{sql}");
+    }
+}
+
 proptest! {
     // Each case runs a full MONOMI setup (key generation + design +
     // encryption), so keep the case count small; the row generators still
