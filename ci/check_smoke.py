@@ -13,9 +13,12 @@ Times are not checked: a shared runner is no place to bound them.
 
 `<dir>/traced/<workload>.json` holds the result line of the same run with
 `--trace 1`, for every workload the baseline's `traced_values` names. Its
-`store.*` work counters (bytes scanned, segments read and pruned, index
-probes, index rows fetched, postings bytes) are as exact: they count what the
-server's scans read, which only the data, the plans and the executor decide.
+work counters are as exact: the `store.*` counters (bytes scanned, segments
+read and pruned, index probes, index rows fetched, postings bytes) count what
+the server's scans read, `core.decrypt_rows` the rows the client decrypted,
+and `server.queries` and `server.rows_scanned` the queries the client sent
+the server and the base-table rows they scanned. Only the data, the plans
+and the executor decide them.
 """
 
 import json

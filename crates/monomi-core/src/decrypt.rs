@@ -17,7 +17,10 @@
 //! * the `HomGroupSum` outputs of a row are slots of the same packed Paillier
 //!   plaintext whenever they carry the same ciphertext: each distinct
 //!   ciphertext of a row is decrypted once for all its slots.
-//! * `GroupValues` lists are walked where they lie, through the same memo.
+//! * `GroupValues` lists are walked where they lie, through the same memo,
+//!   and folded by the engine's own aggregate state
+//!   ([`monomi_engine::AggState`]), the one the server and the residual's
+//!   GROUP BY fold with.
 //!
 //! The startup profiler ([`crate::cost::DecryptProfile::measure`]) times this
 //! pipeline, not the ciphers beside it: what the planner prices is what the
@@ -28,11 +31,10 @@
 //! produced is a [`CoreError`], never a panic.
 
 use crate::design::{hom_group_slot, Encryptor, ValueDecryptor};
-use crate::localexec::fold_group;
 use crate::plan::{DecryptSpec, OutputColumn};
 use crate::schemes::EncScheme;
 use crate::CoreError;
-use monomi_engine::{ColumnType, ResultSet, Value};
+use monomi_engine::{AggState, ColumnType, ResultSet, Value};
 use monomi_math::BigUint;
 use monomi_obs::{Span, Stopwatch};
 use monomi_sql::ast::AggFunc;
@@ -60,7 +62,7 @@ enum ColumnPlan<'a> {
     /// decryption.
     GroupValues {
         items: ValueDecryptor<'a>,
-        agg: Option<AggFunc>,
+        agg: AggFunc,
         distinct: bool,
     },
 }
@@ -181,11 +183,11 @@ impl<'a> DecryptPipeline<'a> {
                             Value::Null => &[],
                             scalar => std::slice::from_ref(scalar),
                         };
-                        let plain = list
-                            .iter()
-                            .map(|item| memo.decrypt(item))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        column.push(fold_group(plain, *agg, *distinct));
+                        let mut state = AggState::new(*agg, *distinct);
+                        for item in list {
+                            state.update(Some(memo.decrypt(item)?));
+                        }
+                        column.push(state.finish());
                     }
                     Some(memo)
                 }
@@ -425,11 +427,13 @@ mod tests {
                             Value::Null => Vec::new(),
                             other => vec![other.clone()],
                         };
-                        let mut plain = Vec::new();
+                        let mut state = AggState::new(*agg, *distinct);
                         for item in &list {
-                            plain.push(column(table, base)?.decrypt_value(EncScheme::Det, item)?);
+                            state.update(Some(
+                                column(table, base)?.decrypt_value(EncScheme::Det, item)?,
+                            ));
                         }
-                        fold_group(plain, *agg, *distinct)
+                        state.finish()
                     }
                 });
             }
@@ -478,9 +482,9 @@ mod tests {
         }
     }
 
-    /// One output column of every `DecryptSpec` variant (GroupValues with and
-    /// without a fold, `distinct` on and off; three HOM group slots, two of
-    /// which share a ciphertext per row and one of which does not).
+    /// One output column of every `DecryptSpec` variant (GroupValues over
+    /// every column type, `distinct` on and off; three HOM group slots, two
+    /// of which share a ciphertext per row and one of which does not).
     fn outputs() -> Vec<OutputColumn> {
         let group = |base: &str, ty, agg, distinct| DecryptSpec::GroupValues {
             table: "t".into(),
@@ -510,10 +514,10 @@ mod tests {
             },
             slot("c", ColumnType::Float),
             slot("b", ColumnType::Int),
-            group("k", ColumnType::Int, Some(AggFunc::Sum), false),
-            group("s", ColumnType::Str, None, true),
-            group("d", ColumnType::Date, Some(AggFunc::Count), true),
-            group("f", ColumnType::Float, Some(AggFunc::Max), false),
+            group("k", ColumnType::Int, AggFunc::Sum, false),
+            group("s", ColumnType::Str, AggFunc::Min, true),
+            group("d", ColumnType::Date, AggFunc::Count, true),
+            group("f", ColumnType::Float, AggFunc::Max, false),
         ]
         .into_iter()
         .map(output)

@@ -1,5 +1,7 @@
 //! Client-side execution of split plans: RemoteSQL dispatch, LocalDecrypt,
-//! LocalFilter, LocalGroupBy/LocalGroupFilter, LocalProjection, LocalSort.
+//! LocalFilter, then LocalGroupBy/LocalGroupFilter, LocalProjection and
+//! LocalSort through the engine's own operators
+//! ([`monomi_engine::QueryTail`]).
 //!
 //! LocalDecrypt itself is the `decrypt` module: per RemoteSQL execution the
 //! output columns are compiled into per-column decryptors and the result is
@@ -20,12 +22,11 @@ use crate::rewrite::normalize_expr;
 use crate::transport::ServerTransport;
 use crate::CoreError;
 use monomi_engine::{
-    BoundExpr, ColumnDef, ColumnType, Database, ExecOptions, ResultSet, SortKey, Subqueries,
-    SubqueryResult, TableSchema, Value,
+    collect_aggregates, AggSpec, BoundExpr, ColumnDef, ColumnType, Database, ExecOptions,
+    ExecStats, PhaseLabels, QueryTail, ResultSet, SortKey, SubqueryResult, TableSchema, Value,
 };
 use monomi_obs::{Span, Stopwatch, TraceId};
 use monomi_sql::ast::*;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Measured timing breakdown of one query execution through MONOMI: clock
@@ -338,7 +339,7 @@ impl<'a> SplitExecutor<'a> {
         // 4. Residual client-side operators, compiled for this execution.
         let started = Stopwatch::start();
         let (result, phase_spans) =
-            Residual::compile(rp).run(rows, &sub_results, !trace.is_zero())?;
+            Residual::compile(rp)?.run(rows, &sub_results, &self.exec_options, !trace.is_zero())?;
         let residual_seconds = started.seconds();
         timings.client_seconds += residual_seconds;
         if !trace.is_zero() {
@@ -354,8 +355,8 @@ impl<'a> SplitExecutor<'a> {
 }
 
 /// What the columns of residual rows carry: one plaintext expression per
-/// column — the decrypted outputs' sources, or after a local GROUP BY the
-/// group keys and the aggregates.
+/// column — the decrypted outputs' sources, followed after a local GROUP BY
+/// by the aggregates.
 struct Environment {
     keys: Vec<Expr>,
 }
@@ -410,34 +411,24 @@ impl Environment {
 /// runs over, normalized (AVG over a fetched SUM and COUNT becomes their
 /// quotient), and bound to that environment's column positions; each
 /// IN / EXISTS / scalar subquery is bound to its `subquery_children` entry by
-/// index. [`run`](Self::run)'s row loops evaluate only these compiled forms.
-struct Residual<'p> {
-    rp: &'p RemotePlan,
+/// index. [`run`](Self::run) filters the decrypted rows and hands them to the
+/// engine's own aggregation, projection, DISTINCT, sort and LIMIT
+/// ([`QueryTail`]).
+struct Residual {
     filters: Vec<BoundExpr>,
-    grouping: Option<Grouping>,
-    /// What HAVING, the projections and the sort keys run over.
-    final_env: Environment,
-    having: Option<BoundExpr>,
-    projections: Vec<BoundExpr>,
-    sort_keys: Vec<SortKey>,
+    tail: QueryTail,
+    columns: Vec<String>,
 }
 
-/// A local GROUP BY over the filtered environment rows. Its output rows are
-/// the group key values followed by one value per aggregate.
-struct Grouping {
-    keys: Vec<BoundExpr>,
-    aggregates: Vec<LocalAggregate>,
-}
+/// The span labels of the residual's phases that run in [`QueryTail`].
+const RESIDUAL_LABELS: PhaseLabels = PhaseLabels {
+    group: "Residual(group)",
+    project: Some("Residual(project)"),
+    sort: "Residual(sort)",
+};
 
-/// One aggregate of a local GROUP BY; no argument means `COUNT(*)`.
-struct LocalAggregate {
-    func: AggFunc,
-    arg: Option<BoundExpr>,
-    distinct: bool,
-}
-
-impl<'p> Residual<'p> {
-    fn compile(rp: &'p RemotePlan) -> Self {
+impl Residual {
+    fn compile(rp: &RemotePlan) -> Result<Self, CoreError> {
         let slot = |q: &Query| rp.subquery_children.iter().position(|(sub, _)| sub == q);
         let env = Environment {
             keys: rp.outputs.iter().map(|o| o.source.clone()).collect(),
@@ -447,130 +438,23 @@ impl<'p> Residual<'p> {
             .iter()
             .map(|f| env.bind(f, &slot))
             .collect();
-        let (grouping, final_env) = match &rp.local_group_by {
-            Some(group_keys) => {
-                let aggregates = local_aggregates(rp);
-                let grouping = Grouping {
-                    keys: group_keys.iter().map(|k| env.bind(k, &slot)).collect(),
-                    aggregates: aggregates
-                        .iter()
-                        .filter_map(|agg| match agg {
-                            Expr::Aggregate {
-                                func,
-                                arg,
-                                distinct,
-                            } => Some(LocalAggregate {
-                                func: *func,
-                                arg: arg.as_deref().map(|a| env.bind(a, &slot)),
-                                distinct: *distinct,
-                            }),
-                            _ => None,
-                        })
-                        .collect(),
-                };
-                let keys = group_keys.iter().chain(aggregates).map(normalize_expr);
-                (
-                    Some(grouping),
-                    Environment {
-                        keys: keys.collect(),
-                    },
-                )
-            }
-            None => (None, env),
+        let aggregates = match rp.local_group_by {
+            Some(_) => collect_aggregates(&rp.projections, rp.local_having.as_ref(), &rp.order_by),
+            None => Vec::new(),
         };
-        let sort_keys = rp
-            .order_by
+        let specs = aggregates
             .iter()
-            .map(|ob| {
-                SortKey::bind(&ob.expr, &rp.projections, rp.projections.len(), |key| {
-                    final_env.bind(key, &slot)
-                })
-            })
-            .collect();
-        Residual {
-            rp,
-            filters,
-            grouping,
-            having: rp.local_having.as_ref().map(|h| final_env.bind(h, &slot)),
-            projections: rp
-                .projections
-                .iter()
-                .map(|p| final_env.bind(&p.expr, &slot))
-                .collect(),
-            sort_keys,
-            final_env,
-        }
-    }
-
-    /// Runs the residual over the decrypted rows, reading subquery `i` from
-    /// `subqueries[i]`. With `traced`, also returns one `Residual(<phase>)`
-    /// span per phase that ran (filter, group, project, sort); untraced, no
-    /// clock is read.
-    fn run(
-        &self,
-        rows: Vec<Vec<Value>>,
-        subqueries: &dyn Subqueries,
-        traced: bool,
-    ) -> Result<(ResultSet, Vec<Span>), CoreError> {
-        let eval = |e: &BoundExpr, row: &[Value]| {
-            e.eval(row, subqueries)
-                .map_err(|e| CoreError::new(e.to_string()))
-        };
-        let holds = |e: &BoundExpr, row: &[Value]| -> Result<bool, CoreError> {
-            Ok(eval(e, row)?.as_bool().unwrap_or(false))
-        };
-        let mut spans = Vec::new();
-        let mut phase = |label: &str, watch: Option<Stopwatch>, rows: usize| {
-            if let Some(watch) = watch {
-                spans.push(Span::leaf(
-                    format!("Residual({label})"),
-                    watch.seconds(),
-                    rows as u64,
-                ));
-            }
-        };
-
-        // 1. LocalFilter.
-        let mut rows = rows;
-        if !self.filters.is_empty() {
-            let watch = traced.then(Stopwatch::start);
-            for filter in &self.filters {
-                let mut kept = Vec::with_capacity(rows.len());
-                for row in rows {
-                    if holds(filter, &row)? {
-                        kept.push(row);
-                    }
-                }
-                rows = kept;
-            }
-            phase("filter", watch, rows.len());
-        }
-
-        // 2. LocalGroupBy (a global aggregate is one group, even over no
-        // rows) and LocalGroupFilter.
-        if self.grouping.is_some() || self.having.is_some() {
-            let watch = traced.then(Stopwatch::start);
-            if let Some(grouping) = &self.grouping {
-                rows = grouping.run(&rows, &eval)?;
-            }
-            if let Some(having) = &self.having {
-                let mut kept = Vec::with_capacity(rows.len());
-                for row in rows {
-                    if holds(having, &row)? {
-                        kept.push(row);
-                    }
-                }
-                rows = kept;
-            }
-            phase("group", watch, rows.len());
-        }
-
-        // 3. LocalProjection: each output row carries its ORDER BY key.
-        let watch = traced.then(Stopwatch::start);
-        let columns: Vec<String> = if self.projections.is_empty() {
-            // Table-fetch plan: the environment columns come out directly.
-            self.final_env
-                .keys
+            .map(|agg| AggSpec::of(agg, None, |arg| env.bind(arg, &slot)))
+            .collect::<Result<_, _>>()
+            .map_err(|e| CoreError::new(e.to_string()))?;
+        let group_by = rp
+            .local_group_by
+            .as_ref()
+            .map(|keys| keys.iter().map(|k| env.bind(k, &slot)).collect());
+        let width = env.keys.len();
+        // A table-fetch plan (no projections) outputs the environment.
+        let columns = if rp.projections.is_empty() {
+            env.keys
                 .iter()
                 .map(|k| match k {
                     Expr::Column(c) => c.column.clone(),
@@ -578,177 +462,90 @@ impl<'p> Residual<'p> {
                 })
                 .collect()
         } else {
-            self.rp
-                .projections
+            rp.projections
                 .iter()
                 .enumerate()
                 .map(|(i, p)| p.output_name(i))
                 .collect()
         };
-        let mut projected: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
-        for row in rows {
-            let out: Vec<Value> = self
-                .projections
+        // HAVING, the projections and the ORDER BY keys run over a group's
+        // first row, then its aggregates.
+        let mut env = env;
+        env.keys.extend(aggregates.into_iter().map(normalize_expr));
+        let bind = |e| env.bind(e, &slot);
+        let tail = QueryTail {
+            width,
+            group_by,
+            aggregates: specs,
+            aggregate_reads_subqueries: !rp.subquery_children.is_empty(),
+            having: rp.local_having.as_ref().map(bind),
+            projections: (!rp.projections.is_empty())
+                .then(|| rp.projections.iter().map(|p| bind(&p.expr)).collect()),
+            sort_keys: rp
+                .order_by
                 .iter()
-                .map(|p| eval(p, &row))
-                .collect::<Result<_, _>>()?;
-            let sort_key = self
-                .sort_keys
-                .iter()
-                .map(|key| {
-                    key.value(&out, &row, subqueries)
-                        .map_err(|e| CoreError::new(e.to_string()))
-                })
-                .collect::<Result<_, _>>()?;
-            let out = if self.projections.is_empty() {
-                row
-            } else {
-                out
-            };
-            projected.push((out, sort_key));
-        }
-        if self.rp.distinct {
-            let mut seen = HashSet::new();
-            projected.retain(|(row, _)| seen.insert(row.clone()));
-        }
-        phase("project", watch, projected.len());
+                .map(|ob| SortKey::bind(ob, &rp.projections, rp.projections.len(), bind))
+                .collect(),
+            distinct: rp.distinct,
+            limit: rp.limit,
+        };
+        Ok(Residual {
+            filters,
+            tail,
+            columns,
+        })
+    }
 
-        // 4. LocalSort + LIMIT.
-        if !self.sort_keys.is_empty() || self.rp.limit.is_some() {
+    /// Runs the residual over the decrypted rows, reading subquery `i` from
+    /// `subqueries[i]`. With `traced`, also returns one `Residual(<phase>)`
+    /// span per phase that ran (filter, group, project, sort); untraced, no
+    /// clock is read.
+    fn run(
+        self,
+        mut rows: Vec<Vec<Value>>,
+        subqueries: &Vec<Arc<SubqueryResult>>,
+        opts: &ExecOptions,
+        traced: bool,
+    ) -> Result<(ResultSet, Vec<Span>), CoreError> {
+        let mut spans = traced.then(Vec::new);
+        if !self.filters.is_empty() {
             let watch = traced.then(Stopwatch::start);
-            projected.sort_by(|(_, ka), (_, kb)| {
-                for (i, ob) in self.rp.order_by.iter().enumerate() {
-                    let ord = ka[i].compare(&kb[i]);
-                    let ord = if ob.desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
+            for filter in &self.filters {
+                let mut kept = Vec::with_capacity(rows.len());
+                for row in rows {
+                    let holds = filter
+                        .eval(&row, subqueries)
+                        .map_err(|e| CoreError::new(e.to_string()))?;
+                    if holds.as_bool().unwrap_or(false) {
+                        kept.push(row);
                     }
                 }
-                std::cmp::Ordering::Equal
-            });
-            projected.truncate(self.rp.limit.map_or(usize::MAX, |l| l as usize));
-            phase("sort", watch, projected.len());
-        }
-
-        let rows = projected.into_iter().map(|(row, _)| row).collect();
-        Ok((ResultSet { columns, rows }, spans))
-    }
-}
-
-impl Grouping {
-    /// Groups `rows` by their key values, in first-encounter order, and
-    /// folds each group's aggregates.
-    fn run(
-        &self,
-        rows: &[Vec<Value>],
-        eval: &impl Fn(&BoundExpr, &[Value]) -> Result<Value, CoreError>,
-    ) -> Result<Vec<Vec<Value>>, CoreError> {
-        // Per group: its key, then each aggregate's argument values in row
-        // order.
-        let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for row in rows {
-            let key: Vec<Value> = self
-                .keys
-                .iter()
-                .map(|k| eval(k, row))
-                .collect::<Result<_, _>>()?;
-            let gi = match index.get(&key) {
-                Some(&gi) => gi,
-                None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key, vec![Vec::new(); self.aggregates.len()]));
-                    groups.len() - 1
-                }
-            };
-            for (agg, values) in self.aggregates.iter().zip(&mut groups[gi].1) {
-                values.push(match &agg.arg {
-                    Some(arg) => eval(arg, row)?,
-                    None => Value::Int(1),
-                });
+                rows = kept;
+            }
+            if let (Some(spans), Some(watch)) = (&mut spans, watch) {
+                spans.push(Span::leaf(
+                    "Residual(filter)",
+                    watch.seconds(),
+                    rows.len() as u64,
+                ));
             }
         }
-        if groups.is_empty() && self.keys.is_empty() {
-            groups.push((Vec::new(), vec![Vec::new(); self.aggregates.len()]));
-        }
-        Ok(groups
-            .into_iter()
-            .map(|(mut row, values)| {
-                for (agg, values) in self.aggregates.iter().zip(values) {
-                    row.push(fold_group(values, Some(agg.func), agg.distinct));
-                }
-                row
-            })
-            .collect())
-    }
-}
-
-/// The aggregates a local GROUP BY computes: each distinct aggregate node of
-/// the projections, the local HAVING and the ORDER BY keys, in that order.
-fn local_aggregates(rp: &RemotePlan) -> Vec<&Expr> {
-    let mut found: Vec<&Expr> = Vec::new();
-    let exprs = rp
-        .projections
-        .iter()
-        .map(|p| &p.expr)
-        .chain(&rp.local_having)
-        .chain(rp.order_by.iter().map(|o| &o.expr));
-    for expr in exprs {
-        expr.walk(&mut |node| {
-            if matches!(node, Expr::Aggregate { .. }) && !found.contains(&node) {
-                found.push(node);
-            }
-        });
-    }
-    found
-}
-
-/// Folds a list of plaintext values with an aggregate function (or keeps the
-/// list when `agg` is `None`).
-pub(crate) fn fold_group(values: Vec<Value>, agg: Option<AggFunc>, distinct: bool) -> Value {
-    let mut values = values;
-    if distinct {
-        let mut seen = std::collections::HashSet::new();
-        values.retain(|v| seen.insert(v.clone()));
-    }
-    let agg = match agg {
-        Some(a) => a,
-        None => return Value::List(values),
-    };
-    let non_null: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
-    match agg {
-        AggFunc::Count => Value::Int(non_null.len() as i64),
-        AggFunc::Min => non_null
-            .iter()
-            .min()
-            .map(|v| (*v).clone())
-            .unwrap_or(Value::Null),
-        AggFunc::Max => non_null
-            .iter()
-            .max()
-            .map(|v| (*v).clone())
-            .unwrap_or(Value::Null),
-        AggFunc::Sum | AggFunc::Avg => {
-            if non_null.is_empty() {
-                return Value::Null;
-            }
-            let any_float = non_null.iter().any(|v| matches!(v, Value::Float(_)));
-            if any_float {
-                let total: f64 = non_null.iter().filter_map(|v| v.as_float()).sum();
-                if agg == AggFunc::Avg {
-                    Value::Float(total / non_null.len() as f64)
-                } else {
-                    Value::Float(total)
-                }
-            } else {
-                let total: i64 = non_null.iter().filter_map(|v| v.as_int()).sum();
-                if agg == AggFunc::Avg {
-                    Value::Float(total as f64 / non_null.len() as f64)
-                } else {
-                    Value::Int(total)
-                }
-            }
-        }
+        let rows = self
+            .tail
+            .run(
+                rows,
+                opts,
+                subqueries,
+                &RESIDUAL_LABELS,
+                &mut ExecStats::default(),
+                &mut spans,
+            )
+            .map_err(|e| CoreError::new(e.to_string()))?;
+        let result = ResultSet {
+            columns: self.columns,
+            rows,
+        };
+        Ok((result, spans.unwrap_or_default()))
     }
 }
 
@@ -904,52 +701,85 @@ mod tests {
         }
     }
 
+    /// A RemotePlan whose server fetches `t`'s rows as they are and whose
+    /// residual runs all of `sql` on the client: WHERE as local filters
+    /// (each IN subquery a child plan over `s` or `s2`), a local GROUP BY
+    /// whenever `sql` aggregates, then HAVING, projections, ORDER BY, LIMIT
+    /// and DISTINCT.
+    fn local_plan(sql: &str) -> RemotePlan {
+        let q = parse_query(sql).unwrap();
+        let mut plan = plaintext_remote("SELECT k, g, v, w FROM t", &["k", "g", "v", "w"]);
+        for sub in ["SELECT x FROM s", "SELECT x FROM s2"] {
+            if sql.contains(&format!("({sub})")) {
+                let child = plaintext_remote(sub, &["x"]);
+                plan.subquery_children.push((
+                    parse_query(sub).unwrap(),
+                    SplitPlan::Remote(Box::new(child)),
+                ));
+            }
+        }
+        plan.local_filters = q
+            .where_clause
+            .as_ref()
+            .map(|w| w.split_conjuncts().into_iter().cloned().collect())
+            .unwrap_or_default();
+        plan.local_group_by = q.is_aggregate_query().then(|| q.group_by.clone());
+        plan.local_having = q.having.clone();
+        plan.projections = q.projections.clone();
+        plan.order_by = q.order_by.clone();
+        plan.limit = q.limit;
+        plan.distinct = q.distinct;
+        plan
+    }
+
     /// The compiled residual computes what the plaintext engine computes for
-    /// the same query, Debug-equal, over a plan that runs every residual
-    /// operator: local IN and NOT IN subquery filters (NULLs in the subquery
-    /// results), a local GROUP BY with COUNT DISTINCT, HAVING, ORDER BY by
+    /// the same query, Debug-equal, at 1 and 4 threads over two-row morsels.
+    /// The local plans run every residual operator: local IN and NOT IN
+    /// subquery filters (NULLs in the subquery results), a local GROUP BY
+    /// with COUNT, SUM and AVG over DISTINCT values (an integer and a float
+    /// argument), MIN/MAX over strings, a group key that is an expression
+    /// the SELECT list repeats, a global aggregate over no rows (one row
+    /// out), a GROUP BY that finds no group (no row out), HAVING, ORDER BY by
     /// alias, by position and by an expression no projection repeats,
-    /// DISTINCT and LIMIT. The AVG → SUM / COUNT(*) rewrite applies only where
-    /// the server grouped and shipped the SUM and the COUNT, so a second,
-    /// server-grouped plan covers it. Traced, `ClientResidual` carries one
-    /// span per phase, within its own duration.
+    /// DISTINCT, and LIMIT with and without ORDER BY. The AVG → SUM /
+    /// COUNT(*) rewrite applies only where the server grouped and shipped the
+    /// SUM and the COUNT, so a server-grouped plan covers it. Traced,
+    /// `ClientResidual` carries one span per phase that ran, within its own
+    /// duration.
     #[test]
     fn compiled_residual_matches_the_plaintext_engine() {
         let plain = residual_test_db();
         let server = InProcessTransport::new(residual_test_db());
         let encryptor = Encryptor::new(MasterKey::from_bytes([7; 32]), PhysicalDesign::new(128), 1);
-        let executor = SplitExecutor {
-            server: &server,
-            encryptor: &encryptor,
-            exec_options: ExecOptions::serial(),
-        };
 
-        let local_sql = "SELECT DISTINCT COUNT(DISTINCT w) AS dw, SUM(v) AS sv FROM t \
-                         WHERE k IN (SELECT x FROM s) AND k NOT IN (SELECT x FROM s2) \
-                         GROUP BY g HAVING SUM(v) > 2 ORDER BY sv DESC, 1, MAX(v) LIMIT 3";
-        let q = parse_query(local_sql).unwrap();
-        let mut local = plaintext_remote("SELECT k, g, v, w FROM t", &["k", "g", "v", "w"]);
-        for sub in ["SELECT x FROM s", "SELECT x FROM s2"] {
-            let child = plaintext_remote(sub, &["x"]);
-            local.subquery_children.push((
-                parse_query(sub).unwrap(),
-                SplitPlan::Remote(Box::new(child)),
-            ));
-        }
-        local.local_filters = q
-            .where_clause
-            .as_ref()
-            .unwrap()
-            .split_conjuncts()
-            .into_iter()
-            .cloned()
+        // Each query and the rows it returns: none is vacuous but the one
+        // that finds no group.
+        let local_sqls = [
+            (
+                "SELECT DISTINCT COUNT(DISTINCT w) AS dw, SUM(v) AS sv FROM t \
+                 WHERE k IN (SELECT x FROM s) AND k NOT IN (SELECT x FROM s2) \
+                 GROUP BY g HAVING SUM(v) > 2 ORDER BY sv DESC, 1, MAX(v) LIMIT 3",
+                3,
+            ),
+            (
+                "SELECT v % 3, SUM(DISTINCT w), AVG(DISTINCT w), SUM(DISTINCT w * 0.1), \
+                 MIN(g), MAX(g) FROM t GROUP BY v % 3 ORDER BY 1",
+                3,
+            ),
+            (
+                "SELECT COUNT(*), SUM(DISTINCT v), MIN(g), AVG(w) FROM t WHERE k > 100",
+                1,
+            ),
+            ("SELECT g, COUNT(*) FROM t WHERE k > 100 GROUP BY g", 0),
+            (
+                "SELECT g, SUM(v) FROM t WHERE w IS NOT NULL GROUP BY g LIMIT 2",
+                2,
+            ),
+        ];
+        let mut plans: Vec<(&str, RemotePlan, usize)> = local_sqls
+            .iter()
+            .map(|&(sql, rows)| (sql, local_plan(sql), rows))
             .collect();
-        local.local_group_by = Some(q.group_by.clone());
-        local.local_having = q.having.clone();
-        local.projections = q.projections.clone();
-        local.order_by = q.order_by.clone();
-        local.limit = q.limit;
-        local.distinct = q.distinct;
 
         let grouped_sql = "SELECT g, AVG(v) AS av, SUM(v) FROM t GROUP BY g \
                            HAVING AVG(v) > 2 ORDER BY av DESC, g";
@@ -962,38 +792,55 @@ mod tests {
         grouped.local_having = q.having.clone();
         grouped.projections = q.projections.clone();
         grouped.order_by = q.order_by.clone();
+        plans.push((grouped_sql, grouped, 4));
 
-        for (sql, plan) in [(local_sql, local), (grouped_sql, grouped)] {
-            let (expected, _) = plain.execute_sql(sql, &[]).unwrap();
-            assert!(!expected.rows.is_empty(), "{sql}: vacuous comparison");
-            let plan = SplitPlan::Remote(Box::new(plan));
-            let (rs, _) = executor.execute(&plan).unwrap();
-            assert_eq!(format!("{rs:?}"), format!("{expected:?}"), "{sql}");
-
-            let trace = monomi_obs::TraceIdGen::new(1).next_id();
-            let (traced, _, spans) = executor.execute_traced(&plan, trace).unwrap();
-            assert_eq!(format!("{traced:?}"), format!("{expected:?}"), "{sql}");
-            let residual = spans
-                .iter()
-                .find(|s| s.label == "ClientResidual")
-                .expect("ClientResidual span");
-            let phases: Vec<&str> = residual.children.iter().map(|c| c.label.as_str()).collect();
-            let expected_phases: &[&str] = if sql == local_sql {
-                &[
-                    "Residual(filter)",
-                    "Residual(group)",
-                    "Residual(project)",
-                    "Residual(sort)",
-                ]
-            } else {
-                &["Residual(group)", "Residual(project)", "Residual(sort)"]
+        for threads in [1, 4] {
+            let opts = ExecOptions {
+                morsel_rows: 2,
+                ..ExecOptions::with_threads(threads)
             };
-            assert_eq!(phases, expected_phases, "{sql}");
-            let covered: f64 = residual.children.iter().map(|c| c.seconds).sum();
-            assert!(
-                covered <= residual.seconds,
-                "{sql}: phases exceed the residual"
-            );
+            let executor = SplitExecutor {
+                server: &server,
+                encryptor: &encryptor,
+                exec_options: opts,
+            };
+            for (sql, plan, rows) in &plans {
+                let (expected, _) = plain
+                    .execute_with(&parse_query(sql).unwrap(), &[], &opts)
+                    .unwrap();
+                assert_eq!(expected.rows.len(), *rows, "{sql}");
+                let plan = SplitPlan::Remote(Box::new(plan.clone()));
+                let (rs, _) = executor.execute(&plan).unwrap();
+                assert_eq!(format!("{rs:?}"), format!("{expected:?}"), "{sql}");
+
+                let trace = monomi_obs::TraceIdGen::new(1).next_id();
+                let (traced, _, spans) = executor.execute_traced(&plan, trace).unwrap();
+                assert_eq!(format!("{traced:?}"), format!("{expected:?}"), "{sql}");
+                let residual = spans
+                    .iter()
+                    .find(|s| s.label == "ClientResidual")
+                    .expect("ClientResidual span");
+                let phases: Vec<&str> =
+                    residual.children.iter().map(|c| c.label.as_str()).collect();
+                let SplitPlan::Remote(rp) = &plan else {
+                    unreachable!()
+                };
+                let expected_phases: Vec<&str> = [
+                    (!rp.local_filters.is_empty(), "Residual(filter)"),
+                    (rp.local_group_by.is_some(), "Residual(group)"),
+                    (true, "Residual(project)"),
+                    (!rp.order_by.is_empty(), "Residual(sort)"),
+                ]
+                .into_iter()
+                .filter_map(|(ran, label)| ran.then_some(label))
+                .collect();
+                assert_eq!(phases, expected_phases, "{sql}");
+                let covered: f64 = residual.children.iter().map(|c| c.seconds).sum();
+                assert!(
+                    covered <= residual.seconds,
+                    "{sql}: phases exceed the residual"
+                );
+            }
         }
     }
 }

@@ -39,12 +39,12 @@ pub enum DecryptSpec {
         ty: ColumnType,
     },
     /// The server returns `group_concat` of DET ciphertexts: decrypt every
-    /// element and fold with the aggregate function (None = keep the list).
+    /// element and fold with the aggregate function.
     GroupValues {
         table: String,
         base: String,
         ty: ColumnType,
-        agg: Option<AggFunc>,
+        agg: AggFunc,
         distinct: bool,
     },
 }
@@ -812,7 +812,7 @@ fn plan_aggregate(
                     table: spec.table,
                     base: spec.base,
                     ty: spec.ty,
-                    agg: Some(func),
+                    agg: func,
                     distinct,
                 },
             })
@@ -829,7 +829,7 @@ fn plan_aggregate(
                     table: spec.table,
                     base: spec.base,
                     ty: spec.ty,
-                    agg: Some(func),
+                    agg: func,
                     distinct,
                 },
             })

@@ -44,12 +44,14 @@ pub mod value;
 
 pub use bound::{fold_constant, BoundExpr, NoSubqueries, Subqueries};
 pub use database::{Database, PaillierServerCtx, STORAGE_ENV};
-pub use exec::{subquery_runs, ExecStats, ResultSet, SortKey};
+pub use exec::{
+    collect_aggregates, subquery_runs, ExecStats, PhaseLabels, QueryTail, ResultSet, SortKey,
+};
 pub use expr::{
     apply_predicate, compile_predicate, decode_hex, encode_hex, zone_may_match, ColumnarPredicate,
     RowSchema, SubqueryResult,
 };
-pub use ops::{ExecOptions, Morsel, DEFAULT_MORSEL_ROWS};
+pub use ops::{AggSpec, AggState, ExecOptions, Morsel, DEFAULT_MORSEL_ROWS};
 pub use schema::{Catalog, ColumnDef, ColumnType, TableSchema};
 pub use stats::{QueryEstimate, TableStats};
 pub use storage::{ColumnBatch, SelectionVector, StagedLoad, Table};

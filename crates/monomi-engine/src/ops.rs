@@ -5,6 +5,9 @@
 //! aggregation + merge), [`Sort`] — instead of a chain of free functions.
 //! Operators consume columnar morsels: fixed-size row ranges ([`Morsel`]) of a
 //! [`ColumnBatch`](crate::storage::ColumnBatch) or of a materialized relation.
+//! [`MorselAggregate`] and [`Sort`] take plain rows, so the client's residual
+//! runs them too (through [`QueryTail`](crate::exec::QueryTail)), and
+//! [`AggState`] is the one aggregate fold on both sides of the split.
 //!
 //! # Morsel-driven parallelism
 //!
@@ -29,7 +32,8 @@
 //! so results are bit-identical at *any* thread count, not merely "close".
 
 use crate::bound::{BoundExpr, NoSubqueries, Subqueries};
-use crate::database::{Database, PaillierServerCtx};
+use crate::database::PaillierServerCtx;
+use crate::exec::SortKey;
 use crate::expr::{apply_predicate, ColumnarPredicate, RowSchema};
 use crate::storage::{ColumnBatch, SelectionVector};
 use crate::value::Value;
@@ -37,7 +41,7 @@ use crate::EngineError;
 use monomi_crypto::PaillierSum;
 use monomi_math::BigUint;
 use monomi_sql::ast::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -720,19 +724,19 @@ impl HashJoin<'_> {
     }
 }
 
-/// Sort: orders rows by their precomputed ORDER BY keys (stable, so ties keep
-/// their input order).
+/// Sort: orders rows by their precomputed ORDER BY key values, in the
+/// directions of `keys` (stable, so ties keep their input order).
 pub(crate) struct Sort<'a> {
-    pub order_by: &'a [OrderByItem],
+    pub keys: &'a [(SortKey, bool)],
 }
 
 impl Sort<'_> {
     pub fn execute(&self, rows: Vec<Vec<Value>>, sort_keys: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
         let mut indexed: Vec<(Vec<Value>, Vec<Value>)> = sort_keys.into_iter().zip(rows).collect();
         indexed.sort_by(|(ka, _), (kb, _)| {
-            for (i, ob) in self.order_by.iter().enumerate() {
+            for (i, (_, desc)) in self.keys.iter().enumerate() {
                 let ord = ka[i].compare(&kb[i]);
-                let ord = if ob.desc { ord.reverse() } else { ord };
+                let ord = if *desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
                 }
@@ -743,34 +747,87 @@ impl Sort<'_> {
     }
 }
 
-/// One aggregate expression, pre-analyzed for the per-row update loop.
-pub(crate) struct AggSpec<'q> {
-    /// The aggregate expression node.
-    pub expr: &'q Expr,
-    /// Its argument, bound to the aggregated rows; `None` (`COUNT(*)`)
+/// One aggregate of a query, bound for the per-row update loop: the empty
+/// state each group starts from and the argument folded into it.
+pub struct AggSpec {
+    pub(crate) empty: AggState,
+    /// The argument, bound to the aggregated rows; `None` (`COUNT(*)`)
     /// updates with no value.
-    pub arg: Option<BoundExpr>,
+    pub(crate) arg: Option<BoundExpr>,
 }
 
-impl<'q> AggSpec<'q> {
-    /// The aggregate `expr`, its argument bound by `bind`.
-    pub fn of(expr: &'q Expr, bind: impl FnOnce(&'q Expr) -> BoundExpr) -> AggSpec<'q> {
-        let arg = match expr {
-            Expr::Aggregate { arg, .. } => arg.as_deref(),
-            Expr::Function { args, .. } => args.first(),
-            _ => None,
+impl AggSpec {
+    /// The aggregate `expr` — a SQL aggregate or an encrypted aggregation
+    /// UDF — with its argument bound by `bind`. Only `paillier_sum` reads
+    /// `paillier`, the registered Paillier context.
+    pub fn of<'e>(
+        expr: &'e Expr,
+        paillier: Option<&Arc<PaillierServerCtx>>,
+        bind: impl FnOnce(&'e Expr) -> BoundExpr,
+    ) -> Result<AggSpec, EngineError> {
+        let (fold, distinct, arg) = match expr {
+            Expr::Aggregate {
+                func,
+                arg,
+                distinct,
+            } => (Fold::new(*func), *distinct, arg.as_deref()),
+            Expr::Function { name, args } if name == "paillier_sum" => {
+                let paillier = paillier.cloned().ok_or_else(|| {
+                    EngineError::new("paillier_sum requires a registered public modulus")
+                })?;
+                let fold = Fold::PaillierSum {
+                    sum: PaillierSum::new(paillier.ctx()),
+                    operand: BigUint::zero(),
+                    paillier,
+                };
+                (fold, false, args.first())
+            }
+            Expr::Function { name, args } if name == "group_concat" => {
+                (Fold::GroupConcat(Vec::new()), false, args.first())
+            }
+            other => return Err(EngineError::new(format!("not an aggregate: {other}"))),
         };
-        AggSpec {
-            expr,
+        Ok(AggSpec {
+            empty: AggState {
+                fold,
+                distinct: distinct.then(Distinct::default),
+            },
             arg: arg.map(bind),
-        }
+        })
     }
 }
 
 /// State for one aggregate over one group. Partial states over disjoint row
 /// ranges combine with [`merge`](Self::merge); merging in partition order
 /// reproduces the serial accumulation exactly (see the module docs).
-pub(crate) enum AggState {
+#[derive(Clone)]
+pub struct AggState {
+    fold: Fold,
+    /// A DISTINCT aggregate's values, folded only by [`finish`](Self::finish).
+    distinct: Option<Distinct>,
+}
+
+/// The distinct non-NULL values of a DISTINCT aggregate in first-encounter
+/// order, the order they are folded in: a float sum adds the same values in
+/// the same order at any thread count.
+#[derive(Clone, Default)]
+struct Distinct {
+    seen: HashSet<Value>,
+    values: Vec<Value>,
+}
+
+impl Distinct {
+    fn insert(&mut self, v: Value) {
+        if !v.is_null() && !self.seen.contains(&v) {
+            self.seen.insert(v.clone());
+            self.values.push(v);
+        }
+    }
+}
+
+/// The running fold of one aggregate.
+#[derive(Clone)]
+enum Fold {
     Sum {
         total_i: i64,
         total_f: f64,
@@ -781,10 +838,7 @@ pub(crate) enum AggState {
         total: f64,
         count: u64,
     },
-    Count {
-        count: u64,
-        distinct: Option<std::collections::HashSet<Value>>,
-    },
+    Count(u64),
     MinMax {
         best: Option<Value>,
         is_min: bool,
@@ -800,62 +854,82 @@ pub(crate) enum AggState {
         /// Reusable parse buffer for the incoming ciphertext bytes.
         operand: BigUint,
     },
-    GroupConcat {
-        values: Vec<Value>,
-    },
+    GroupConcat(Vec<Value>),
 }
 
 impl AggState {
-    pub fn new(expr: &Expr, db: &Database) -> Result<Self, EngineError> {
-        match expr {
-            Expr::Aggregate { func, distinct, .. } => Ok(match func {
-                AggFunc::Sum => AggState::Sum {
-                    total_i: 0,
-                    total_f: 0.0,
-                    any_float: false,
-                    count: 0,
-                },
-                AggFunc::Avg => AggState::Avg {
-                    total: 0.0,
-                    count: 0,
-                },
-                AggFunc::Count => AggState::Count {
-                    count: 0,
-                    distinct: if *distinct {
-                        Some(Default::default())
-                    } else {
-                        None
-                    },
-                },
-                AggFunc::Min => AggState::MinMax {
-                    best: None,
-                    is_min: true,
-                },
-                AggFunc::Max => AggState::MinMax {
-                    best: None,
-                    is_min: false,
-                },
-            }),
-            Expr::Function { name, .. } if name == "paillier_sum" => {
-                let paillier = db.paillier_ctx().cloned().ok_or_else(|| {
-                    EngineError::new("paillier_sum requires a registered public modulus")
-                })?;
-                Ok(AggState::PaillierSum {
-                    sum: PaillierSum::new(paillier.ctx()),
-                    operand: BigUint::zero(),
-                    paillier,
-                })
-            }
-            Expr::Function { name, .. } if name == "group_concat" => {
-                Ok(AggState::GroupConcat { values: Vec::new() })
-            }
-            other => Err(EngineError::new(format!("not an aggregate: {other}"))),
+    /// The empty state of the SQL aggregate `func`, over distinct values
+    /// when `distinct`.
+    pub fn new(func: AggFunc, distinct: bool) -> AggState {
+        AggState {
+            fold: Fold::new(func),
+            distinct: distinct.then(Distinct::default),
         }
     }
 
+    /// Folds in one row's argument (`None` for `COUNT(*)`).
     pub fn update(&mut self, value: Option<Value>) {
+        match (&mut self.distinct, value) {
+            (Some(distinct), Some(v)) => distinct.insert(v),
+            (_, value) => self.fold.update(value),
+        }
+    }
+
+    /// Folds another partial state (covering a *later* row range) into this
+    /// one. Merging in partition order reproduces the serial result exactly:
+    /// integer and modular arithmetic are order-insensitive, float partials
+    /// reassociate at fixed morsel boundaries, and first-encounter data
+    /// (MIN/MAX ties, DISTINCT values, group_concat order) keeps the earlier
+    /// partition's view.
+    pub fn merge(&mut self, other: AggState) {
+        match (&mut self.distinct, other.distinct) {
+            (Some(distinct), Some(theirs)) => {
+                for v in theirs.values {
+                    distinct.insert(v);
+                }
+            }
+            _ => self.fold.merge(other.fold),
+        }
+    }
+
+    /// The aggregate's value.
+    pub fn finish(self) -> Value {
+        let mut fold = self.fold;
+        for v in self.distinct.into_iter().flat_map(|d| d.values) {
+            fold.update(Some(v));
+        }
+        fold.finish()
+    }
+}
+
+impl Fold {
+    fn new(func: AggFunc) -> Fold {
+        match func {
+            AggFunc::Sum => Fold::Sum {
+                total_i: 0,
+                total_f: 0.0,
+                any_float: false,
+                count: 0,
+            },
+            AggFunc::Avg => Fold::Avg {
+                total: 0.0,
+                count: 0,
+            },
+            AggFunc::Count => Fold::Count(0),
+            AggFunc::Min => Fold::MinMax {
+                best: None,
+                is_min: true,
+            },
+            AggFunc::Max => Fold::MinMax {
+                best: None,
+                is_min: false,
+            },
+        }
+    }
+
+    fn update(&mut self, value: Option<Value>) {
         match self {
-            AggState::Sum {
+            Fold::Sum {
                 total_i,
                 total_f,
                 any_float,
@@ -880,7 +954,7 @@ impl AggState {
                     *count += 1;
                 }
             }
-            AggState::Avg { total, count } => {
+            Fold::Avg { total, count } => {
                 if let Some(v) = value {
                     if let Some(f) = v.as_float() {
                         *total += f;
@@ -888,43 +962,23 @@ impl AggState {
                     }
                 }
             }
-            AggState::Count { count, distinct } => match value {
-                None => *count += 1, // COUNT(*)
-                Some(v) => {
-                    if v.is_null() {
-                        return;
-                    }
-                    match distinct {
-                        Some(set) => {
-                            if set.insert(v) {
-                                *count += 1;
-                            }
-                        }
-                        None => *count += 1,
-                    }
+            Fold::Count(count) => {
+                // COUNT(*) counts every row, COUNT(x) the non-NULL ones.
+                if !value.is_some_and(|v| v.is_null()) {
+                    *count += 1;
                 }
-            },
-            AggState::MinMax { best, is_min } => {
-                if let Some(v) = value {
-                    if v.is_null() {
-                        return;
-                    }
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            if *is_min {
-                                v < *b
-                            } else {
-                                v > *b
-                            }
-                        }
-                    };
+            }
+            Fold::MinMax { best, is_min } => {
+                if let Some(v) = value.filter(|v| !v.is_null()) {
+                    let better = best
+                        .as_ref()
+                        .is_none_or(|b| if *is_min { v < *b } else { v > *b });
                     if better {
                         *best = Some(v);
                     }
                 }
             }
-            AggState::PaillierSum {
+            Fold::PaillierSum {
                 sum,
                 paillier,
                 operand,
@@ -937,7 +991,7 @@ impl AggState {
                     sum.add(paillier.ctx(), operand);
                 }
             }
-            AggState::GroupConcat { values } => {
+            Fold::GroupConcat(values) => {
                 if let Some(v) = value {
                     values.push(v);
                 }
@@ -945,21 +999,16 @@ impl AggState {
         }
     }
 
-    /// Folds another partial state (covering a *later* row range) into this
-    /// one. Merging in partition order reproduces the serial result exactly:
-    /// integer and modular arithmetic are order-insensitive, float partials
-    /// reassociate at fixed morsel boundaries, and first-encounter data
-    /// (MIN/MAX ties, group_concat order) keeps the earlier partition's view.
-    pub fn merge(&mut self, other: AggState) {
+    fn merge(&mut self, other: Fold) {
         match (self, other) {
             (
-                AggState::Sum {
+                Fold::Sum {
                     total_i,
                     total_f,
                     any_float,
                     count,
                 },
-                AggState::Sum {
+                Fold::Sum {
                     total_i: oi,
                     total_f: of,
                     any_float: oaf,
@@ -972,8 +1021,8 @@ impl AggState {
                 *count += oc;
             }
             (
-                AggState::Avg { total, count },
-                AggState::Avg {
+                Fold::Avg { total, count },
+                Fold::Avg {
                     total: ot,
                     count: oc,
                 },
@@ -981,53 +1030,20 @@ impl AggState {
                 *total += ot;
                 *count += oc;
             }
-            (
-                AggState::Count { count, distinct },
-                AggState::Count {
-                    count: oc,
-                    distinct: od,
-                },
-            ) => match (distinct, od) {
-                (Some(set), Some(oset)) => {
-                    set.extend(oset);
-                    *count = set.len() as u64;
-                }
-                _ => *count += oc,
-            },
-            (AggState::MinMax { best, is_min }, AggState::MinMax { best: ob, .. }) => {
-                if let Some(v) = ob {
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            if *is_min {
-                                v < *b
-                            } else {
-                                v > *b
-                            }
-                        }
-                    };
-                    if better {
-                        *best = Some(v);
-                    }
-                }
-            }
-            (
-                AggState::PaillierSum { sum, paillier, .. },
-                AggState::PaillierSum { sum: osum, .. },
-            ) => {
+            (Fold::Count(count), Fold::Count(oc)) => *count += oc,
+            (this @ Fold::MinMax { .. }, Fold::MinMax { best, .. }) => this.update(best),
+            (Fold::PaillierSum { sum, paillier, .. }, Fold::PaillierSum { sum: osum, .. }) => {
                 // One CIOS multiply combines the two drifting accumulators.
                 sum.merge(paillier.ctx(), &osum);
             }
-            (AggState::GroupConcat { values }, AggState::GroupConcat { values: ov }) => {
-                values.extend(ov);
-            }
+            (Fold::GroupConcat(values), Fold::GroupConcat(ov)) => values.extend(ov),
             _ => unreachable!("mismatched aggregate partials"),
         }
     }
 
-    pub fn finish(self) -> Value {
+    fn finish(self) -> Value {
         match self {
-            AggState::Sum {
+            Fold::Sum {
                 total_i,
                 total_f,
                 any_float,
@@ -1041,16 +1057,16 @@ impl AggState {
                     Value::Int(total_i)
                 }
             }
-            AggState::Avg { total, count } => {
+            Fold::Avg { total, count } => {
                 if count == 0 {
                     Value::Null
                 } else {
                     Value::Float(total / count as f64)
                 }
             }
-            AggState::Count { count, .. } => Value::Int(count as i64),
-            AggState::MinMax { best, .. } => best.unwrap_or(Value::Null),
-            AggState::PaillierSum { sum, paillier, .. } => {
+            Fold::Count(count) => Value::Int(count as i64),
+            Fold::MinMax { best, .. } => best.unwrap_or(Value::Null),
+            Fold::PaillierSum { sum, paillier, .. } => {
                 if sum.count() == 0 {
                     Value::Null
                 } else {
@@ -1060,7 +1076,7 @@ impl AggState {
                     Value::Bytes(product.to_bytes_be_padded(paillier.ciphertext_bytes()))
                 }
             }
-            AggState::GroupConcat { values } => Value::List(values),
+            Fold::GroupConcat(values) => Value::List(values),
         }
     }
 }
@@ -1068,10 +1084,9 @@ impl AggState {
 /// One group discovered during partial aggregation.
 pub(crate) struct GroupEntry {
     pub key: Vec<Value>,
-    /// Global index of the group's first member row (the representative for
-    /// group-key expressions in projections / HAVING / ORDER BY); `None` for
-    /// the synthetic all-NULL group of a global aggregate over empty input.
-    pub rep_row: Option<usize>,
+    /// Index of the group's first member row (the representative for
+    /// group-key expressions in projections / HAVING / ORDER BY).
+    pub rep_row: usize,
     pub states: Vec<AggState>,
 }
 
@@ -1095,18 +1110,17 @@ impl GroupPartial {
 /// builds thread-local [`AggState`]s per group; partials merge in partition
 /// order, reproducing the serial group order and accumulation exactly.
 pub(crate) struct MorselAggregate<'a> {
-    pub relation: &'a Relation,
-    /// The group keys, bound to the relation's rows.
+    pub rows: &'a [Vec<Value>],
+    /// The group keys, bound to the rows.
     pub group_by: &'a [BoundExpr],
-    pub specs: &'a [AggSpec<'a>],
-    pub db: &'a Database,
+    pub specs: &'a [AggSpec],
 }
 
 impl MorselAggregate<'_> {
     fn partial(&self, m: Morsel, subqueries: &dyn Subqueries) -> Result<GroupPartial, EngineError> {
         let mut partial = GroupPartial::empty();
         for ridx in m.start..m.end {
-            let row = &self.relation.rows[ridx];
+            let row = &self.rows[ridx];
             let key: Vec<Value> = self
                 .group_by
                 .iter()
@@ -1115,15 +1129,10 @@ impl MorselAggregate<'_> {
             let gidx = match partial.index.get(&key) {
                 Some(&i) => i,
                 None => {
-                    let states = self
-                        .specs
-                        .iter()
-                        .map(|s| AggState::new(s.expr, self.db))
-                        .collect::<Result<Vec<_>, _>>()?;
                     partial.groups.push(GroupEntry {
                         key: key.clone(),
-                        rep_row: Some(ridx),
-                        states,
+                        rep_row: ridx,
+                        states: self.specs.iter().map(|s| s.empty.clone()).collect(),
                     });
                     partial.index.insert(key, partial.groups.len() - 1);
                     partial.groups.len() - 1
@@ -1151,7 +1160,7 @@ impl MorselAggregate<'_> {
         opts: &ExecOptions,
         subqueries: Option<&dyn Subqueries>,
     ) -> Result<(Vec<GroupEntry>, ParallelMetrics), EngineError> {
-        let rows = self.relation.rows.len();
+        let rows = self.rows.len();
         let (partials, metrics) = match subqueries {
             Some(subqueries) => {
                 run_morsels_serial(rows, opts.morsel_rows, |m| self.partial(m, subqueries))?

@@ -273,6 +273,57 @@ fn client_step_tables_take_their_column_types_from_their_rows() {
     }
 }
 
+/// `SUM(DISTINCT ..)` and `AVG(DISTINCT ..)`, global and grouped, give the
+/// plaintext engine's answers through MONOMI, under the space budget S = 2
+/// and unconstrained: t(g, a) with a = 1, 1, 2 in group 1 and 5, 5, 7 in
+/// group 2.
+#[test]
+fn distinct_sums_and_averages_match_plaintext() {
+    let mut plain = Database::new();
+    plain.create_table(TableSchema::new(
+        "t",
+        vec![
+            ColumnDef::new("g", ColumnType::Int),
+            ColumnDef::new("a", ColumnType::Int),
+        ],
+    ));
+    for (g, a) in [(1, 1), (1, 1), (1, 2), (2, 5), (2, 5), (2, 7)] {
+        plain
+            .insert("t", vec![Value::Int(g), Value::Int(a)])
+            .unwrap();
+    }
+    let sqls = [
+        "SELECT SUM(DISTINCT a) FROM t",
+        "SELECT AVG(DISTINCT a) FROM t",
+        "SELECT g, SUM(DISTINCT a) FROM t GROUP BY g ORDER BY g",
+    ];
+    let expected = [
+        vec![vec![Value::Int(15)]],
+        vec![vec![Value::Float(3.75)]],
+        vec![
+            vec![Value::Int(1), Value::Int(3)],
+            vec![Value::Int(2), Value::Int(12)],
+        ],
+    ];
+    let parsed: Vec<_> = sqls.iter().map(|s| parse_query(s).unwrap()).collect();
+    for space_budget in [Some(2.0), None] {
+        let config = ClientConfig {
+            space_budget,
+            ..fast_config()
+        };
+        let (client, _) = MonomiClient::setup(&plain, &parsed, DesignStrategy::Designer, &config)
+            .expect("setup succeeds");
+        for (sql, want) in sqls.iter().zip(&expected) {
+            let (rs, _) = plain.execute_sql(sql, &[]).unwrap();
+            assert_eq!(&rs.rows, want, "plaintext {sql}");
+            let (got, _) = client
+                .execute(sql, &[])
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_eq!(&got.rows, want, "MONOMI {sql} under {space_budget:?}");
+        }
+    }
+}
+
 proptest! {
     // Each case runs a full MONOMI setup (key generation + design +
     // encryption), so keep the case count small; the row generators still
