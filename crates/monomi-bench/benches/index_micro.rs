@@ -30,11 +30,11 @@
 //! Knobs: `MONOMI_INDEX_ROWS` (default 40000), `MONOMI_BENCH_ITERS`
 //! (default 9), `MONOMI_INDEX_CACHE_BYTES`.
 
-use monomi_bench::{env_usize, print_header};
+use monomi_bench::print_header;
 use monomi_engine::{
     ColumnDef, ColumnType, Database, ExecOptions, ExecStats, ResultSet, TableSchema, Value,
 };
-use monomi_store::{IndexMode, Store, StoreOptions};
+use monomi_store::{env_knob, IndexMode, Store, StoreOptions};
 use std::time::Instant;
 
 fn median_seconds(mut samples: Vec<f64>) -> f64 {
@@ -216,8 +216,8 @@ fn main() {
         "Index microbenchmark: DET point lookups and OPE range probes",
         "encrypted access paths — postings seed the scan, O(result) not O(table)",
     );
-    let n = env_usize("MONOMI_INDEX_ROWS", 40_000).max(1000);
-    let iters = env_usize("MONOMI_BENCH_ITERS", 9).max(1);
+    let n = env_knob("MONOMI_INDEX_ROWS", 40_000, |_| true).max(1000);
+    let iters = env_knob("MONOMI_BENCH_ITERS", 9, |&n| n >= 1);
 
     let rows = make_rows(n);
     let mut mem = Database::in_memory();

@@ -15,11 +15,12 @@
 //! `MONOMI_PAILLIER_BITS` (default 512), `MONOMI_SCALE` (sizes both
 //! workloads).
 
-use monomi_bench::{env_usize, print_header};
+use monomi_bench::print_header;
 use monomi_crypto::PaillierKey;
 use monomi_engine::{ColumnDef, ColumnType, Database, ExecOptions, ResultSet, TableSchema, Value};
 use monomi_math::BigUint;
 use monomi_sql::parse_query;
+use monomi_store::env_knob;
 use monomi_tpch::datagen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,21 +43,19 @@ fn main() {
         "Morsel-driven parallel execution: 1 vs N worker threads",
         "Q1-shaped HOM aggregation and Q6-shaped selective scan",
     );
-    let threads = env_usize("MONOMI_BENCH_THREADS", 4);
-    let iters = env_usize("MONOMI_BENCH_ITERS", 3);
-    let bits = env_usize("MONOMI_PAILLIER_BITS", 512);
-    let scale = std::env::var("MONOMI_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.002);
+    let threads = env_knob("MONOMI_BENCH_THREADS", 4, |&n| n >= 1);
+    let iters = env_knob("MONOMI_BENCH_ITERS", 3, |&n| n >= 1);
+    let bits = env_knob("MONOMI_PAILLIER_BITS", 512, |&n| n >= 128);
+    let scale = env_knob("MONOMI_SCALE", 0.002, |s: &f64| s.is_finite() && *s > 0.0);
     let serial = ExecOptions::with_threads(1);
     let parallel = ExecOptions::with_threads(threads);
 
     // --- Q1-shaped HOM aggregation over an encrypted table. ---
     // At least five morsels of work, or the thread pool has nothing to share.
-    let hom_rows = env_usize(
+    let hom_rows = env_knob(
         "MONOMI_HOM_ROWS",
         ((scale * 2_000_000.0) as usize).clamp(5 * monomi_engine::DEFAULT_MORSEL_ROWS, 60_000),
+        |_| true,
     );
     let mut rng = StdRng::seed_from_u64(0x5eed);
     let key = PaillierKey::generate(&mut rng, bits);

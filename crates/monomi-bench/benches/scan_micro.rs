@@ -14,6 +14,7 @@ use monomi_engine::{
 };
 use monomi_sql::ast::Expr;
 use monomi_sql::parse_query;
+use monomi_store::env_knob;
 use monomi_tpch::datagen;
 use std::time::Instant;
 
@@ -100,14 +101,8 @@ fn main() {
         "Scan microbenchmark: vectorized scan with late materialization",
         "the §8 server-side scan substrate",
     );
-    let scale = std::env::var("MONOMI_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.02);
-    let iters: usize = std::env::var("MONOMI_BENCH_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(9);
+    let scale = env_knob("MONOMI_SCALE", 0.02, |s: &f64| s.is_finite() && *s > 0.0);
+    let iters = env_knob("MONOMI_BENCH_ITERS", 9, |&n: &usize| n >= 1);
     let db = datagen::generate(&datagen::GeneratorConfig {
         scale_factor: scale,
         ..Default::default()

@@ -676,11 +676,22 @@ impl Encryptor {
                 .iter()
                 .map(|enc_col| {
                     if td.col_packing && enc_col.name == hom_group_column {
-                        let slots = td
+                        let slots: Vec<_> = td
                             .hom_slots()
                             .iter()
                             .map(|base| source_index(base).map(|c| (c, td.columns[c].ty)))
                             .collect::<Result<_, _>>()?;
+                        // One plaintext holds every slot of a row.
+                        let needed = slots.len() * (HOM_VALUE_BITS + HOM_OVERFLOW_BITS) as usize;
+                        let available = self.paillier.plaintext_bits();
+                        if needed > available {
+                            return Err(CoreError::new(format!(
+                                "HOM group of table {} needs {needed} plaintext bits \
+                                 ({} slots); the Paillier key holds {available}",
+                                td.table,
+                                slots.len()
+                            )));
+                        }
                         return Ok(Cell::HomGroup(slots));
                     }
                     let (base, scheme) = parse_enc_name(&enc_col.name).ok_or_else(|| {

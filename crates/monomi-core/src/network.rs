@@ -4,10 +4,11 @@
 //! `tc`. The cost model (`CostModel`, and through it the `Planner` and the
 //! `Designer`) predicts transfer time from byte counts as
 //! `bytes / bandwidth`. This is a prediction only: the executor reports
-//! measured time (`QueryTimings::wire_seconds` on a real socket), and the
-//! paper's figure harnesses add this link to it explicitly where they print
-//! "modeled 10 Mbit/s link". Server I/O is never modeled; run the server on
-//! the segment store (`MONOMI_STORAGE=disk`) to measure real disk reads.
+//! measured time (`QueryTimings::wire_seconds` on a real socket), and no
+//! harness adds this link to it; the `paper` bench target prints each run's
+//! transferred bytes beside its measured time instead. Server I/O is never
+//! modeled; run the server on the segment store (`MONOMI_STORAGE=disk`) to
+//! measure real disk reads.
 
 /// Bandwidth of the client/server link the planner prices plans with.
 #[derive(Clone, Copy, Debug)]

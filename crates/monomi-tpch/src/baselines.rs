@@ -36,33 +36,58 @@ pub enum SystemKind {
     Monomi,
 }
 
-impl std::fmt::Display for SystemKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            SystemKind::Plaintext => "Plaintext",
-            SystemKind::CryptDbClient => "CryptDB+Client",
-            SystemKind::ExecutionGreedy => "Execution-Greedy",
-            SystemKind::Monomi => "MONOMI",
-        };
-        write!(f, "{s}")
-    }
-}
-
 /// The result of running one query on one system.
 #[derive(Clone, Debug)]
 pub struct QueryRun {
-    pub query_number: u32,
-    pub system: SystemKind,
     pub timings: QueryTimings,
     pub result: ResultSet,
 }
 
-/// Seconds of one run as the paper's figures report them: the measured
-/// phases plus the modeled link carrying the run's `transfer_bytes` (the
-/// paper throttles a real link to 10 Mbit/s). Nothing else adds the link;
-/// whoever prints this number labels it "modeled 10 Mbit/s link".
-pub fn with_modeled_link(timings: &QueryTimings, network: &NetworkModel) -> f64 {
-    timings.total_seconds() + network.transfer_seconds(timings.transfer_bytes)
+/// The plan options of CryptDB+Client: HOM aggregation over single columns,
+/// no precomputed expressions, no pre-filtering.
+pub const CRYPTDB_OPTIONS: PlanOptions = PlanOptions {
+    use_precomputation: false,
+    use_hom_aggregation: true,
+    use_prefiltering: false,
+};
+
+/// How a client chooses a query's plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlanMode {
+    /// The cost-based planner (MONOMI).
+    Planner,
+    /// Always push as much as the options allow to the server, never
+    /// consulting the cost model (Execution-Greedy, CryptDB+Client).
+    Greedy(PlanOptions),
+}
+
+impl SystemKind {
+    /// The plan mode this system runs its queries under.
+    pub fn plan_mode(self) -> PlanMode {
+        match self {
+            SystemKind::CryptDbClient => PlanMode::Greedy(CRYPTDB_OPTIONS),
+            SystemKind::ExecutionGreedy => PlanMode::Greedy(PlanOptions::default()),
+            SystemKind::Plaintext | SystemKind::Monomi => PlanMode::Planner,
+        }
+    }
+}
+
+/// Runs one query on an encrypted deployment under a plan mode.
+pub fn run_query(
+    client: &MonomiClient,
+    mode: PlanMode,
+    query: &TpchQuery,
+) -> Result<QueryRun, CoreError> {
+    let (result, timings) = match mode {
+        PlanMode::Planner => client.execute(query.sql, &query.params)?,
+        PlanMode::Greedy(options) => client.execute_plan(&client.plan_with_options(
+            query.sql,
+            &query.params,
+            &options,
+            true,
+        )?)?,
+    };
+    Ok(QueryRun { timings, result })
 }
 
 /// Runs a query on an unencrypted server database: measured execution time,
@@ -89,8 +114,6 @@ pub fn run_plaintext(plain: &Database, query: &TpchQuery) -> Result<QueryRun, Co
         ..QueryTimings::default()
     };
     Ok(QueryRun {
-        query_number: query.number,
-        system: SystemKind::Plaintext,
         timings,
         result: rs,
     })
@@ -116,11 +139,7 @@ pub fn cryptdb_design(
         paillier_bits,
         network: NetworkModel::paper_default(),
         profile: Default::default(),
-        options: PlanOptions {
-            use_precomputation: false,
-            use_hom_aggregation: true,
-            use_prefiltering: false,
-        },
+        options: CRYPTDB_OPTIONS,
     };
     let queries: Vec<_> = workload
         .iter()
@@ -170,11 +189,7 @@ pub fn build_system(
             let master = MasterKey::generate(&mut rng);
             let paillier = PaillierKey::generate(&mut rng, config.paillier_bits.max(128));
             let mut cfg = config.clone();
-            cfg.plan_options = PlanOptions {
-                use_precomputation: false,
-                use_hom_aggregation: true,
-                use_prefiltering: false,
-            };
+            cfg.plan_options = CRYPTDB_OPTIONS;
             Some(MonomiClient::from_design(
                 plain, design, master, paillier, &cfg,
             )?)
@@ -191,48 +206,17 @@ pub fn build_system(
 impl SystemSetup {
     /// Runs one query under this system.
     pub fn run(&self, plain: &Database, query: &TpchQuery) -> Result<QueryRun, CoreError> {
-        match (self.kind, &self.client) {
-            (SystemKind::Plaintext, _) => run_plaintext(plain, query),
-            (SystemKind::Monomi, Some(client)) => {
-                let (result, timings) = client.execute(query.sql, &query.params)?;
-                Ok(QueryRun {
-                    query_number: query.number,
-                    system: self.kind,
-                    timings,
-                    result,
-                })
-            }
-            (SystemKind::ExecutionGreedy, Some(client))
-            | (SystemKind::CryptDbClient, Some(client)) => {
-                // Greedy execution: always push everything possible to the
-                // server, never consult the cost-based planner.
-                let options = if self.kind == SystemKind::CryptDbClient {
-                    PlanOptions {
-                        use_precomputation: false,
-                        use_hom_aggregation: true,
-                        use_prefiltering: false,
-                    }
-                } else {
-                    PlanOptions::default()
-                };
-                let plan = client.plan_with_options(query.sql, &query.params, &options, true)?;
-                let (result, timings) = client.execute_plan(&plan)?;
-                Ok(QueryRun {
-                    query_number: query.number,
-                    system: self.kind,
-                    timings,
-                    result,
-                })
-            }
-            _ => Err(CoreError::new("system not initialized")),
+        match &self.client {
+            Some(client) => run_query(client, self.kind.plan_mode(), query),
+            None => run_plaintext(plain, query),
         }
     }
 
     /// Server storage footprint of this system (plaintext size for Plaintext).
     pub fn server_bytes(&self, plain: &Database) -> usize {
-        match (&self.client, self.kind) {
-            (Some(client), _) => client.designed_size_bytes(),
-            (None, _) => plain.total_size_bytes(),
+        match &self.client {
+            Some(client) => client.designed_size_bytes(),
+            None => plain.total_size_bytes(),
         }
     }
 }

@@ -15,7 +15,7 @@
 //! let monomi = baselines::build_system(
 //!     baselines::SystemKind::Monomi, &plain, &workload, &ClientConfig::default()).unwrap();
 //! let run = monomi.run(&plain, &workload[0]).unwrap();
-//! println!("Q{} took {:.3}s (measured)", run.query_number, run.timings.total_seconds());
+//! println!("Q{} took {:.3}s", workload[0].number, run.timings.total_seconds());
 //! ```
 
 pub mod baselines;
@@ -24,13 +24,14 @@ pub mod queries;
 pub mod schema;
 
 pub use baselines::{
-    build_system, run_plaintext, with_modeled_link, QueryRun, SystemKind, SystemSetup,
+    build_system, run_plaintext, run_query, PlanMode, QueryRun, SystemKind, SystemSetup,
 };
 pub use datagen::{generate, GeneratorConfig};
 pub use queries::{query, workload, TpchQuery};
 
-/// A small client configuration suitable for tests and quick benchmark runs:
-/// 256-bit Paillier keys, no startup profiling, S = 2 space budget.
+/// A small client configuration for tests and examples: 256-bit Paillier keys,
+/// no startup profiling, S = 2 space budget. The `paper` bench target uses
+/// the paper's 1024-bit keys instead.
 pub fn fast_config() -> monomi_core::ClientConfig {
     monomi_core::ClientConfig {
         paillier_bits: 256,

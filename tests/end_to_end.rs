@@ -5,7 +5,7 @@
 use monomi_core::{ClientConfig, DesignStrategy, MonomiClient};
 use monomi_engine::{ColumnDef, ColumnType, Database, TableSchema, Value};
 use monomi_sql::parse_query;
-use monomi_tpch::{baselines, datagen, queries};
+use monomi_tpch::{baselines, datagen, fast_config, queries};
 use proptest::prelude::*;
 
 fn small_plain() -> monomi_engine::Database {
@@ -13,15 +13,6 @@ fn small_plain() -> monomi_engine::Database {
         scale_factor: 0.001,
         seed: 99,
     })
-}
-
-fn fast_config() -> ClientConfig {
-    ClientConfig {
-        paillier_bits: 256,
-        space_budget: Some(2.0),
-        skip_profiling: true,
-        ..Default::default()
-    }
 }
 
 fn values_close(a: &Value, b: &Value) -> bool {
@@ -193,6 +184,25 @@ fn space_budget_is_respected_and_orderings_hold() {
     // Table 2 ordering: plaintext < MONOMI < CryptDB+Client.
     assert!(monomi_bytes > plain_bytes);
     assert!(cryptdb_bytes > monomi_bytes);
+}
+
+#[test]
+fn unconstrained_setup_with_a_small_key_is_an_error() {
+    // The unconstrained design packs more HOM slots into a row than a
+    // 256-bit Paillier plaintext holds: setup must say so, not panic.
+    let plain = small_plain();
+    let parsed: Vec<_> = queries::workload()
+        .iter()
+        .map(|q| parse_query(q.sql).expect("workload query parses"))
+        .collect();
+    let config = ClientConfig {
+        space_budget: None,
+        ..fast_config()
+    };
+    let err = MonomiClient::setup(&plain, &parsed, DesignStrategy::Designer, &config)
+        .err()
+        .expect("a HOM group wider than the key is rejected");
+    assert!(err.message.contains("plaintext bits"), "{}", err.message);
 }
 
 /// Builds a two-table plaintext database whose join columns contain NULLs at

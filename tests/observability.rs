@@ -12,7 +12,7 @@ use monomi_engine::{Database, ExecOptions};
 use monomi_obs::{flatten_spans, Span, TraceId};
 use monomi_server::{Server, ServerOptions};
 use monomi_sql::parse_query;
-use monomi_tpch::{datagen, queries};
+use monomi_tpch::{datagen, fast_config, queries};
 use std::time::Instant;
 
 fn small_plain() -> Database {
@@ -20,15 +20,6 @@ fn small_plain() -> Database {
         scale_factor: 0.001,
         seed: 99,
     })
-}
-
-fn fast_config() -> ClientConfig {
-    ClientConfig {
-        paillier_bits: 256,
-        space_budget: Some(2.0),
-        skip_profiling: true,
-        ..Default::default()
-    }
 }
 
 fn loopback_server() -> monomi_server::ServerHandle {

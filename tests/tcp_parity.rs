@@ -11,7 +11,7 @@ use monomi_core::{ClientConfig, DesignStrategy, MonomiClient, SplitPlan};
 use monomi_engine::ExecOptions;
 use monomi_server::{Server, ServerOptions};
 use monomi_sql::parse_query;
-use monomi_tpch::{datagen, queries};
+use monomi_tpch::{datagen, fast_config, queries};
 
 const CORPUS: [u32; 11] = [1, 3, 4, 5, 6, 10, 12, 14, 18, 19, 22];
 
@@ -20,15 +20,6 @@ fn small_plain() -> monomi_engine::Database {
         scale_factor: 0.001,
         seed: 99,
     })
-}
-
-fn fast_config() -> ClientConfig {
-    ClientConfig {
-        paillier_bits: 256,
-        space_budget: Some(2.0),
-        skip_profiling: true,
-        ..Default::default()
-    }
 }
 
 /// Spawns a loopback server (generous connection limit) and returns its
