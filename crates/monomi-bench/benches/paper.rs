@@ -17,7 +17,7 @@
 //! MONOMI_SCALE=0.001 cargo bench --bench paper
 //! ```
 
-use monomi_bench::print_header;
+use monomi_bench::{print_header, scale};
 use monomi_core::design::SecuritySummary;
 use monomi_core::plan::PlanOptions;
 use monomi_core::{ClientConfig, CoreError, DesignStrategy, MonomiClient};
@@ -437,14 +437,7 @@ fn main() -> Result<(), CoreError> {
         "The paper's figures and tables, measured",
         "§8 (Figs. 4-9, Tables 2-3)",
     );
-    let scales = match std::env::var_os("MONOMI_SCALE") {
-        Some(_) => vec![monomi_store::env_knob(
-            "MONOMI_SCALE",
-            SCALES[0],
-            |s: &f64| s.is_finite() && *s > 0.0,
-        )],
-        None => SCALES.to_vec(),
-    };
+    let scales = scale(SCALES[0]).map_or(SCALES.to_vec(), |s| vec![s]);
     let mut summary = Vec::new();
     for scale in scales {
         let started = Instant::now();

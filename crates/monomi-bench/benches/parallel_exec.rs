@@ -11,16 +11,13 @@
 //!   materialization + SUM over TPC-H `lineitem`, morsel-parallel end to end.
 //!
 //! The acceptance bar is ≥3x rows/s at 4 threads on the Q1-shaped HOM
-//! workload. Knobs: `MONOMI_BENCH_THREADS` (default 4),
-//! `MONOMI_PAILLIER_BITS` (default 512), `MONOMI_SCALE` (sizes both
-//! workloads).
+//! workload, with 512-bit Paillier. `MONOMI_SCALE` sizes both workloads.
 
-use monomi_bench::print_header;
+use monomi_bench::{bench_iters, print_header, scale};
 use monomi_crypto::PaillierKey;
 use monomi_engine::{ColumnDef, ColumnType, Database, ExecOptions, ResultSet, TableSchema, Value};
 use monomi_math::BigUint;
 use monomi_sql::parse_query;
-use monomi_store::env_knob;
 use monomi_tpch::datagen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,20 +40,16 @@ fn main() {
         "Morsel-driven parallel execution: 1 vs N worker threads",
         "Q1-shaped HOM aggregation and Q6-shaped selective scan",
     );
-    let threads = env_knob("MONOMI_BENCH_THREADS", 4, |&n| n >= 1);
-    let iters = env_knob("MONOMI_BENCH_ITERS", 3, |&n| n >= 1);
-    let bits = env_knob("MONOMI_PAILLIER_BITS", 512, |&n| n >= 128);
-    let scale = env_knob("MONOMI_SCALE", 0.002, |s: &f64| s.is_finite() && *s > 0.0);
+    let (threads, bits) = (4, 512);
+    let iters = bench_iters(3);
+    let scale = scale(0.002).unwrap_or(0.002);
     let serial = ExecOptions::with_threads(1);
     let parallel = ExecOptions::with_threads(threads);
 
     // --- Q1-shaped HOM aggregation over an encrypted table. ---
     // At least five morsels of work, or the thread pool has nothing to share.
-    let hom_rows = env_knob(
-        "MONOMI_HOM_ROWS",
-        ((scale * 2_000_000.0) as usize).clamp(5 * monomi_engine::DEFAULT_MORSEL_ROWS, 60_000),
-        |_| true,
-    );
+    let hom_rows =
+        ((scale * 2_000_000.0) as usize).clamp(5 * monomi_engine::DEFAULT_MORSEL_ROWS, 60_000);
     let mut rng = StdRng::seed_from_u64(0x5eed);
     let key = PaillierKey::generate(&mut rng, bits);
     let plains: Vec<BigUint> = (0..hom_rows as u64)

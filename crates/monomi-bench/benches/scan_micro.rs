@@ -7,14 +7,13 @@
 //! output is checked against row-at-a-time evaluation: the predicate bound
 //! once as a `BoundExpr` and evaluated over every materialized row.
 
-use monomi_bench::print_header;
+use monomi_bench::{bench_iters, print_header, scale};
 use monomi_engine::{
     apply_predicate, compile_predicate, BoundExpr, NoSubqueries, RowSchema, SelectionVector, Table,
     Value,
 };
 use monomi_sql::ast::Expr;
 use monomi_sql::parse_query;
-use monomi_store::env_knob;
 use monomi_tpch::datagen;
 use std::time::Instant;
 
@@ -101,8 +100,8 @@ fn main() {
         "Scan microbenchmark: vectorized scan with late materialization",
         "the §8 server-side scan substrate",
     );
-    let scale = env_knob("MONOMI_SCALE", 0.02, |s: &f64| s.is_finite() && *s > 0.0);
-    let iters = env_knob("MONOMI_BENCH_ITERS", 9, |&n: &usize| n >= 1);
+    let scale = scale(0.02).unwrap_or(0.02);
+    let iters = bench_iters(9);
     let db = datagen::generate(&datagen::GeneratorConfig {
         scale_factor: scale,
         ..Default::default()

@@ -41,7 +41,7 @@ pub struct ClientConfig {
     pub skip_profiling: bool,
     /// Execution options for the engine (server-side morsel workers and the
     /// client's residual plaintext execution). `None` reads `MONOMI_THREADS`
-    /// / `MONOMI_MORSEL_ROWS` from the environment once, at setup time;
+    /// and `MONOMI_INDEXES` from the environment once, at setup time;
     /// results are bit-identical at every thread count either way.
     pub exec_options: Option<ExecOptions>,
     /// Address of a running `monomi-server` (e.g. `127.0.0.1:7433`). `None`
@@ -51,9 +51,8 @@ pub struct ClientConfig {
     /// byte-identical between the two.
     pub server_addr: Option<String>,
     /// Resilience knobs for the TCP transport (deadlines, retry budget,
-    /// backoff). `None` reads `MONOMI_CONNECT_TIMEOUT_MS` /
-    /// `MONOMI_DEADLINE_MS` / `MONOMI_RETRIES` / `MONOMI_BACKOFF_MS` from
-    /// the environment at setup time. Ignored for in-process servers.
+    /// backoff). `None` means [`TransportOptions::default`]. Ignored for
+    /// in-process servers.
     pub transport: Option<TransportOptions>,
 }
 
@@ -174,7 +173,7 @@ impl MonomiClient {
         let server: Box<dyn ServerTransport> = match &config.server_addr {
             None => Box::new(InProcessTransport::new(encrypted_db)),
             Some(addr) => {
-                let opts = config.transport.unwrap_or_else(TransportOptions::from_env);
+                let opts = config.transport.unwrap_or_default();
                 let mut transport = TcpTransport::connect_with(addr, opts)?;
                 load_database_with(
                     &mut transport,

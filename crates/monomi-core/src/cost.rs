@@ -5,10 +5,10 @@
 use crate::decrypt::DecryptPipeline;
 use crate::design::{Encryptor, PhysicalDesign};
 use crate::network::NetworkModel;
-use crate::plan::{DecryptSpec, OutputColumn, RemotePlan, SplitPlan};
+use crate::plan::{value_to_literal, DecryptSpec, OutputColumn, RemotePlan, SplitPlan};
 use crate::schemes::EncScheme;
 use monomi_engine::{ColumnType, Database, QueryEstimate, ResultSet, Value};
-use monomi_sql::ast::{Expr, Query, TableRef};
+use monomi_sql::ast::{Expr, Literal, Query, TableRef};
 use monomi_store::INDEX_SELECTIVITY_CROSSOVER;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -546,8 +546,8 @@ pub fn bind_params(query: &Query, params: &[Value]) -> Query {
 fn bind_expr_params(expr: &Expr, params: &[Value]) -> Expr {
     match expr {
         Expr::Param(n) => {
-            let v = params.get(n - 1).cloned().unwrap_or(Value::Null);
-            value_to_literal_expr(&v)
+            let v = params.get(n - 1).and_then(value_to_literal);
+            v.unwrap_or(Expr::Literal(Literal::Null))
         }
         Expr::BinaryOp { left, op, right } => Expr::BinaryOp {
             left: Box::new(bind_expr_params(left, params)),
@@ -641,17 +641,6 @@ fn bind_expr_params(expr: &Expr, params: &[Value]) -> Expr {
             negated: *negated,
         },
         other => other.clone(),
-    }
-}
-
-fn value_to_literal_expr(v: &Value) -> Expr {
-    use monomi_sql::ast::Literal;
-    match v {
-        Value::Int(i) => Expr::Literal(Literal::Number(i.to_string())),
-        Value::Float(f) => Expr::Literal(Literal::Number(format!("{f}"))),
-        Value::Str(s) => Expr::Literal(Literal::String(s.clone())),
-        Value::Date(d) => Expr::Literal(Literal::Date(monomi_engine::date::format_date(*d))),
-        _ => Expr::Literal(Literal::Null),
     }
 }
 

@@ -241,11 +241,10 @@ pub fn generate_query_plan(
     }
 }
 
-/// The "ship the (filtered) tables to the client" fallback: every base table
-/// referenced by the query is fetched through a trivial remote plan (applying
-/// any pushable single-table predicates), and the original query runs on the
-/// client. This is always correct and mirrors the strawman the paper compares
-/// against; the planner only picks it when nothing better exists.
+/// The "ship the tables to the client" fallback: every base table the query
+/// references is fetched whole by a `SELECT *` remote plan (no predicate is
+/// pushed), and the original query runs on the client. Always correct, it is
+/// the paper's strawman; the planner picks it only when nothing better exists.
 pub fn client_fallback_plan(
     query: &Query,
     plain: &Database,
@@ -944,7 +943,7 @@ fn prefilter_for(rewriter: &Rewriter<'_>, having: &Expr, plain: &Database) -> Op
     Some(max_clause.binop(BinaryOp::Or, count_clause))
 }
 
-fn value_to_literal(v: &Value) -> Option<Expr> {
+pub(crate) fn value_to_literal(v: &Value) -> Option<Expr> {
     Some(match v {
         Value::Int(i) => Expr::Literal(Literal::Number(i.to_string())),
         Value::Float(f) => Expr::Literal(Literal::Number(format!("{f}"))),

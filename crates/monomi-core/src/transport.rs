@@ -54,7 +54,6 @@ use monomi_proto::{
     frame, read_response, ErrorCode, ProtoErrorKind, Request, Response, WIRE_VERSION,
 };
 use monomi_sql::Query;
-use monomi_store::env_knob;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -62,15 +61,15 @@ use rand::{RngCore, SeedableRng};
 /// Bounds peak frame size without drowning the load in round-trips.
 const LOAD_CHUNK_ROWS: usize = 4096;
 
-/// Default connect timeout (`MONOMI_CONNECT_TIMEOUT_MS`).
+/// Default connect timeout.
 pub const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 5_000;
-/// Default per-request deadline (`MONOMI_DEADLINE_MS`): the budget for one
-/// logical request including every retry and reconnect it needed.
+/// Default per-request deadline: the budget for one logical request including
+/// every retry and reconnect it needed.
 pub const DEFAULT_DEADLINE_MS: u64 = 30_000;
-/// Default retry budget per request (`MONOMI_RETRIES`).
+/// Default retry budget per request.
 pub const DEFAULT_RETRIES: u32 = 3;
-/// Default backoff base (`MONOMI_BACKOFF_MS`): retry `n` sleeps roughly
-/// `base * 2^(n-1)`, jittered to 50–100% of nominal.
+/// Default backoff base: retry `n` sleeps roughly `base * 2^(n-1)`, jittered
+/// to 50–100% of nominal.
 pub const DEFAULT_BACKOFF_MS: u64 = 50;
 /// Ceiling on one backoff sleep regardless of the exponent.
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
@@ -101,35 +100,6 @@ impl Default for TransportOptions {
             max_retries: DEFAULT_RETRIES,
             backoff_base: Duration::from_millis(DEFAULT_BACKOFF_MS),
             backoff_seed: 0x6d6f_6e6f_6d69, // "monomi"
-        }
-    }
-}
-
-impl TransportOptions {
-    /// Reads options from the environment: `MONOMI_CONNECT_TIMEOUT_MS`,
-    /// `MONOMI_DEADLINE_MS`, `MONOMI_RETRIES`, `MONOMI_BACKOFF_MS` (defaults
-    /// as the constants above). Malformed values are rejected with a logged
-    /// warning, never silently swallowed.
-    pub fn from_env() -> Self {
-        let defaults = TransportOptions::default();
-        TransportOptions {
-            connect_timeout: Duration::from_millis(env_knob(
-                "MONOMI_CONNECT_TIMEOUT_MS",
-                DEFAULT_CONNECT_TIMEOUT_MS,
-                |&ms| ms >= 1,
-            )),
-            request_deadline: Duration::from_millis(env_knob(
-                "MONOMI_DEADLINE_MS",
-                DEFAULT_DEADLINE_MS,
-                |&ms| ms >= 1,
-            )),
-            max_retries: env_knob("MONOMI_RETRIES", DEFAULT_RETRIES, |_| true),
-            backoff_base: Duration::from_millis(env_knob(
-                "MONOMI_BACKOFF_MS",
-                DEFAULT_BACKOFF_MS,
-                |&ms| ms >= 1,
-            )),
-            ..defaults
         }
     }
 }
@@ -455,10 +425,10 @@ impl std::fmt::Debug for TcpTransport {
 }
 
 impl TcpTransport {
-    /// Connects with environment-derived [`TransportOptions`] and performs
-    /// the version handshake.
+    /// Connects with the default [`TransportOptions`] and performs the
+    /// version handshake.
     pub fn connect(addr: &str) -> Result<TcpTransport, CoreError> {
-        Self::connect_with(addr, TransportOptions::from_env())
+        Self::connect_with(addr, TransportOptions::default())
     }
 
     /// Connects with explicit options. The initial connect is a single

@@ -360,8 +360,7 @@ impl Database {
     }
 
     /// Executes a SQL string with positional parameters, using the
-    /// environment-derived execution options (`MONOMI_THREADS`,
-    /// `MONOMI_MORSEL_ROWS`; see [`ExecOptions::from_env`]).
+    /// environment-derived execution options (see [`ExecOptions::from_env`]).
     pub fn execute_sql(
         &self,
         sql: &str,

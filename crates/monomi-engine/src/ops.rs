@@ -71,31 +71,26 @@ pub struct ExecOptions {
 
 impl ExecOptions {
     /// Reads options from the environment: `MONOMI_THREADS` (default: all
-    /// available cores), `MONOMI_MORSEL_ROWS` (default
-    /// [`DEFAULT_MORSEL_ROWS`]), and `MONOMI_INDEXES` (default `all`).
+    /// available cores) and `MONOMI_INDEXES` (default `all`), with
+    /// [`DEFAULT_MORSEL_ROWS`].
     pub fn from_env() -> Self {
-        // Env parsing goes through the shared `env_knob` helper (reject with a
-        // logged warning on malformed values, never a silent fallback). The
-        // knobs are resolved once at setup, before execution; they size the
-        // thread pool, the partitioning, and the access-path choice — never
-        // the result bytes.
+        // The knobs are resolved once at setup, before execution; they size
+        // the thread pool and pick the access path — never the result bytes.
         // monomi-lint: allow(determinism-clock-env): parallelism probe only picks a thread count; results are byte-identical at every thread count
         let default_threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        ExecOptions {
-            threads: monomi_store::env_knob("MONOMI_THREADS", default_threads, |&n| n >= 1),
-            morsel_rows: monomi_store::env_knob("MONOMI_MORSEL_ROWS", DEFAULT_MORSEL_ROWS, |&n| {
-                n >= 1
-            }),
-            index_mode: monomi_store::IndexMode::from_env(),
-        }
+        Self::with_threads(monomi_store::env_knob(
+            "MONOMI_THREADS",
+            default_threads,
+            |&n| n >= 1,
+        ))
     }
 
     /// The environment-derived options, sampled once per process and cached —
-    /// the default for [`Database::execute`](crate::Database::execute), which
-    /// would otherwise re-read two env vars and `available_parallelism` on
-    /// every query. Use [`from_env`](Self::from_env) to re-sample.
+    /// the default for [`Database::execute_sql`](crate::Database::execute_sql),
+    /// which would otherwise re-read two env vars and `available_parallelism`
+    /// on every query. Use [`from_env`](Self::from_env) to re-sample.
     pub fn env_cached() -> Self {
         static CACHED: std::sync::OnceLock<ExecOptions> = std::sync::OnceLock::new();
         *CACHED.get_or_init(Self::from_env)

@@ -252,7 +252,6 @@ proptest! {
                 segment_rows,
                 cache_bytes: 4 << 20,
                 index_mode: monomi_store::IndexMode::Off,
-                ..StoreOptions::default()
             }).expect("store opens");
             let mut disk = Database::with_store(store);
             disk.create_table(lineitem_like_schema());

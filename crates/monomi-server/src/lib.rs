@@ -15,12 +15,12 @@
 //!   only, no async runtime. Intra-query parallelism belongs to the engine's
 //!   morsel scheduler, so a connection thread is almost always parked in
 //!   `read` and a thread per session is the honest cost model;
-//! * a **connection limit** (`MONOMI_MAX_CONNS`) as primitive admission
-//!   control: connection number `max_conns + 1` is greeted with a typed
-//!   [`ErrorCode::Busy`] and closed, rather than queued into oblivion;
-//! * **per-connection timeouts** (`MONOMI_CONN_TIMEOUT_MS`): a connection
-//!   may sit idle for at most the timeout, and once the first byte of a
-//!   frame arrives the *whole frame* must arrive within the timeout — so a
+//! * a **connection limit** ([`ServerOptions::max_conns`]) as primitive
+//!   admission control: connection number `max_conns + 1` is greeted with a
+//!   typed [`ErrorCode::Busy`] and closed, rather than queued into oblivion;
+//! * **per-connection timeouts** ([`CONN_TIMEOUT`]): a connection may sit
+//!   idle for at most the timeout, and once the first byte of a frame
+//!   arrives the *whole frame* must arrive within the timeout — so a
 //!   half-open or slowloris client cannot pin a connection thread (and with
 //!   it an admission slot) indefinitely;
 //! * a **per-client schema registry**: tables are owned by the client that
@@ -64,18 +64,18 @@ use monomi_proto::{
     WIRE_VERSION,
 };
 use monomi_sql::parse_query;
-use monomi_store::env_knob;
 use parking_lot::{Mutex, RwLock};
 
-/// Default listen address when `MONOMI_LISTEN` is unset.
+/// Default listen address.
 pub const DEFAULT_LISTEN: &str = "127.0.0.1:7433";
 
-/// Default connection limit when `MONOMI_MAX_CONNS` is unset.
+/// Default connection limit.
 pub const DEFAULT_MAX_CONNS: usize = 64;
 
-/// Default per-connection timeout (idle wait and whole-frame receive alike)
-/// when `MONOMI_CONN_TIMEOUT_MS` is unset.
-pub const DEFAULT_CONN_TIMEOUT_MS: u64 = 30_000;
+/// Per-connection read/write budget: the longest a connection may sit idle
+/// between frames, and the longest one frame may take to arrive once its
+/// first byte has been read.
+pub const CONN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Disconnected clients whose idempotency journal is retained, at most. The
 /// journal lets a client that reconnects *after* its last connection dropped
@@ -89,10 +89,6 @@ pub struct ServerOptions {
     /// Connections admitted concurrently; the next one is refused with
     /// [`ErrorCode::Busy`].
     pub max_conns: usize,
-    /// Per-connection read/write budget: the longest a connection may sit
-    /// idle between frames, and the longest one frame may take to arrive
-    /// once its first byte has been read.
-    pub conn_timeout: Duration,
     /// When set, the Prometheus-text metrics dump is written to this path as
     /// the accept loop exits (graceful shutdown or drain).
     pub metrics_dump: Option<PathBuf>,
@@ -106,46 +102,8 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             max_conns: DEFAULT_MAX_CONNS,
-            conn_timeout: Duration::from_millis(DEFAULT_CONN_TIMEOUT_MS),
             metrics_dump: None,
             slow_query_ms: None,
-        }
-    }
-}
-
-impl ServerOptions {
-    /// Reads options from the environment: `MONOMI_MAX_CONNS` (default
-    /// [`DEFAULT_MAX_CONNS`]), `MONOMI_CONN_TIMEOUT_MS` (default
-    /// [`DEFAULT_CONN_TIMEOUT_MS`]), `MONOMI_METRICS_DUMP` (a path; unset
-    /// means no dump), and `MONOMI_SLOW_QUERY_MS` (unset means no slow-query
-    /// log). Malformed values are rejected with a logged warning (never
-    /// silently swallowed) and the default is used.
-    pub fn from_env() -> Self {
-        let slow_query_ms = match std::env::var("MONOMI_SLOW_QUERY_MS") {
-            Err(_) => None,
-            Ok(raw) => match raw.parse::<u64>() {
-                Ok(ms) => Some(ms),
-                Err(_) => {
-                    eprintln!(
-                        "monomi-server: ignoring malformed MONOMI_SLOW_QUERY_MS={raw:?} \
-                         (want milliseconds as an integer)"
-                    );
-                    None
-                }
-            },
-        };
-        ServerOptions {
-            max_conns: env_knob("MONOMI_MAX_CONNS", DEFAULT_MAX_CONNS, |&n| n >= 1),
-            conn_timeout: Duration::from_millis(env_knob(
-                "MONOMI_CONN_TIMEOUT_MS",
-                DEFAULT_CONN_TIMEOUT_MS,
-                |&ms| ms >= 1,
-            )),
-            metrics_dump: std::env::var("MONOMI_METRICS_DUMP")
-                .ok()
-                .filter(|p| !p.is_empty())
-                .map(PathBuf::from),
-            slow_query_ms,
         }
     }
 }
@@ -328,7 +286,7 @@ impl Server {
                 shared.active.fetch_sub(1, Ordering::SeqCst);
                 shared.metrics.busy_rejections_total.inc();
                 let mut stream = stream;
-                let _ = stream.set_write_timeout(Some(shared.opts.conn_timeout));
+                let _ = stream.set_write_timeout(Some(CONN_TIMEOUT));
                 let _ = write_response(
                     &mut stream,
                     &Response::error(ErrorCode::Busy, "connection limit reached"),
@@ -336,8 +294,12 @@ impl Server {
                 continue;
             }
             std::thread::spawn(move || {
+                // Released on unwind too: a panicking connection thread must
+                // not keep its admission slot.
+                let _slot = ReleaseOnDrop(|| {
+                    shared.active.fetch_sub(1, Ordering::SeqCst);
+                });
                 let _ = serve_connection(&shared, stream);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
             });
         }
         // Graceful exit: persist the metrics dump where asked. In-flight
@@ -436,23 +398,20 @@ impl Drop for ServerHandle {
     }
 }
 
-/// A [`Read`] over a connection that enforces the per-connection budget: an
-/// idle wait for the next frame is bounded by the budget, and once the first
-/// byte of a frame has been read the *rest of that frame* must arrive before
-/// the budget elapses (call [`start_frame`](Self::start_frame) at each frame
+/// A [`Read`] over a connection that enforces [`CONN_TIMEOUT`]: an idle wait
+/// for the next frame is bounded by it, and once the first byte of a frame
+/// has been read the *rest of that frame* must arrive before it elapses (call [`start_frame`](Self::start_frame) at each frame
 /// boundary). This is the slowloris bound: trickling one byte per
 /// almost-timeout no longer holds the connection open indefinitely.
 struct TimedConn<'a> {
     stream: &'a TcpStream,
-    budget: Duration,
     deadline: Option<Instant>,
 }
 
 impl<'a> TimedConn<'a> {
-    fn new(stream: &'a TcpStream, budget: Duration) -> Self {
+    fn new(stream: &'a TcpStream) -> Self {
         TimedConn {
             stream,
-            budget,
             deadline: None,
         }
     }
@@ -466,7 +425,7 @@ impl<'a> TimedConn<'a> {
 impl Read for TimedConn<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let remaining = match self.deadline {
-            None => self.budget,
+            None => CONN_TIMEOUT,
             Some(d) => d.saturating_duration_since(Instant::now()),
         };
         if remaining.is_zero() {
@@ -478,7 +437,7 @@ impl Read for TimedConn<'_> {
         self.stream.set_read_timeout(Some(remaining))?;
         let n = self.stream.read(buf)?;
         if self.deadline.is_none() && n > 0 {
-            self.deadline = Some(Instant::now() + self.budget);
+            self.deadline = Some(Instant::now() + CONN_TIMEOUT);
         }
         Ok(n)
     }
@@ -489,8 +448,8 @@ impl Read for TimedConn<'_> {
 /// budget fires, or the transport breaks.
 fn serve_connection(shared: &Shared, stream: TcpStream) -> Result<(), ProtoError> {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(shared.opts.conn_timeout));
-    let mut reader = TimedConn::new(&stream, shared.opts.conn_timeout);
+    let _ = stream.set_write_timeout(Some(CONN_TIMEOUT));
+    let mut reader = TimedConn::new(&stream);
     let mut writer = &stream;
 
     // The first message must be a version handshake carrying the client id.
@@ -534,14 +493,22 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> Result<(), ProtoError
     };
 
     shared.client_connected(client_id);
-    let result = session_loop(shared, &stream, client_id);
-    shared.client_disconnected(client_id);
-    result
+    let _session = ReleaseOnDrop(|| shared.client_disconnected(client_id));
+    session_loop(shared, &stream, client_id)
+}
+
+/// Runs its closure when dropped, including while a panic unwinds.
+struct ReleaseOnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for ReleaseOnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)();
+    }
 }
 
 /// The post-handshake request/response loop.
 fn session_loop(shared: &Shared, stream: &TcpStream, client_id: u64) -> Result<(), ProtoError> {
-    let mut reader = TimedConn::new(stream, shared.opts.conn_timeout);
+    let mut reader = TimedConn::new(stream);
     let mut writer = stream;
     loop {
         reader.start_frame();

@@ -165,14 +165,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 while end < bytes.len() && (bytes[end] as char).is_ascii_digit() {
                     end += 1;
                 }
-                if end == start {
-                    return Err(LexError {
-                        message: "expected parameter number after ':'".into(),
-                        position: i,
-                    });
-                }
-                let n: usize = input[start..end].parse().unwrap();
-                tokens.push(Token::Param(n));
+                // Parameters are 1-based; an empty, 0 or too-large number is an error.
+                let n = input[start..end].parse().ok().filter(|&n| n >= 1);
+                tokens.push(Token::Param(n.ok_or_else(|| LexError {
+                    message: "expected parameter number from 1 after ':'".into(),
+                    position: i,
+                })?));
                 i = end;
             }
             '\'' => {
@@ -276,6 +274,15 @@ mod tests {
         let toks = tokenize("x * 0.0001 + :2").unwrap();
         assert_eq!(toks[2], Token::Number("0.0001".into()));
         assert_eq!(toks[4], Token::Param(2));
+    }
+
+    #[test]
+    fn rejects_parameter_zero_and_overflowing_parameter_numbers() {
+        for sql in ["SELECT :0", "SELECT :99999999999999999999", "SELECT :"] {
+            let err = tokenize(sql).unwrap_err();
+            assert_eq!(err.position, 7, "{sql}");
+        }
+        assert_eq!(tokenize(":1").unwrap(), vec![Token::Param(1)]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Decoding a segment (checksum + per-column decode) is the expensive part of
 //! a disk scan, so the store keeps decoded segments in memory under a byte
-//! budget (`MONOMI_CACHE_BYTES`, default 256 MiB) with least-recently-used
-//! eviction. Decoded per-segment index files get the same treatment under
-//! their own budget (`MONOMI_INDEX_CACHE_BYTES`, default 64 MiB) so a burst
+//! budget ([`DEFAULT_CACHE_BYTES`] unless the store's options say otherwise)
+//! with least-recently-used eviction. Decoded per-segment index files get the
+//! same treatment under their own budget ([`INDEX_CACHE_BYTES`]) so a burst
 //! of index probes cannot evict the segments a concurrent scan needs.
 //!
 //! Both are the one generic [`ByteLru`]: entries are `Arc`-shared, so
@@ -18,14 +18,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Environment knob for the segment-cache budget in bytes.
-pub const CACHE_BYTES_ENV: &str = "MONOMI_CACHE_BYTES";
 /// Default segment-cache budget: 256 MiB.
 pub const DEFAULT_CACHE_BYTES: usize = 256 << 20;
-/// Environment knob for the index-cache budget in bytes.
-pub const INDEX_CACHE_BYTES_ENV: &str = "MONOMI_INDEX_CACHE_BYTES";
-/// Default index-cache budget: 64 MiB.
-pub const DEFAULT_INDEX_CACHE_BYTES: usize = 64 << 20;
+/// Index-cache budget: 64 MiB.
+pub const INDEX_CACHE_BYTES: usize = 64 << 20;
 
 /// How many bytes an entry occupies against a [`ByteLru`] budget.
 pub trait CacheWeight {
@@ -65,7 +61,7 @@ pub struct ByteLru<T> {
     misses: AtomicU64,
 }
 
-/// The decoded-segment cache (`MONOMI_CACHE_BYTES`).
+/// The decoded-segment cache.
 pub type SegmentCache = ByteLru<SegmentData>;
 
 impl<T: CacheWeight> ByteLru<T> {
@@ -165,17 +161,6 @@ impl<T: CacheWeight> ByteLru<T> {
             }
         }
         Ok(data)
-    }
-}
-
-impl SegmentCache {
-    /// A segment cache budgeted from `MONOMI_CACHE_BYTES` (default 256 MiB).
-    pub fn from_env() -> SegmentCache {
-        Self::with_budget(crate::env_knob(
-            CACHE_BYTES_ENV,
-            DEFAULT_CACHE_BYTES,
-            |_| true,
-        ))
     }
 }
 

@@ -45,9 +45,6 @@ use crate::{crc64, ColumnType, StoreError};
 const MAGIC: &[u8; 4] = b"MIDX";
 const VERSION: u32 = 1;
 
-/// Environment knob selecting which index kinds are built and probed.
-pub const INDEX_MODE_ENV: &str = "MONOMI_INDEXES";
-
 /// What a persisted index block can serve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IndexKind {
@@ -97,7 +94,7 @@ pub enum IndexMode {
 impl IndexMode {
     /// Reads `MONOMI_INDEXES`, defaulting to [`IndexMode::All`].
     pub fn from_env() -> IndexMode {
-        crate::env_knob(INDEX_MODE_ENV, IndexMode::All, |_| true)
+        crate::env_knob("MONOMI_INDEXES", IndexMode::All, |_| true)
     }
 
     /// Whether this mode enables indexes of `kind`.

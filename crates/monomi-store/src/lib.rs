@@ -33,9 +33,8 @@
 //!   OPE-ordered postings built while a segment is written and published
 //!   through the same manifest commit, giving point and range predicates a
 //!   sub-scan access path (`MONOMI_INDEXES` gates which kinds exist).
-//! * The **cache** ([`cache`]) holds decoded segments under a byte budget
-//!   (`MONOMI_CACHE_BYTES`), evicting least-recently-used; decoded index
-//!   files get their own budgeted slot (`MONOMI_INDEX_CACHE_BYTES`).
+//! * The **cache** ([`cache`]) holds decoded segments, and apart from them
+//!   decoded index files, under byte budgets, evicting least-recently-used.
 //!
 //! [`store::Store`] ties the pieces together; `monomi-engine`'s tables
 //! commit their rows to one when their `Database` has it (`Database::open`,
@@ -61,7 +60,7 @@ pub use encoding::{put_blob, read_value, write_value, Reader};
 pub use env::env_knob;
 pub use index::{
     decode_segment_indexes, encode_segment_indexes, planned_index_kind, IndexBlock, IndexKind,
-    IndexMode, SegmentIndexes, INDEX_MODE_ENV, INDEX_SELECTIVITY_CROSSOVER,
+    IndexMode, SegmentIndexes, INDEX_SELECTIVITY_CROSSOVER,
 };
 pub use manifest::{IndexMeta, Manifest, SegmentMeta, TableMeta};
 pub use segment::{ColumnZone, ZoneMap};

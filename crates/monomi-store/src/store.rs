@@ -16,7 +16,7 @@
 //! mutex no reader takes, so no update is lost; a reader never waits on a
 //! writer's I/O, and a snapshot never changes under its holder.
 
-use crate::cache::{ByteLru, SegmentCache};
+use crate::cache::{ByteLru, SegmentCache, DEFAULT_CACHE_BYTES, INDEX_CACHE_BYTES};
 use crate::index::{encode_segment_indexes, IndexMode, SegmentIndexes};
 use crate::manifest::{IndexMeta, Manifest, SegmentMeta, TableMeta, MANIFEST_FILE};
 use crate::segment::{encode_segment, read_segment_file, write_segment_file};
@@ -28,8 +28,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Environment knob for the number of rows per segment.
-pub const SEGMENT_ROWS_ENV: &str = "MONOMI_SEGMENT_ROWS";
 /// Default rows per segment — matches the executor's default morsel size, so
 /// one segment is one scan partition.
 pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
@@ -41,29 +39,17 @@ pub struct StoreOptions {
     pub segment_rows: usize,
     /// Byte budget of the decoded-segment cache.
     pub cache_bytes: usize,
-    /// Byte budget of the decoded-index cache.
-    pub index_cache_bytes: usize,
     /// Which secondary-index kinds newly written segments get.
     pub index_mode: IndexMode,
 }
 
 impl Default for StoreOptions {
-    /// Environment-derived options: `MONOMI_SEGMENT_ROWS` (default 4096),
-    /// `MONOMI_CACHE_BYTES` (default 256 MiB), `MONOMI_INDEX_CACHE_BYTES`
-    /// (default 64 MiB), and `MONOMI_INDEXES` (default `all`).
+    /// [`DEFAULT_SEGMENT_ROWS`], [`DEFAULT_CACHE_BYTES`], and the index mode
+    /// `MONOMI_INDEXES` selects ([`IndexMode::from_env`]).
     fn default() -> Self {
         StoreOptions {
-            segment_rows: crate::env_knob(SEGMENT_ROWS_ENV, DEFAULT_SEGMENT_ROWS, |&n| n >= 1),
-            cache_bytes: crate::env_knob(
-                crate::cache::CACHE_BYTES_ENV,
-                crate::cache::DEFAULT_CACHE_BYTES,
-                |_| true,
-            ),
-            index_cache_bytes: crate::env_knob(
-                crate::cache::INDEX_CACHE_BYTES_ENV,
-                crate::cache::DEFAULT_INDEX_CACHE_BYTES,
-                |_| true,
-            ),
+            segment_rows: DEFAULT_SEGMENT_ROWS,
+            cache_bytes: DEFAULT_CACHE_BYTES,
             index_mode: IndexMode::from_env(),
         }
     }
@@ -116,8 +102,8 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens (creating if necessary) a store directory with the
-    /// environment-derived [`StoreOptions`].
+    /// Opens (creating if necessary) a store directory with the default
+    /// [`StoreOptions`].
     pub fn open(dir: impl Into<PathBuf>) -> Result<Arc<Store>, StoreError> {
         Self::open_with(dir, StoreOptions::default())
     }
@@ -134,7 +120,7 @@ impl Store {
         let manifest = Manifest::load(&dir)?;
         let store = Store {
             cache: SegmentCache::with_budget(options.cache_bytes),
-            index_cache: ByteLru::with_budget(options.index_cache_bytes),
+            index_cache: ByteLru::with_budget(INDEX_CACHE_BYTES),
             segment_rows: options.segment_rows.max(1),
             index_mode: options.index_mode,
             catalog: RwLock::new(Arc::new(manifest)),

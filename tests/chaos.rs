@@ -9,6 +9,8 @@
 //! positions. Both are driven by deterministic, seeded schedules so failures
 //! reproduce exactly.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -645,7 +647,7 @@ fn in_process_faults_surface_typed_and_recover() {
 #[test]
 #[ignore = "needs MONOMI_SERVER pointing at a running monomi-server"]
 fn seeded_chaos_against_external_server() {
-    let upstream = std::env::var("MONOMI_SERVER").expect("MONOMI_SERVER=host:port");
+    let upstream = common::external_server();
     let seed: u64 = std::env::var("MONOMI_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

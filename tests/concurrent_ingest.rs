@@ -8,6 +8,8 @@
 //!   subquery over `x` agrees with the outer scan of the same statement;
 //! * once the loads are acknowledged, the count is exact.
 
+mod common;
+
 use monomi_core::{ClientConfig, DesignStrategy, MonomiClient, ServerTransport, TcpTransport};
 use monomi_engine::{ColumnDef, ColumnType, Database, ExecOptions, TableSchema, Value};
 use monomi_server::{Server, ServerOptions};
@@ -221,6 +223,6 @@ fn loads_beside_lookups_tear_nothing() {
 #[test]
 #[ignore = "needs MONOMI_SERVER pointing at a running monomi-server"]
 fn loads_beside_lookups_against_external_server() {
-    let addr = std::env::var("MONOMI_SERVER").expect("MONOMI_SERVER=host:port");
+    let addr = common::external_server();
     loads_beside_lookups(&addr);
 }

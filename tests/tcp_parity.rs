@@ -7,6 +7,8 @@
 //! encryption makes their encrypted databases identical, so any result
 //! divergence is the transport's fault.
 
+mod common;
+
 use monomi_core::{ClientConfig, DesignStrategy, MonomiClient, SplitPlan};
 use monomi_engine::ExecOptions;
 use monomi_server::{Server, ServerOptions};
@@ -199,13 +201,69 @@ fn admission_control_refuses_connections_past_the_limit() {
     );
 }
 
+/// A statement the server cannot lex is answered with a typed SQL error, and
+/// its connection gives its admission slot back: three such connections in
+/// turn against a two-slot server, then a normal client still gets in.
+#[test]
+fn malformed_parameters_get_sql_errors_and_free_their_slots() {
+    use monomi_obs::TraceId;
+    use monomi_proto::{read_response, write_request, ErrorCode, Request, Response, WIRE_VERSION};
+
+    let server = Server::bind_with_db(
+        "127.0.0.1:0",
+        ServerOptions {
+            max_conns: 2,
+            ..Default::default()
+        },
+        monomi_engine::Database::in_memory(),
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let handle = server.spawn().expect("spawn");
+
+    for client_id in 1..=3 {
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        let hello = Request::Hello {
+            version: WIRE_VERSION,
+            client_id,
+        };
+        write_request(&mut stream, &hello).expect("send hello");
+        let (reply, _) = read_response(&mut stream).expect("hello reply");
+        assert_eq!(
+            reply,
+            Response::Hello {
+                version: WIRE_VERSION
+            }
+        );
+        let execute = Request::Execute {
+            sql: "SELECT :99999999999999999999".into(),
+            threads: 1,
+            morsel_rows: 4096,
+            trace: TraceId::ZERO,
+        };
+        write_request(&mut stream, &execute).expect("send execute");
+        match read_response(&mut stream).expect("execute reply").0 {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Sql),
+            other => panic!("expected a SQL error, got {other:?}"),
+        }
+        drop(stream);
+        // The slot is released when the server notices the hang-up.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while handle.active_connections() > 0 {
+            assert!(std::time::Instant::now() < deadline, "slot never released");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    }
+    monomi_core::TcpTransport::connect(&addr).expect("a normal client is admitted");
+}
+
 /// CI smoke against an externally started `monomi-server` binary: set
 /// `MONOMI_SERVER=host:port` and run with `--ignored`. Kept out of the
 /// default run because it needs a process the test does not own.
 #[test]
 #[ignore = "needs MONOMI_SERVER pointing at a running monomi-server"]
 fn tcp_parity_against_external_server() {
-    let addr = std::env::var("MONOMI_SERVER").expect("MONOMI_SERVER=host:port");
+    let addr = common::external_server();
     let plain = small_plain();
     let (local, remote) = paired_clients(&plain, &addr, ExecOptions::serial());
     for number in CORPUS {
