@@ -110,7 +110,9 @@ fn cleanup(tag: &str) {
 }
 
 fn run(db: &Database, sql: &str, opts: &ExecOptions) -> (ResultSet, ExecStats) {
-    db.execute_sql_with(sql, &[], opts).expect("query runs")
+    let query = monomi_sql::parse_query(sql).expect("query parses");
+    let (rs, stats, _) = db.execute(&query, &[], opts, false).expect("query runs");
+    (rs, stats)
 }
 
 fn bench_query(

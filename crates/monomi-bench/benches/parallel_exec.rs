@@ -88,10 +88,12 @@ fn main() {
     )
     .unwrap();
     let (q1_serial_secs, q1_serial_rs) = best_of(iters, || {
-        db.execute_with(&q1, &[], &serial).expect("Q1 serial").0
+        db.execute(&q1, &[], &serial, false).expect("Q1 serial").0
     });
     let (q1_par_secs, q1_par_rs) = best_of(iters, || {
-        db.execute_with(&q1, &[], &parallel).expect("Q1 parallel").0
+        db.execute(&q1, &[], &parallel, false)
+            .expect("Q1 parallel")
+            .0
     });
     // Debug formatting distinguishes Int from Float and -0.0 from 0.0, so
     // this really is byte identity, not Value's cross-type equality.
@@ -135,11 +137,14 @@ fn main() {
     )
     .unwrap();
     let (q6_serial_secs, q6_serial_rs) = best_of(iters, || {
-        plain.execute_with(&q6, &[], &serial).expect("Q6 serial").0
+        plain
+            .execute(&q6, &[], &serial, false)
+            .expect("Q6 serial")
+            .0
     });
     let (q6_par_secs, q6_par_rs) = best_of(iters, || {
         plain
-            .execute_with(&q6, &[], &parallel)
+            .execute(&q6, &[], &parallel, false)
             .expect("Q6 parallel")
             .0
     });

@@ -168,8 +168,8 @@ impl MonomiClient {
         let encrypted_db = encryptor.encrypt_database(plain, config.seed ^ 0x5eed)?;
         // Stand up the server: keep the encrypted database in-process, or
         // ship it (schemas, Paillier modulus, ciphertext rows) to a remote
-        // monomi-server and drop the local copy — the trusted client then
-        // holds only keys and statistics, matching the paper's deployment.
+        // monomi-server and drop the local ciphertext copy. Either way the
+        // trusted client keeps its keys and the plaintext copy below.
         let server: Box<dyn ServerTransport> = match &config.server_addr {
             None => Box::new(InProcessTransport::new(encrypted_db)),
             Some(addr) => {
@@ -191,10 +191,11 @@ impl MonomiClient {
         } else {
             DecryptProfile::measure(&encryptor, exec_options.threads)
         };
-        // Keep a statistics-only copy of the plaintext database on the client
-        // for the planner's cardinality estimates (the paper's client keeps
-        // schema + statistics, not data; we reuse the same object for both
-        // since it lives on the trusted side anyway).
+        // Keep a full in-memory copy of the plaintext database, every row
+        // included, for the planner's cardinality estimates and the designed
+        // size. The paper's client keeps only schema and statistics; this
+        // copy is on the trusted side, but it costs client memory equal to
+        // the plaintext.
         let plain_stats_db = clone_database(plain);
         let mut client = MonomiClient {
             plain_stats_db,
@@ -274,7 +275,6 @@ impl MonomiClient {
             network: self.network,
             options: self.plan_options,
             paillier_bits: self.design().paillier_bits,
-            max_subsets: 64,
         }
     }
 
@@ -303,28 +303,14 @@ impl MonomiClient {
         sql: &str,
         params: &[Value],
     ) -> Result<(ResultSet, QueryTimings), CoreError> {
-        let query = parse_query(sql).map_err(|e| CoreError::new(e.to_string()))?;
-        self.execute_query(&query, params)
-    }
-
-    /// Executes an already parsed query.
-    pub fn execute_query(
-        &self,
-        query: &Query,
-        params: &[Value],
-    ) -> Result<(ResultSet, QueryTimings), CoreError> {
-        let bound = bind_params(query, params);
-        let (plan, _) = self
-            .planner()
-            .best_plan(&bound, &self.encryptor, &self.fetches);
-        let executor = self.executor();
-        executor.execute(&plan)
+        let (_, _, result, timings, _) = self.run(sql, params, TraceId::ZERO)?;
+        Ok((result, timings))
     }
 
     /// Executes a specific plan (used by the optimization-ablation harnesses).
     pub fn execute_plan(&self, plan: &SplitPlan) -> Result<(ResultSet, QueryTimings), CoreError> {
-        let executor = self.executor();
-        executor.execute(plan)
+        let (result, timings, _) = self.executor().run(plan, TraceId::ZERO)?;
+        Ok((result, timings))
     }
 
     /// Executes a query under a freshly minted trace id. On top of what
@@ -340,19 +326,35 @@ impl MonomiClient {
         sql: &str,
         params: &[Value],
     ) -> Result<(ResultSet, QueryTimings, TraceId, Vec<Span>), CoreError> {
-        let query = parse_query(sql).map_err(|e| CoreError::new(e.to_string()))?;
         let trace = self.trace_ids.next_id();
+        let (_, _, result, timings, spans) = self.run(sql, params, trace)?;
+        Ok((result, timings, trace, spans))
+    }
+
+    /// The one path a query takes through the client: parse, bind and plan
+    /// `sql`, then run the plan under `trace` (zero: untraced). Returns the
+    /// bound query and its plan with the plan's rows, timings and spans.
+    fn run(
+        &self,
+        sql: &str,
+        params: &[Value],
+        trace: TraceId,
+    ) -> Result<(Query, SplitPlan, ResultSet, QueryTimings, Vec<Span>), CoreError> {
+        let query = parse_query(sql).map_err(|e| CoreError::new(e.to_string()))?;
         let planning = Stopwatch::start();
         let bound = bind_params(&query, params);
         let (plan, _) = self
             .planner()
             .best_plan(&bound, &self.encryptor, &self.fetches);
         let plan_seconds = planning.seconds();
-        let (result, timings, mut spans) = self.executor().execute_traced(&plan, trace)?;
-        // One Plan leaf up front keeps the tree honest about where client
-        // time went: binding plus the cost-based choice among the candidates.
-        spans.insert(0, Span::leaf("Plan", plan_seconds, 0));
-        Ok((result, timings, trace, spans))
+        let (result, timings, mut spans) = self.executor().run(&plan, trace)?;
+        if !trace.is_zero() {
+            // One Plan leaf up front keeps the tree honest about where client
+            // time went: binding plus the cost-based choice among the
+            // candidates.
+            spans.insert(0, Span::leaf("Plan", plan_seconds, 0));
+        }
+        Ok((bound, plan, result, timings, spans))
     }
 
     /// EXPLAIN ANALYZE: executes `sql` traced and renders a report — the
@@ -363,20 +365,14 @@ impl MonomiClient {
     /// compares the predicted link time with the measured time on the wire
     /// (0 in-process).
     pub fn explain_analyze(&self, sql: &str, params: &[Value]) -> Result<String, CoreError> {
-        let query = parse_query(sql).map_err(|e| CoreError::new(e.to_string()))?;
-        let bound = bind_params(&query, params);
-        let (plan, _) = self
-            .planner()
-            .best_plan(&bound, &self.encryptor, &self.fetches);
+        let trace = self.trace_ids.next_id();
+        let (bound, plan, result, timings, spans) = self.run(sql, params, trace)?;
         let predicted = CostModel {
             plain: &self.plain_stats_db,
             profile: self.profile,
             network: self.network,
         }
         .plan_cost(&plan, &bound);
-
-        let trace = self.trace_ids.next_id();
-        let (result, timings, spans) = self.executor().execute_traced(&plan, trace)?;
 
         let mut out = String::new();
         out.push_str(&format!("EXPLAIN ANALYZE  trace={trace}\n"));

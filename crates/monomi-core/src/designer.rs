@@ -52,7 +52,6 @@ impl<'a> Designer<'a> {
             network: self.network,
             options: self.options,
             paillier_bits: self.paillier_bits,
-            max_subsets: 64,
         }
     }
 

@@ -103,6 +103,28 @@ pub struct QueryTimings {
 }
 
 impl QueryTimings {
+    /// The timings of one server execution, before any wire or client work:
+    /// `exec_seconds` of server time doing the work `stats` counts, and
+    /// `result` to ship back.
+    pub fn server(stats: &ExecStats, exec_seconds: f64, result: &ResultSet) -> Self {
+        QueryTimings {
+            server_seconds: exec_seconds,
+            // Aggregate CPU: serial portions run on one thread (wall ==
+            // CPU); inside morsel-parallel regions the workers' summed busy
+            // time replaces the region's wall-clock contribution.
+            server_cpu_seconds: stats.cpu_seconds(exec_seconds),
+            transfer_bytes: result.size_bytes() as u64,
+            server_bytes_scanned: stats.bytes_scanned,
+            server_segments_read: stats.segments_read,
+            server_segments_pruned: stats.segments_pruned,
+            server_bytes_materialized: stats.bytes_materialized,
+            server_index_probes: stats.index_probes,
+            server_index_rows_fetched: stats.index_rows_fetched,
+            server_postings_bytes_read: stats.postings_bytes_read,
+            ..QueryTimings::default()
+        }
+    }
+
     /// Total measured time: server + wire + decrypt + client.
     pub fn total_seconds(&self) -> f64 {
         self.server_seconds + self.wire_seconds + self.decrypt_seconds + self.client_seconds
@@ -146,39 +168,25 @@ pub struct SplitExecutor<'a> {
 }
 
 impl<'a> SplitExecutor<'a> {
-    /// Executes a plan, returning plaintext results and the timing breakdown.
-    pub fn execute(&self, plan: &SplitPlan) -> Result<(ResultSet, QueryTimings), CoreError> {
-        let (rs, timings, _) = self.execute_traced(plan, TraceId::ZERO)?;
-        Ok((rs, timings))
-    }
-
-    /// Executes a plan under a trace id, additionally returning the client
-    /// span tree: the server's per-operator spans (echoed over the wire)
-    /// nested under each RemoteSQL step, plus client-side decrypt and
-    /// residual-computation spans. A zero trace id means untraced — no spans
-    /// are collected anywhere and the server pays no timing overhead.
-    pub fn execute_traced(
+    /// Executes a plan under a trace id, returning plaintext results, the
+    /// timing breakdown and the client span tree: the server's per-operator
+    /// spans (echoed over the wire) nested under each RemoteSQL step, plus
+    /// client-side decrypt and residual-computation spans. A zero trace id
+    /// means untraced — no spans are collected anywhere and the server pays
+    /// no timing overhead.
+    pub fn run(
         &self,
         plan: &SplitPlan,
         trace: TraceId,
     ) -> Result<(ResultSet, QueryTimings, Vec<Span>), CoreError> {
         let mut spans = Vec::new();
-        let (rs, timings) = self.dispatch(plan, trace, &mut spans)?;
-        Ok((rs, timings, spans))
-    }
-
-    fn dispatch(
-        &self,
-        plan: &SplitPlan,
-        trace: TraceId,
-        spans: &mut Vec<Span>,
-    ) -> Result<(ResultSet, QueryTimings), CoreError> {
-        match plan {
-            SplitPlan::Remote(rp) => self.execute_remote(rp, trace, spans),
+        let (rs, timings) = match plan {
+            SplitPlan::Remote(rp) => self.execute_remote(rp, trace, &mut spans)?,
             SplitPlan::Client { query, children } => {
-                self.execute_client(query, children, trace, spans)
+                self.execute_client(query, children, trace, &mut spans)?
             }
-        }
+        };
+        Ok((rs, timings, spans))
     }
 
     fn execute_client(
@@ -192,8 +200,8 @@ impl<'a> SplitExecutor<'a> {
         let (local_db, load_seconds) =
             self.residual_database(children, trace, spans, &mut timings)?;
         let started = Stopwatch::start();
-        let (rs, _) = local_db
-            .execute_with(query, &[], &self.exec_options)
+        let (rs, _, _) = local_db
+            .execute(query, &[], &self.exec_options, false)
             .map_err(|e| CoreError::new(e.to_string()))?;
         // The step's own client time, all under its span: building its
         // tables, then running the residual query over them.
@@ -224,9 +232,8 @@ impl<'a> SplitExecutor<'a> {
         let mut local_db = Database::in_memory();
         let mut load_seconds = 0.0;
         for (binding, child) in children {
-            let mut child_spans = Vec::new();
             let dispatched = Stopwatch::start();
-            let (rs, t) = self.dispatch(child, trace, &mut child_spans)?;
+            let (rs, t, child_spans) = self.run(child, trace)?;
             timings.add(&t);
             if !trace.is_zero() {
                 spans.push(Span::node(
@@ -266,9 +273,8 @@ impl<'a> SplitExecutor<'a> {
         // The compiled residual reads child `i`'s result at index `i`.
         let mut sub_results = Vec::with_capacity(rp.subquery_children.len());
         for (_, child) in &rp.subquery_children {
-            let mut child_spans = Vec::new();
             let dispatched = Stopwatch::start();
-            let (rs, t) = self.dispatch(child, trace, &mut child_spans)?;
+            let (rs, t, child_spans) = self.run(child, trace)?;
             timings.add(&t);
             if !trace.is_zero() {
                 spans.push(Span::node(
@@ -286,26 +292,15 @@ impl<'a> SplitExecutor<'a> {
             .server
             .execute_traced(&rp.server_query, &self.exec_options, trace)?;
         let enc_rs = remote.result;
-        let stats = remote.stats;
         let exec_elapsed = remote.exec_seconds;
-        timings.server_seconds += exec_elapsed;
-        timings.wire_seconds += remote.wire.seconds;
-        timings.wire_bytes_sent += remote.wire.bytes_sent;
-        timings.wire_bytes_received += remote.wire.bytes_received;
-        timings.retries += remote.wire.retries;
-        timings.reconnects += remote.wire.reconnects;
-        // Aggregate CPU: serial portions run on one thread (wall == CPU);
-        // inside morsel-parallel regions the workers' summed busy time
-        // replaces the region's wall-clock contribution.
-        timings.server_cpu_seconds += stats.cpu_seconds(exec_elapsed);
-        timings.server_bytes_scanned += stats.bytes_scanned;
-        timings.server_segments_read += stats.segments_read;
-        timings.server_segments_pruned += stats.segments_pruned;
-        timings.server_bytes_materialized += stats.bytes_materialized;
-        timings.server_index_probes += stats.index_probes;
-        timings.server_index_rows_fetched += stats.index_rows_fetched;
-        timings.server_postings_bytes_read += stats.postings_bytes_read;
-        timings.transfer_bytes += enc_rs.size_bytes() as u64;
+        timings.add(&QueryTimings {
+            wire_seconds: remote.wire.seconds,
+            wire_bytes_sent: remote.wire.bytes_sent,
+            wire_bytes_received: remote.wire.bytes_received,
+            retries: remote.wire.retries,
+            reconnects: remote.wire.reconnects,
+            ..QueryTimings::server(&remote.stats, exec_elapsed, &enc_rs)
+        });
         if !trace.is_zero() {
             spans.push(Span::node(
                 "RemoteSQL".to_string(),
@@ -805,16 +800,16 @@ mod tests {
                 exec_options: opts,
             };
             for (sql, plan, rows) in &plans {
-                let (expected, _) = plain
-                    .execute_with(&parse_query(sql).unwrap(), &[], &opts)
+                let (expected, _, _) = plain
+                    .execute(&parse_query(sql).unwrap(), &[], &opts, false)
                     .unwrap();
                 assert_eq!(expected.rows.len(), *rows, "{sql}");
                 let plan = SplitPlan::Remote(Box::new(plan.clone()));
-                let (rs, _) = executor.execute(&plan).unwrap();
+                let (rs, _, _) = executor.run(&plan, TraceId::ZERO).unwrap();
                 assert_eq!(format!("{rs:?}"), format!("{expected:?}"), "{sql}");
 
                 let trace = monomi_obs::TraceIdGen::new(1).next_id();
-                let (traced, _, spans) = executor.execute_traced(&plan, trace).unwrap();
+                let (traced, _, spans) = executor.run(&plan, trace).unwrap();
                 assert_eq!(format!("{traced:?}"), format!("{expected:?}"), "{sql}");
                 let residual = spans
                     .iter()

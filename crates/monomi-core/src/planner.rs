@@ -327,10 +327,11 @@ pub struct Planner<'a> {
     pub network: NetworkModel,
     pub options: PlanOptions,
     pub paillier_bits: usize,
-    /// Cap on the number of unit subsets enumerated per query (the full power
-    /// set is pruned to units, and very wide queries are further capped).
-    pub max_subsets: usize,
 }
+
+/// Cap on the number of unit subsets enumerated per query (the full power
+/// set is pruned to units, and very wide queries are further capped).
+const MAX_SUBSETS: usize = 64;
 
 /// One base table's `SELECT *` fetch — a child of the client fallback —
 /// with its cost and estimated rows as [`CostModel::child_cost`] prices it.
@@ -424,7 +425,7 @@ impl<'a> Planner<'a> {
     /// with its cost and the units it depends on, cheapest first.
     pub fn candidate_plans(&self, query: &Query, units: &[EncUnit]) -> Vec<PlannedQuery> {
         let n = units.len().min(16);
-        let subset_count = (1usize << n).min(self.max_subsets.max(1));
+        let subset_count = (1usize << n).min(MAX_SUBSETS);
         let cost_model = self.cost_model();
         let mut out = Vec::new();
         // Enumerate subsets from "all units enabled" downwards so the best

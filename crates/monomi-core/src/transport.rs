@@ -280,17 +280,10 @@ impl ServerTransport for InProcessTransport {
         trace: TraceId,
     ) -> Result<RemoteExecution, CoreError> {
         let watch = Stopwatch::start();
-        let (result, stats, spans) = if trace.is_zero() {
-            let (result, stats) = self
-                .db
-                .execute_with(query, &[], opts)
-                .map_err(|e| CoreError::new(e.to_string()))?;
-            (result, stats, Vec::new())
-        } else {
-            self.db
-                .execute_with_traced(query, &[], opts)
-                .map_err(|e| CoreError::new(e.to_string()))?
-        };
+        let (result, stats, spans) = self
+            .db
+            .execute(query, &[], opts, !trace.is_zero())
+            .map_err(|e| CoreError::new(e.to_string()))?;
         Ok(RemoteExecution {
             result,
             stats,

@@ -8,7 +8,7 @@
 //! key-derived material it sees is the *public* Paillier modulus needed to
 //! multiply ciphertexts.
 
-use crate::exec::{execute_query, execute_query_traced, ExecStats, ResultSet};
+use crate::exec::{execute_query, ExecStats, ResultSet};
 use crate::ops::ExecOptions;
 use crate::schema::{Catalog, ColumnDef, TableSchema};
 use crate::stats::{collect_stats, Estimator, QueryEstimate, TableStats};
@@ -359,52 +359,32 @@ impl Database {
         self.tables.values().map(Table::stored_bytes).sum()
     }
 
-    /// Executes a SQL string with positional parameters, using the
+    /// Executes a SQL string with positional parameters, untraced, using the
     /// environment-derived execution options (see [`ExecOptions::from_env`]).
     pub fn execute_sql(
         &self,
         sql: &str,
         params: &[Value],
     ) -> Result<(ResultSet, ExecStats), EngineError> {
-        self.execute_sql_with(sql, params, &ExecOptions::env_cached())
-    }
-
-    /// Executes a SQL string with positional parameters and explicit
-    /// execution options.
-    pub fn execute_sql_with(
-        &self,
-        sql: &str,
-        params: &[Value],
-        opts: &ExecOptions,
-    ) -> Result<(ResultSet, ExecStats), EngineError> {
         let query = parse_query(sql).map_err(|e| EngineError::new(e.to_string()))?;
-        self.execute_with(&query, params, opts)
+        let (result, stats, _) = self.execute(&query, params, &ExecOptions::env_cached(), false)?;
+        Ok((result, stats))
     }
 
     /// Executes a parsed query with explicit execution options (worker thread
     /// count and morsel size); results are bit-identical at every thread
-    /// count.
-    pub fn execute_with(
+    /// count. With `traced`, also returns one span per named operator
+    /// (`ScanFilter`, `HashJoin`, `MorselAggregate`, `Sort`) in execution
+    /// order; results and work counters are identical either way, and the
+    /// untraced run returns no spans and reads no clock.
+    pub fn execute(
         &self,
         query: &Query,
         params: &[Value],
         opts: &ExecOptions,
-    ) -> Result<(ResultSet, ExecStats), EngineError> {
-        execute_query(self, query, params, opts)
-    }
-
-    /// Executes a parsed query like [`Database::execute_with`], additionally
-    /// collecting one span per named operator (`ScanFilter`, `HashJoin`,
-    /// `MorselAggregate`, `Sort`) in execution order. Results and work
-    /// counters are identical to the untraced path; only wall-clock
-    /// observability is added.
-    pub fn execute_with_traced(
-        &self,
-        query: &Query,
-        params: &[Value],
-        opts: &ExecOptions,
+        traced: bool,
     ) -> Result<(ResultSet, ExecStats, Vec<monomi_obs::Span>), EngineError> {
-        execute_query_traced(self, query, params, opts)
+        execute_query(self, query, params, opts, traced)
     }
 
     /// Returns EXPLAIN-style cost and cardinality estimates for a query, the

@@ -216,35 +216,15 @@ impl ExecStats {
 }
 
 /// Executes a query against a database with the given execution options.
-pub(crate) fn execute_query(
-    db: &Database,
-    query: &Query,
-    params: &[Value],
-    opts: &ExecOptions,
-) -> Result<(ResultSet, ExecStats), EngineError> {
-    let (result, stats, _) = execute_query_spanned(db, query, params, opts, false)?;
-    Ok((result, stats))
-}
-
-/// Executes a query and additionally returns one [`Span`] per named operator
+/// With `traced`, also returns one [`Span`] per named operator
 /// (`ScanFilter`, `HashJoin`, `MorselAggregate`, `Sort`) in execution order.
 ///
 /// The spans carry wall-clock times, so they vary run to run — but the
-/// *result* and [`ExecStats`] work counters are byte-identical to the
-/// untraced [`execute_query`] path: tracing only ever wraps an operator call
-/// in a stopwatch, it never reorders or alters work. When tracing is off the
-/// executor makes zero clock calls (the `timed` helper short-circuits), so
-/// the untraced hot path pays nothing.
-pub(crate) fn execute_query_traced(
-    db: &Database,
-    query: &Query,
-    params: &[Value],
-    opts: &ExecOptions,
-) -> Result<(ResultSet, ExecStats, Vec<Span>), EngineError> {
-    execute_query_spanned(db, query, params, opts, true)
-}
-
-fn execute_query_spanned(
+/// *result* and [`ExecStats`] work counters are byte-identical either way:
+/// tracing only ever wraps an operator call in a stopwatch, it never
+/// reorders or alters work. Untraced, the executor makes zero clock calls
+/// (the `timed` helper short-circuits) and the spans are empty.
+pub(crate) fn execute_query(
     db: &Database,
     query: &Query,
     params: &[Value],
@@ -1604,7 +1584,9 @@ mod tests {
                 ..ExecOptions::with_threads(threads)
             };
             for (sql, expected) in &cases {
-                let (rs, _) = db.execute_sql_with(sql, &[], &opts).unwrap();
+                let (rs, _, _) = db
+                    .execute(&monomi_sql::parse_query(sql).unwrap(), &[], &opts, false)
+                    .unwrap();
                 assert_eq!(format!("{:?}", rs.rows), format!("{expected:?}"), "{sql}");
             }
         }

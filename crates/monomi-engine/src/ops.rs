@@ -118,12 +118,6 @@ impl ExecOptions {
     }
 }
 
-impl Default for ExecOptions {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 /// A fixed row range of an operator's input: the unit of work a worker claims.
 #[derive(Clone, Copy, Debug)]
 pub struct Morsel {

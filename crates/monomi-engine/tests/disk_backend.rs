@@ -15,6 +15,7 @@
 //!    committed rows; `persist()` makes tail rows durable.
 
 use monomi_engine::{ColumnDef, ColumnType, Database, ExecOptions, TableSchema, Value};
+use monomi_sql::parse_query;
 use monomi_store::{Store, StoreOptions};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -195,10 +196,11 @@ proptest! {
         for sql in &queries {
             for threads in [1usize, 4] {
                 let opts = ExecOptions::with_threads(threads);
-                let (expected, mem_stats) =
-                    mem.execute_sql_with(sql, &[], &opts).expect("memory run");
-                let (got, disk_stats) =
-                    disk.execute_sql_with(sql, &[], &opts).expect("disk run");
+                let query = parse_query(sql).expect("parses");
+                let (expected, mem_stats, _) =
+                    mem.execute(&query, &[], &opts, false).expect("memory run");
+                let (got, disk_stats, _) =
+                    disk.execute(&query, &[], &opts, false).expect("disk run");
                 prop_assert_eq!(
                     format!("{:?}", &expected),
                     format!("{:?}", &got),
@@ -275,10 +277,11 @@ proptest! {
                     .with_index_mode(monomi_store::IndexMode::All);
                 let scan_opts = ExecOptions::with_threads(threads)
                     .with_index_mode(monomi_store::IndexMode::Off);
-                let (probed, probed_stats) =
-                    disk.execute_sql_with(sql, &[], &probed_opts).expect("probed run");
-                let (scanned, scanned_stats) =
-                    disk.execute_sql_with(sql, &[], &scan_opts).expect("scanned run");
+                let query = parse_query(sql).expect("parses");
+                let (probed, probed_stats, _) =
+                    disk.execute(&query, &[], &probed_opts, false).expect("probed run");
+                let (scanned, scanned_stats, _) =
+                    disk.execute(&query, &[], &scan_opts, false).expect("scanned run");
                 prop_assert_eq!(&format!("{:?}", probed.rows), &expected,
                     "probed diverged for {} at {} threads", sql, threads);
                 prop_assert_eq!(&format!("{:?}", scanned.rows), &expected,
@@ -346,8 +349,8 @@ fn q6_shaped_selective_scan_prunes_segments_and_reads_fewer_bytes() {
     // With index probing disabled, zone maps still prune — and the one
     // surviving segment is scanned in full, byte-identically.
     let off = ExecOptions::serial().with_index_mode(monomi_store::IndexMode::Off);
-    let (rs_off, off_stats) = db
-        .execute_sql_with(selective, &[], &off)
+    let (rs_off, off_stats, _) = db
+        .execute(&parse_query(selective).expect("parses"), &[], &off, false)
         .expect("selective scan, indexes off");
     assert_eq!(format!("{:?}", rs.rows), format!("{:?}", rs_off.rows));
     assert_eq!(off_stats.segments_pruned, 9);

@@ -168,13 +168,13 @@ proptest! {
         let query = parse_query(&sql).unwrap();
         // Small morsels so even tiny generated tables span several partitions.
         let serial_opts = ExecOptions { threads: 1, morsel_rows: 16, ..ExecOptions::serial() };
-        let (serial, serial_stats) = db
-            .execute_with(&query, &[], &serial_opts)
+        let (serial, serial_stats, _) = db
+            .execute(&query, &[], &serial_opts, false)
             .expect("serial execution");
         for threads in [2usize, 4, 8] {
             let opts = ExecOptions { threads, morsel_rows: 16, ..ExecOptions::serial() };
-            let (parallel, stats) = db
-                .execute_with(&query, &[], &opts)
+            let (parallel, stats, _) = db
+                .execute(&query, &[], &opts, false)
                 .expect("parallel execution");
             prop_assert_eq!(&serial, &parallel, "threads={} sql={}", threads, sql);
             // Byte-identical, not merely equal-by-comparator: the debug
@@ -226,13 +226,13 @@ proptest! {
         )
         .unwrap();
         let serial_opts = ExecOptions { threads: 1, morsel_rows: 8, ..ExecOptions::serial() };
-        let (serial, _) = db
-            .execute_with(&query, &[], &serial_opts)
+        let (serial, _, _) = db
+            .execute(&query, &[], &serial_opts, false)
             .expect("serial paillier_sum");
         for threads in [2usize, 4, 8] {
             let opts = ExecOptions { threads, morsel_rows: 8, ..ExecOptions::serial() };
-            let (parallel, _) = db
-                .execute_with(&query, &[], &opts)
+            let (parallel, _, _) = db
+                .execute(&query, &[], &opts, false)
                 .expect("parallel paillier_sum");
             prop_assert_eq!(&serial, &parallel, "threads={}", threads);
         }

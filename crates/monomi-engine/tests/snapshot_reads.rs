@@ -20,8 +20,9 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 /// Runs `sql` and returns its single row as integers.
 fn int_row(db: &Database, sql: &str, opts: &ExecOptions) -> Vec<i64> {
-    let (rs, _) = db
-        .execute_sql_with(sql, &[], opts)
+    let query = monomi_sql::parse_query(sql).expect("parses");
+    let (rs, _, _) = db
+        .execute(&query, &[], opts, false)
         .unwrap_or_else(|e| panic!("{sql}: {e}"));
     assert_eq!(rs.rows.len(), 1, "{sql}");
     rs.rows[0]

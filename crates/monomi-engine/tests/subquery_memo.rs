@@ -321,7 +321,8 @@ fn uncorrelated_subqueries_run_once_and_answers_match_per_row_execution() {
                 // Twice: the memo lives for one statement, not across them.
                 for _ in 0..2 {
                     let before = subquery_runs();
-                    let (rs, _) = db.execute_sql_with(case.sql, &[], &opts).expect(&at);
+                    let query = monomi_sql::parse_query(case.sql).expect(&at);
+                    let (rs, _, _) = db.execute(&query, &[], &opts, false).expect(&at);
                     assert_eq!(subquery_runs() - before, case.runs, "{at}: executions");
                     assert_eq!(
                         format!("{:?}", rs.rows),

@@ -77,6 +77,10 @@ pub const DEFAULT_MAX_CONNS: usize = 64;
 /// first byte has been read.
 pub const CONN_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Most worker threads one query may engage, whatever thread count its
+/// request frame asks for: the engine starts one OS thread per worker.
+pub const MAX_QUERY_THREADS: usize = 256;
+
 /// Disconnected clients whose idempotency journal is retained, at most. The
 /// journal lets a client that reconnects *after* its last connection dropped
 /// replay its session without double-applying anything; beyond this many
@@ -708,22 +712,17 @@ fn handle_request(shared: &Shared, client_id: u64, request: Request) -> Response
                 }
             };
             let opts = ExecOptions {
-                threads: (threads as usize).max(1),
+                threads: (threads as usize).clamp(1, MAX_QUERY_THREADS),
                 morsel_rows: (morsel_rows as usize).max(1),
                 ..ExecOptions::env_cached()
             };
             let started = Instant::now();
-            // A zero trace id means "untraced": the plain path runs and makes
-            // no clock calls inside the executor.
-            let outcome = if trace.is_zero() {
-                shared
-                    .db
-                    .read()
-                    .execute_with(&query, &[], &opts)
-                    .map(|(result, stats)| (result, stats, Vec::new()))
-            } else {
-                shared.db.read().execute_with_traced(&query, &[], &opts)
-            };
+            // A zero trace id means "untraced": the executor collects no
+            // spans and makes no clock calls.
+            let outcome = shared
+                .db
+                .read()
+                .execute(&query, &[], &opts, !trace.is_zero());
             match outcome {
                 Ok((result, stats, spans)) => {
                     let exec_seconds = started.elapsed().as_secs_f64();

@@ -96,23 +96,10 @@ pub fn run_plaintext(plain: &Database, query: &TpchQuery) -> Result<QueryRun, Co
     let parsed = parse_query(query.sql).map_err(|e| CoreError::new(e.to_string()))?;
     let bound = bind_params(&parsed, &query.params);
     let started = Instant::now();
-    let (rs, stats) = plain
-        .execute_with(&bound, &[], &ExecOptions::env_cached())
+    let (rs, stats, _) = plain
+        .execute(&bound, &[], &ExecOptions::env_cached(), false)
         .map_err(|e| CoreError::new(e.to_string()))?;
-    let exec = started.elapsed().as_secs_f64();
-    let timings = QueryTimings {
-        server_seconds: exec,
-        server_cpu_seconds: stats.cpu_seconds(exec),
-        transfer_bytes: rs.size_bytes() as u64,
-        server_bytes_scanned: stats.bytes_scanned,
-        server_segments_read: stats.segments_read,
-        server_segments_pruned: stats.segments_pruned,
-        server_bytes_materialized: stats.bytes_materialized,
-        server_index_probes: stats.index_probes,
-        server_index_rows_fetched: stats.index_rows_fetched,
-        server_postings_bytes_read: stats.postings_bytes_read,
-        ..QueryTimings::default()
-    };
+    let timings = QueryTimings::server(&stats, started.elapsed().as_secs_f64(), &rs);
     Ok(QueryRun {
         timings,
         result: rs,

@@ -71,10 +71,11 @@ fn tpch_workload_is_byte_identical_on_the_disk_backend() {
     {
         for threads in [1usize, 4] {
             let opts = ExecOptions::with_threads(threads);
-            let expected = plain.execute_sql_with(q.sql, &q.params, &opts);
-            let got = disk.execute_sql_with(q.sql, &q.params, &opts);
+            let query = monomi_sql::parse_query(q.sql).expect("parses");
+            let expected = plain.execute(&query, &q.params, &opts, false);
+            let got = disk.execute(&query, &q.params, &opts, false);
             match (expected, got) {
-                (Ok((ers, _)), Ok((grs, gstats))) => {
+                (Ok((ers, _, _)), Ok((grs, gstats, _))) => {
                     assert_eq!(
                         format!("{ers:?}"),
                         format!("{grs:?}"),

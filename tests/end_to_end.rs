@@ -97,12 +97,17 @@ fn monomi_matches_plaintext_with_four_worker_threads() {
     for number in [1u32, 3, 6, 10, 18] {
         let q = queries::query(number).expect("query exists");
         let query = parse_query(q.sql).expect("parses");
-        let (expected, _) = plain
-            .execute_with(&query, &q.params, &four_threads)
+        let (expected, _, _) = plain
+            .execute(&query, &q.params, &four_threads, false)
             .unwrap_or_else(|e| panic!("plaintext Q{number} failed: {e}"));
         // The plaintext reference must itself be thread-count-invariant.
-        let (serial, _) = plain
-            .execute_with(&query, &q.params, &monomi_engine::ExecOptions::serial())
+        let (serial, _, _) = plain
+            .execute(
+                &query,
+                &q.params,
+                &monomi_engine::ExecOptions::serial(),
+                false,
+            )
             .expect("serial plaintext run");
         assert_eq!(
             expected, serial,

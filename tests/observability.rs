@@ -7,12 +7,18 @@
 //! frame, comes back echoed, and carries the server's per-operator spans
 //! with it.
 
-use monomi_core::{ClientConfig, DesignStrategy, MonomiClient, NetworkModel};
+use monomi_core::{
+    ClientConfig, DesignStrategy, Encryptor, MonomiClient, NetworkModel, QueryTimings,
+    SplitExecutor,
+};
+use monomi_crypto::{MasterKey, PaillierKey};
 use monomi_engine::{Database, ExecOptions};
-use monomi_obs::{flatten_spans, Span, TraceId};
+use monomi_obs::{flatten_spans, Span, TraceId, TraceIdGen};
 use monomi_server::{Server, ServerOptions};
 use monomi_sql::parse_query;
 use monomi_tpch::{datagen, fast_config, queries};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Instant;
 
 fn small_plain() -> Database {
@@ -196,12 +202,23 @@ fn engine_tracing_parity_on_both_storage_backends() {
     for (backend, db) in [("memory", &mem), ("disk", &disk)] {
         for threads in [1usize, 4] {
             let opts = ExecOptions::with_threads(threads);
-            let (plain_rs, _) = db.execute_with(&query, &[], &opts).expect("untraced");
-            let (traced_rs, _, spans) = db.execute_with_traced(&query, &[], &opts).expect("traced");
+            let (plain_rs, plain_stats, untraced_spans) =
+                db.execute(&query, &[], &opts, false).expect("untraced");
+            let (traced_rs, traced_stats, spans) =
+                db.execute(&query, &[], &opts, true).expect("traced");
+            assert!(
+                untraced_spans.is_empty(),
+                "{backend}: untraced run has spans"
+            );
             assert_eq!(
                 format!("{:?}", plain_rs.rows),
                 format!("{:?}", traced_rs.rows),
                 "{backend} @ {threads} threads: tracing changed the result"
+            );
+            assert_eq!(
+                plain_stats.work_counters(),
+                traced_stats.work_counters(),
+                "{backend} @ {threads} threads: tracing changed the work counters"
             );
             assert!(
                 spans.iter().any(|s| s.label.starts_with("ScanFilter")),
@@ -218,6 +235,78 @@ fn engine_tracing_parity_on_both_storage_backends() {
     );
     drop(disk);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The work counters of one client execution.
+fn timing_counters(t: &QueryTimings) -> [u64; 12] {
+    [
+        t.wire_bytes_sent,
+        t.wire_bytes_received,
+        t.retries,
+        t.reconnects,
+        t.transfer_bytes,
+        t.server_bytes_scanned,
+        t.server_segments_read,
+        t.server_segments_pruned,
+        t.server_bytes_materialized,
+        t.server_index_probes,
+        t.server_index_rows_fetched,
+        t.server_postings_bytes_read,
+    ]
+}
+
+/// Split-executor tracing parity over the TPC-H corpus under S = 2: a plan
+/// run at a non-zero trace id returns the same rows and work counters as at
+/// `TraceId::ZERO`, which returns no spans.
+#[test]
+fn split_executor_tracing_parity_over_the_corpus() {
+    let plain = small_plain();
+    let workload: Vec<_> = queries::workload()
+        .iter()
+        .map(|q| parse_query(q.sql).expect("parses"))
+        .collect();
+    let config = ClientConfig {
+        exec_options: Some(ExecOptions::serial()),
+        ..fast_config()
+    };
+    assert_eq!(config.space_budget, Some(2.0));
+    let (client, outcome) =
+        MonomiClient::setup(&plain, &workload, DesignStrategy::Designer, &config).expect("setup");
+    // The client's keys, generated from its seed the way setup does.
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let master = MasterKey::generate(&mut rng);
+    let paillier = PaillierKey::generate(&mut rng, config.paillier_bits);
+    let encryptor = Encryptor::with_keys(master, paillier, outcome.design);
+    let executor = SplitExecutor {
+        server: client.server_transport(),
+        encryptor: &encryptor,
+        exec_options: ExecOptions::serial(),
+    };
+    let trace = TraceIdGen::new(1).next_id();
+    for q in queries::workload() {
+        let plan = client.plan(q.sql, &q.params).expect("plans");
+        let (plain_rs, plain_t, untraced_spans) =
+            executor.run(&plan, TraceId::ZERO).expect("untraced");
+        let (traced_rs, traced_t, spans) = executor.run(&plan, trace).expect("traced");
+        assert!(
+            untraced_spans.is_empty(),
+            "Q{}: untraced run has spans",
+            q.number
+        );
+        assert!(!spans.is_empty(), "Q{}: traced run has no spans", q.number);
+        assert_eq!(
+            format!("{plain_rs:?}"),
+            format!("{traced_rs:?}"),
+            "Q{}: tracing changed the result",
+            q.number
+        );
+        assert_eq!(
+            timing_counters(&plain_t),
+            timing_counters(&traced_t),
+            "Q{}: tracing changed the work counters",
+            q.number
+        );
+    }
 }
 
 /// `LocalDecrypt` carries one `Decrypt(<scheme>)` child per decrypted output

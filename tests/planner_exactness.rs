@@ -175,7 +175,6 @@ impl Setup {
             network: NetworkModel::paper_default(),
             options,
             paillier_bits: 256,
-            max_subsets: 64,
         }
     }
 

@@ -201,13 +201,77 @@ fn admission_control_refuses_connections_past_the_limit() {
     );
 }
 
+/// Opens a raw connection to `addr` and completes the wire handshake.
+fn raw_connection(addr: &str, client_id: u64) -> std::net::TcpStream {
+    use monomi_proto::{read_response, write_request, Request, Response, WIRE_VERSION};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let hello = Request::Hello {
+        version: WIRE_VERSION,
+        client_id,
+    };
+    write_request(&mut stream, &hello).expect("send hello");
+    let (reply, _) = read_response(&mut stream).expect("hello reply");
+    assert_eq!(
+        reply,
+        Response::Hello {
+            version: WIRE_VERSION
+        }
+    );
+    stream
+}
+
+/// A request frame cannot make the server start more than
+/// `MAX_QUERY_THREADS` workers: a GROUP BY over 3 000 rows in one-row morsels
+/// asks for `u32::MAX` threads.
+#[test]
+fn requested_threads_are_capped() {
+    use monomi_engine::{ColumnDef, ColumnType, Database, TableSchema, Value};
+    use monomi_obs::TraceId;
+    use monomi_proto::{read_response, write_request, Request, Response};
+    use monomi_server::MAX_QUERY_THREADS;
+
+    let mut db = Database::in_memory();
+    db.create_table(TableSchema::new(
+        "t",
+        vec![
+            ColumnDef::new("g", ColumnType::Int),
+            ColumnDef::new("v", ColumnType::Int),
+        ],
+    ));
+    let rows = (0..3_000).map(|i| vec![Value::Int(i % 7), Value::Int(i)]);
+    db.bulk_load("t", rows.collect()).expect("rows load");
+    let server = Server::bind_with_db("127.0.0.1:0", ServerOptions::default(), db).expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let _handle = server.spawn().expect("spawn");
+
+    let mut stream = raw_connection(&addr, 1);
+    let execute = Request::Execute {
+        sql: "SELECT g, COUNT(*), SUM(v) FROM t WHERE v >= 0 GROUP BY g".into(),
+        threads: u32::MAX,
+        morsel_rows: 1,
+        trace: TraceId::ZERO,
+    };
+    write_request(&mut stream, &execute).expect("send execute");
+    match read_response(&mut stream).expect("execute reply").0 {
+        Response::Result { result, stats, .. } => {
+            assert_eq!(result.rows.len(), 7);
+            assert!(
+                (2..=MAX_QUERY_THREADS).contains(&(stats.threads_used as usize)),
+                "threads_used = {}",
+                stats.threads_used
+            );
+        }
+        other => panic!("expected a result, got {other:?}"),
+    }
+}
+
 /// A statement the server cannot lex is answered with a typed SQL error, and
 /// its connection gives its admission slot back: three such connections in
 /// turn against a two-slot server, then a normal client still gets in.
 #[test]
 fn malformed_parameters_get_sql_errors_and_free_their_slots() {
     use monomi_obs::TraceId;
-    use monomi_proto::{read_response, write_request, ErrorCode, Request, Response, WIRE_VERSION};
+    use monomi_proto::{read_response, write_request, ErrorCode, Request, Response};
 
     let server = Server::bind_with_db(
         "127.0.0.1:0",
@@ -222,19 +286,7 @@ fn malformed_parameters_get_sql_errors_and_free_their_slots() {
     let handle = server.spawn().expect("spawn");
 
     for client_id in 1..=3 {
-        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-        let hello = Request::Hello {
-            version: WIRE_VERSION,
-            client_id,
-        };
-        write_request(&mut stream, &hello).expect("send hello");
-        let (reply, _) = read_response(&mut stream).expect("hello reply");
-        assert_eq!(
-            reply,
-            Response::Hello {
-                version: WIRE_VERSION
-            }
-        );
+        let mut stream = raw_connection(&addr, client_id);
         let execute = Request::Execute {
             sql: "SELECT :99999999999999999999".into(),
             threads: 1,
