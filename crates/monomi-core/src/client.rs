@@ -5,7 +5,7 @@
 //! server, and at query time plan, execute, decrypt, and post-process queries,
 //! returning plaintext results together with a timing breakdown.
 
-use crate::cost::{bind_params, CostModel, DecryptProfile};
+use crate::cost::{bind_params, CostBreakdown, DecryptProfile};
 use crate::design::{Encryptor, PhysicalDesign};
 use crate::designer::{DesignOutcome, Designer};
 use crate::localexec::{QueryTimings, SplitExecutor};
@@ -333,17 +333,18 @@ impl MonomiClient {
 
     /// The one path a query takes through the client: parse, bind and plan
     /// `sql`, then run the plan under `trace` (zero: untraced). Returns the
-    /// bound query and its plan with the plan's rows, timings and spans.
+    /// plan and the cost the planner chose it at with the plan's rows,
+    /// timings and spans.
     fn run(
         &self,
         sql: &str,
         params: &[Value],
         trace: TraceId,
-    ) -> Result<(Query, SplitPlan, ResultSet, QueryTimings, Vec<Span>), CoreError> {
+    ) -> Result<(SplitPlan, CostBreakdown, ResultSet, QueryTimings, Vec<Span>), CoreError> {
         let query = parse_query(sql).map_err(|e| CoreError::new(e.to_string()))?;
         let planning = Stopwatch::start();
         let bound = bind_params(&query, params);
-        let (plan, _) = self
+        let (plan, cost) = self
             .planner()
             .best_plan(&bound, &self.encryptor, &self.fetches);
         let plan_seconds = planning.seconds();
@@ -354,25 +355,20 @@ impl MonomiClient {
             // candidates.
             spans.insert(0, Span::leaf("Plan", plan_seconds, 0));
         }
-        Ok((bound, plan, result, timings, spans))
+        Ok((plan, cost, result, timings, spans))
     }
 
     /// EXPLAIN ANALYZE: executes `sql` traced and renders a report — the
     /// chosen split plan, the measured span tree (per-operator wall seconds
-    /// and row counts, server operators included), and the cost model's
-    /// predicted per-phase seconds next to the measured ones, so drift
+    /// and row counts, server operators included), and the per-phase
+    /// seconds the planner chose the plan at (a fallback's priced with
+    /// whole-table fetches) next to the measured ones, so drift
     /// between the model and reality is visible at a glance. The `wire` row
     /// compares the predicted link time with the measured time on the wire
     /// (0 in-process).
     pub fn explain_analyze(&self, sql: &str, params: &[Value]) -> Result<String, CoreError> {
         let trace = self.trace_ids.next_id();
-        let (bound, plan, result, timings, spans) = self.run(sql, params, trace)?;
-        let predicted = CostModel {
-            plain: &self.plain_stats_db,
-            profile: self.profile,
-            network: self.network,
-        }
-        .plan_cost(&plan, &bound);
+        let (plan, predicted, result, timings, spans) = self.run(sql, params, trace)?;
 
         let mut out = String::new();
         out.push_str(&format!("EXPLAIN ANALYZE  trace={trace}\n"));

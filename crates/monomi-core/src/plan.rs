@@ -11,6 +11,7 @@ use crate::rewrite::{normalize_expr, FetchSpec, QueryScope, Rewriter};
 use crate::schemes::EncScheme;
 use monomi_engine::{fold_constant, ColumnType, Database, Value};
 use monomi_sql::ast::*;
+use std::collections::HashSet;
 
 /// How the client decrypts one column of a RemoteSQL result and what
 /// plaintext expression that column stands for.
@@ -241,21 +242,35 @@ pub fn generate_query_plan(
     }
 }
 
-/// The "ship the tables to the client" fallback: every base table the query
-/// references is fetched whole by a `SELECT *` remote plan (no predicate is
-/// pushed), and the original query runs on the client. Always correct, it is
-/// the paper's strawman; the planner picks it only when nothing better exists.
+/// The "ship the tables to the client" fallback: every catalog table the
+/// query references, at any depth, is fetched whole by a `SELECT *` remote
+/// plan with no predicate, and the original query runs on the client.
+/// Always correct, it is the paper's strawman; the planner picks it only when
+/// nothing better exists. This whole-table form is the one the planner
+/// prices, an upper bound on what the fallback ships: once one is chosen,
+/// [`narrow_fetches`] cuts each fetch down to what the query reads.
 pub fn client_fallback_plan(
     query: &Query,
     plain: &Database,
     encryptor: &Encryptor,
     options: &PlanOptions,
 ) -> SplitPlan {
+    fallback_plan_with(query, plain, |t| {
+        table_fetch_plan(t, None, &[], plain, encryptor, options)
+    })
+}
+
+/// The client fallback for `query` whose child for each table of
+/// [`fallback_tables`] is `fetch(table)`.
+pub(crate) fn fallback_plan_with(
+    query: &Query,
+    plain: &Database,
+    mut fetch: impl FnMut(&str) -> Option<SplitPlan>,
+) -> SplitPlan {
     let children = fallback_tables(query, plain)
         .into_iter()
         .map(|t| {
-            let plan = table_fetch_plan(&t, plain, encryptor, options)
-                .expect("table fetch plan must always exist");
+            let plan = fetch(&t).expect("table fetch plan must always exist");
             (t, plan)
         })
         .collect();
@@ -270,29 +285,45 @@ pub fn client_fallback_plan(
 /// fallback plan's children.
 pub(crate) fn fallback_tables(query: &Query, plain: &Database) -> Vec<String> {
     let mut tables: Vec<String> = Vec::new();
-    collect_tables(query, &mut tables);
+    for_each_query(query, &mut |q| {
+        tables.extend(q.base_tables().iter().map(|t| t.to_lowercase()))
+    });
     tables.sort();
     tables.dedup();
     tables.retain(|t| plain.catalog().get(t).is_some());
     tables
 }
 
-/// The remote `SELECT *` plan that ships one base table to the client, or
-/// `None` when the design cannot decrypt one of its columns. It depends only
-/// on the table, the statistics database and the design: `options` reaches
-/// no branch a bare fetch takes.
+/// The remote plan that ships one base table to the client, or `None` when
+/// the design cannot decrypt a column it ships. It fetches `columns` of the
+/// table (`None`: every column, as `SELECT *`) from the rows that satisfy
+/// `conjuncts`, unqualified predicates over this table alone: those the
+/// design can evaluate run on the server, the rest as the fetch's local
+/// filters. With all columns and no conjunct it is the whole-table fetch the
+/// planner prices. It depends only on its arguments, the statistics database
+/// and the design: `options` reaches no branch a fetch takes.
 pub fn table_fetch_plan(
     table: &str,
+    columns: Option<&[String]>,
+    conjuncts: &[Expr],
     plain: &Database,
     encryptor: &Encryptor,
     options: &PlanOptions,
 ) -> Option<SplitPlan> {
+    let projections = match columns {
+        None => vec![SelectItem::new(Expr::col("*"))],
+        Some(columns) => columns
+            .iter()
+            .map(|c| SelectItem::new(Expr::col(c.clone())))
+            .collect(),
+    };
     let fetch_query = Query {
-        projections: vec![SelectItem::new(Expr::col("*"))],
+        projections,
         from: vec![TableRef::Table {
             name: table.to_string(),
             alias: None,
         }],
+        where_clause: Expr::join_conjuncts(conjuncts),
         ..Default::default()
     };
     let scope = QueryScope::for_query(&fetch_query, plain)?;
@@ -300,30 +331,191 @@ pub fn table_fetch_plan(
     Some(SplitPlan::Remote(Box::new(plan)))
 }
 
-fn collect_tables(query: &Query, out: &mut Vec<String>) {
-    for t in &query.from {
-        match t {
-            TableRef::Table { name, .. } => out.push(name.to_lowercase()),
-            TableRef::Subquery { query, .. } => collect_tables(query, out),
+/// Narrows every table fetch of `plan`, planned for `query` by
+/// [`generate_query_plan`] or the planner, at any depth: the children of
+/// each client fallback, inside derived tables and subqueries too. Each
+/// fetch then ships only the columns of its table the fallback's query
+/// names anywhere (all of them under a `*`), and carries the query's
+/// top-level WHERE conjuncts that read that table alone, when the table
+/// occurs once in the query's tree. The client query is unchanged and
+/// re-applies every conjunct, so answers are those of the whole-table
+/// fetches.
+///
+/// A fallback is told from a derived-table step by how it was built, never
+/// by a child's name: a fallback runs the query it was planned for as is,
+/// while a derived-table step runs it with each derived table replaced by a
+/// reference to the child of the same position.
+pub fn narrow_fetches(
+    plan: &mut SplitPlan,
+    query: &Query,
+    plain: &Database,
+    encryptor: &Encryptor,
+    options: &PlanOptions,
+) {
+    match plan {
+        SplitPlan::Remote(rp) => {
+            for (sub, child) in &mut rp.subquery_children {
+                narrow_fetches(child, sub, plain, encryptor, options);
+            }
+        }
+        SplitPlan::Client {
+            query: client_query,
+            ..
+        } if client_query == query => {
+            let reads = ColumnReads::of(query);
+            *plan = fallback_plan_with(query, plain, |t| {
+                let columns = reads.columns(t, plain);
+                let conjuncts = fetch_conjuncts(query, t, plain);
+                table_fetch_plan(t, columns.as_deref(), &conjuncts, plain, encryptor, options)
+            });
+        }
+        SplitPlan::Client { children, .. } => {
+            let derived = query.from.iter().filter_map(|t| match t {
+                TableRef::Subquery { query, .. } => Some(query),
+                TableRef::Table { .. } => None,
+            });
+            for ((_, child), sub) in children.iter_mut().zip(derived) {
+                narrow_fetches(child, sub, plain, encryptor, options);
+            }
         }
     }
-    let mut from_expr = |e: &Expr| {
-        e.walk(&mut |node| match node {
-            Expr::InSubquery { subquery, .. } | Expr::ScalarSubquery(subquery) => {
-                collect_tables(subquery, out)
+}
+
+/// What a query reads of its tables, at any depth: the column names it
+/// mentions (lowercase), and the tables a `*` reads whole.
+struct ColumnReads {
+    named: HashSet<String>,
+    whole: HashSet<String>,
+}
+
+impl ColumnReads {
+    fn of(query: &Query) -> ColumnReads {
+        let mut reads = ColumnReads {
+            named: HashSet::new(),
+            whole: HashSet::new(),
+        };
+        for_each_query(query, &mut |q| {
+            for c in query_exprs(q).flat_map(Expr::column_refs) {
+                if c.column == "*" {
+                    reads
+                        .whole
+                        .extend(q.base_tables().iter().map(|t| t.to_lowercase()));
+                } else {
+                    reads.named.insert(c.column.to_lowercase());
+                }
             }
-            Expr::Exists { subquery, .. } => collect_tables(subquery, out),
+        });
+        reads
+    }
+
+    /// The columns of `table` a fetch must ship, in schema order; `None`
+    /// when a `*` reads it whole. A name is matched against every table, so
+    /// a column another table's reference shares is shipped too.
+    fn columns(&self, table: &str, plain: &Database) -> Option<Vec<String>> {
+        if self.whole.contains(table) {
+            return None;
+        }
+        let schema = plain.catalog().get(table)?;
+        Some(
+            schema
+                .columns
+                .iter()
+                .map(|c| c.name.to_lowercase())
+                .filter(|c| self.named.contains(c))
+                .collect(),
+        )
+    }
+}
+
+/// The top-level WHERE conjuncts of `query` a fetch of `table` may carry,
+/// unqualified. None unless `table` occurs exactly once in the query's
+/// tree, in its own FROM: a table read elsewhere too shares the fetch. A
+/// conjunct qualifies when it has no subquery and no aggregate, and every
+/// column it reads resolves to `table` without ambiguity — qualified by the
+/// table's binding, or unqualified and a column of no other FROM table (and
+/// no derived table in FROM).
+fn fetch_conjuncts(query: &Query, table: &str, plain: &Database) -> Vec<Expr> {
+    let mut occurrences = 0;
+    for_each_query(query, &mut |q| {
+        occurrences += q
+            .base_tables()
+            .iter()
+            .filter(|t| t.eq_ignore_ascii_case(table))
+            .count()
+    });
+    let binding = query.from.iter().find_map(|t| match t {
+        TableRef::Table { name, .. } if name.eq_ignore_ascii_case(table) => Some(t.binding_name()),
+        _ => None,
+    });
+    let (Some(binding), 1, Some(where_clause)) = (binding, occurrences, &query.where_clause) else {
+        return Vec::new();
+    };
+    let has_column = |t: &str, c: &str| {
+        plain
+            .catalog()
+            .get(t)
+            .is_some_and(|s| s.column_index(c).is_some())
+    };
+    // A derived table in FROM may own any unqualified name.
+    let has_derived = query
+        .from
+        .iter()
+        .any(|t| matches!(t, TableRef::Subquery { .. }));
+    let others: Vec<String> = query
+        .base_tables()
+        .into_iter()
+        .filter(|t| !t.eq_ignore_ascii_case(table))
+        .collect();
+    let reads_table = |c: &ColumnRef| {
+        has_column(table, &c.column)
+            && match &c.table {
+                Some(q) => q.eq_ignore_ascii_case(binding),
+                None => !has_derived && !others.iter().any(|o| has_column(o, &c.column)),
+            }
+    };
+    where_clause
+        .split_conjuncts()
+        .into_iter()
+        .filter(|conj| {
+            let refs = conj.column_refs();
+            !conj.contains_subquery()
+                && !conj.contains_aggregate()
+                && !refs.is_empty()
+                && refs.iter().all(reads_table)
+        })
+        .map(normalize_expr)
+        .collect()
+}
+
+/// Every expression of one query's own clauses, not descending into
+/// subqueries.
+pub(crate) fn query_exprs(query: &Query) -> impl Iterator<Item = &Expr> {
+    query
+        .projections
+        .iter()
+        .map(|p| &p.expr)
+        .chain(&query.where_clause)
+        .chain(&query.group_by)
+        .chain(&query.having)
+        .chain(query.order_by.iter().map(|o| &o.expr))
+}
+
+/// Calls `f` on `query` and on every query nested in it: its derived tables
+/// and the subqueries of every clause, at any depth.
+pub(crate) fn for_each_query<'a>(query: &'a Query, f: &mut impl FnMut(&'a Query)) {
+    f(query);
+    for t in &query.from {
+        if let TableRef::Subquery { query, .. } = t {
+            for_each_query(query, f);
+        }
+    }
+    for e in query_exprs(query) {
+        e.walk(&mut |node| match node {
+            Expr::InSubquery { subquery, .. }
+            | Expr::Exists { subquery, .. }
+            | Expr::ScalarSubquery(subquery) => for_each_query(subquery, f),
             _ => {}
         });
-    };
-    for p in &query.projections {
-        from_expr(&p.expr);
-    }
-    if let Some(w) = &query.where_clause {
-        from_expr(w);
-    }
-    if let Some(h) = &query.having {
-        from_expr(h);
     }
 }
 

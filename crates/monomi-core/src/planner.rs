@@ -5,7 +5,10 @@
 use crate::cost::{CostBreakdown, CostModel, DecryptProfile};
 use crate::design::{Encryptor, PhysicalDesign};
 use crate::network::NetworkModel;
-use crate::plan::{fallback_tables, generate_query_plan, table_fetch_plan, PlanOptions, SplitPlan};
+use crate::plan::{
+    fallback_plan_with, fallback_tables, for_each_query, generate_query_plan, narrow_fetches,
+    query_exprs, table_fetch_plan, PlanOptions, SplitPlan,
+};
 use crate::rewrite::{normalize_expr, QueryScope};
 use crate::schemes::EncScheme;
 use monomi_crypto::{MasterKey, PaillierKey};
@@ -333,8 +336,9 @@ pub struct Planner<'a> {
 /// set is pruned to units, and very wide queries are further capped).
 const MAX_SUBSETS: usize = 64;
 
-/// One base table's `SELECT *` fetch — a child of the client fallback —
-/// with its cost and estimated rows as [`CostModel::child_cost`] prices it.
+/// One base table's whole-table fetch (`SELECT *`, no predicate) — a child
+/// of the client fallback as the planner prices it — with its cost and
+/// estimated rows as [`CostModel::child_cost`] prices it.
 #[derive(Clone, Debug)]
 struct TableFetch {
     plan: SplitPlan,
@@ -342,11 +346,14 @@ struct TableFetch {
     rows: f64,
 }
 
-/// The client fallback's children, priced once per catalog table. A fetch
-/// plan depends only on the table, the statistics, the design (not on
+/// The client fallback's children in the whole-table form the planner
+/// prices, built and priced once per catalog table. A whole-table fetch
+/// depends only on the table, the statistics, the design (not on
 /// [`PlanOptions`]) and its price on the decrypt profile and the link — all
 /// fixed once a client is set up — so [`Planner::best_plan`] sums these
-/// instead of building and pricing the fallback for every query.
+/// instead of building and pricing the fallback for every query. The
+/// fetches a chosen fallback runs are narrowed after the choice
+/// ([`crate::plan::narrow_fetches`]), and never priced.
 #[derive(Clone, Debug, Default)]
 pub struct TableFetches {
     by_table: HashMap<String, TableFetch>,
@@ -383,17 +390,7 @@ impl TableFetches {
     /// plans: equal to [`crate::plan::client_fallback_plan`] under the same
     /// design.
     pub fn fallback_plan(&self, query: &Query, plain: &Database) -> SplitPlan {
-        let children = fallback_tables(query, plain)
-            .into_iter()
-            .map(|t| {
-                let plan = self.get(&t).plan.clone();
-                (t, plan)
-            })
-            .collect();
-        SplitPlan::Client {
-            query: query.clone(),
-            children,
-        }
+        fallback_plan_with(query, plain, |t| Some(self.get(t).plan.clone()))
     }
 }
 
@@ -466,7 +463,8 @@ impl<'a> Planner<'a> {
             .table_names()
             .into_iter()
             .filter_map(|table| {
-                let plan = table_fetch_plan(&table, self.plain, encryptor, &self.options)?;
+                let plan =
+                    table_fetch_plan(&table, None, &[], self.plain, encryptor, &self.options)?;
                 let (cost, rows) = cost_model.child_cost(&plan);
                 Some((table, TableFetch { plan, cost, rows }))
             })
@@ -477,7 +475,10 @@ impl<'a> Planner<'a> {
     /// Chooses the best plan for a query given a fixed design (runtime use):
     /// the cheapest of the Algorithm-1 split plan, the same plan without
     /// homomorphic aggregation, and the client-side fallback, in that order
-    /// of preference on ties. `fetches` must come from
+    /// of preference on ties, each fallback priced with whole-table fetches.
+    /// The winner's fetches are then narrowed by
+    /// [`narrow_fetches`](crate::plan::narrow_fetches); the returned cost is
+    /// the unnarrowed plan's. `fetches` must come from
     /// [`table_fetches`](Self::table_fetches) under the same design, profile
     /// and link.
     pub fn best_plan(
@@ -512,6 +513,10 @@ impl<'a> Planner<'a> {
         if fallback_cost.total() < best.1.total() {
             best = (fetches.fallback_plan(query, self.plain), fallback_cost);
         }
+        // Priced whole, run narrowed: the choice and its cost stay those of
+        // the whole-table fetches, an upper bound on what the narrowed ones
+        // ship.
+        narrow_fetches(&mut best.0, query, self.plain, encryptor, &self.options);
         best
     }
 }
@@ -519,29 +524,19 @@ impl<'a> Planner<'a> {
 /// True if a SUM or AVG appears anywhere in `query`: any clause, derived
 /// tables and subqueries included.
 fn mentions_sum_or_avg(query: &Query) -> bool {
-    let in_expr = |e: &Expr| {
-        let mut found = false;
-        e.walk(&mut |node| match node {
-            Expr::Aggregate {
-                func: AggFunc::Sum | AggFunc::Avg,
-                ..
-            } => found = true,
-            Expr::InSubquery { subquery, .. }
-            | Expr::Exists { subquery, .. }
-            | Expr::ScalarSubquery(subquery) => found |= mentions_sum_or_avg(subquery),
-            _ => {}
-        });
-        found
-    };
-    let mut exprs = query
-        .projections
-        .iter()
-        .map(|p| &p.expr)
-        .chain(&query.where_clause)
-        .chain(&query.group_by)
-        .chain(&query.having)
-        .chain(query.order_by.iter().map(|o| &o.expr));
-    let in_derived =
-        |t: &TableRef| matches!(t, TableRef::Subquery { query, .. } if mentions_sum_or_avg(query));
-    exprs.any(in_expr) || query.from.iter().any(in_derived)
+    let mut found = false;
+    for_each_query(query, &mut |q| {
+        for e in query_exprs(q) {
+            e.walk(&mut |node| {
+                found |= matches!(
+                    node,
+                    Expr::Aggregate {
+                        func: AggFunc::Sum | AggFunc::Avg,
+                        ..
+                    }
+                )
+            });
+        }
+    });
+    found
 }

@@ -2,11 +2,17 @@
 //! plaintext engine for the TPC-H workload, while never storing plaintext on
 //! the untrusted server.
 
-use monomi_core::{ClientConfig, DesignStrategy, MonomiClient};
+use monomi_core::cost::bind_params;
+use monomi_core::plan::{client_fallback_plan, RemotePlan};
+use monomi_core::{ClientConfig, DesignStrategy, Encryptor, MonomiClient, PlanOptions, SplitPlan};
+use monomi_crypto::{MasterKey, PaillierKey};
 use monomi_engine::{ColumnDef, ColumnType, Database, TableSchema, Value};
-use monomi_sql::parse_query;
+use monomi_sql::ast::TableRef;
+use monomi_sql::{parse_query, Query};
 use monomi_tpch::{baselines, datagen, fast_config, queries};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn small_plain() -> monomi_engine::Database {
     datagen::generate(&datagen::GeneratorConfig {
@@ -482,5 +488,170 @@ fn encrypted_database_is_byte_identical_per_seed() {
             golden,
             "encrypted database changed for space budget {space_budget:?}"
         );
+    }
+}
+
+/// The table fetches of every client fallback in `plan`, the plan chosen for
+/// `query`, at any depth, as `(table, fetch)`. A fallback runs the query it
+/// was planned for as is; a derived-table step runs it with each derived
+/// table replaced by its child, whatever the child's name.
+fn fallback_fetches<'a>(plan: &'a SplitPlan, query: &Query) -> Vec<(&'a str, &'a RemotePlan)> {
+    match plan {
+        SplitPlan::Remote(rp) => rp
+            .subquery_children
+            .iter()
+            .flat_map(|(sub, child)| fallback_fetches(child, sub))
+            .collect(),
+        SplitPlan::Client {
+            query: client_query,
+            children,
+        } if client_query == query => children
+            .iter()
+            .map(|(table, child)| match child {
+                SplitPlan::Remote(rp) => (table.as_str(), &**rp),
+                SplitPlan::Client { .. } => panic!("fetch of {table} is not a RemotePlan"),
+            })
+            .collect(),
+        SplitPlan::Client { children, .. } => {
+            let derived = query.from.iter().filter_map(|t| match t {
+                TableRef::Subquery { query, .. } => Some(&**query),
+                TableRef::Table { .. } => None,
+            });
+            children
+                .iter()
+                .zip(derived)
+                .flat_map(|((_, child), sub)| fallback_fetches(child, sub))
+                .collect()
+        }
+    }
+}
+
+/// Client fallbacks fetch only what their query reads — the columns it
+/// names, and the single-table WHERE conjuncts the design can evaluate — and
+/// still answer what the whole-table fallback answers. Under S = 2 and
+/// unconstrained (at the benchmark's 1 024-bit key, wide enough for the
+/// packed HOM group), every corpus query whose chosen plan holds a fallback,
+/// and shapes the corpus lacks, return the rows of
+/// `client_fallback_plan`'s whole-table form and of plaintext: a table named
+/// twice, a correlated subquery over the same table, a derived table aliased
+/// as a catalog table, a conjunct the design cannot push, an OR spanning two
+/// tables, and a pushed range that keeps no row.
+#[test]
+fn narrowed_fetches_answer_what_whole_tables_answer() {
+    let plain = small_plain();
+    let workload = queries::workload();
+    let parsed: Vec<Query> = workload
+        .iter()
+        .map(|q| parse_query(q.sql).expect("workload query parses"))
+        .collect();
+    let shapes = [
+        // A table named twice, fully qualified; the correlated EXISTS makes
+        // it a fallback.
+        "SELECT n1.n_name, n2.n_name FROM nation n1, nation n2, region \
+         WHERE n1.n_regionkey = n2.n_regionkey AND n1.n_regionkey = region.r_regionkey \
+           AND region.r_name = 'EUROPE' AND n1.n_nationkey < n2.n_nationkey \
+           AND EXISTS (SELECT * FROM supplier WHERE supplier.s_nationkey = n1.n_nationkey) \
+         ORDER BY n1.n_name, n2.n_name",
+        // A correlated subquery over the same table.
+        "SELECT o1.o_orderkey, o1.o_totalprice FROM orders o1 \
+         WHERE o1.o_orderdate < DATE '1994-01-01' AND o1.o_totalprice > ( \
+             SELECT AVG(o2.o_totalprice) FROM orders o2 WHERE o2.o_custkey = o1.o_custkey) \
+         ORDER BY o1.o_orderkey",
+        // A derived table aliased as a catalog table, holding a fallback,
+        // beside a derived table the server filters.
+        "SELECT COUNT(*), SUM(orders.o_totalprice) FROM ( \
+             SELECT o1.o_orderkey, o1.o_totalprice FROM orders o1 \
+             WHERE o1.o_orderdate < DATE '1995-01-01' AND o1.o_totalprice > ( \
+                 SELECT AVG(o2.o_totalprice) FROM orders o2 \
+                 WHERE o2.o_custkey = o1.o_custkey)) AS orders, \
+           (SELECT l_orderkey FROM lineitem WHERE l_shipdate >= DATE '1998-08-01') AS late \
+         WHERE orders.o_orderkey = late.l_orderkey",
+        // A fallback over a derived table aliased as a catalog table.
+        "SELECT COUNT(*), SUM(o_totalprice) FROM ( \
+             SELECT o_totalprice FROM orders, customer \
+             WHERE o_custkey = c_custkey AND o_totalprice + c_acctbal > 100000 \
+               AND o_orderdate >= DATE '1995-01-01') AS orders",
+        // A conjunct the design cannot push, and an OR spanning two tables.
+        "SELECT c_name, o_orderkey FROM customer, orders \
+         WHERE c_custkey = o_custkey AND c_acctbal * 3 > 20000 \
+           AND (c_acctbal > 8000 OR o_totalprice > 300000) \
+           AND o_totalprice + c_acctbal > 0 \
+         ORDER BY o_orderkey",
+        // A pushed range that keeps no row.
+        "SELECT SUM(l_extendedprice * (100 - l_discount)) FROM lineitem, part \
+         WHERE l_partkey = p_partkey AND l_extendedprice + p_retailprice > 0 \
+           AND l_shipdate >= DATE '1900-01-01' AND l_shipdate < DATE '1900-02-01'",
+    ];
+    let unconstrained = ClientConfig {
+        space_budget: None,
+        paillier_bits: 1024,
+        ..fast_config()
+    };
+    for config in [fast_config(), unconstrained] {
+        let label = format!("space budget {:?}", config.space_budget);
+        let (client, _) = MonomiClient::setup(&plain, &parsed, DesignStrategy::Designer, &config)
+            .expect("setup succeeds");
+        // A whole-table fetch holds no ciphertext, so any keys build it.
+        let mut rng = StdRng::seed_from_u64(1);
+        let encryptor = Encryptor::with_keys(
+            MasterKey::generate(&mut rng),
+            PaillierKey::generate(&mut rng, 128),
+            client.design().clone(),
+        );
+        let corpus = workload.iter().map(|q| (q.sql, q.params.clone(), false));
+        let extra = shapes.iter().map(|sql| (*sql, Vec::new(), true));
+        let mut corpus_fallbacks = 0;
+        for (sql, params, is_shape) in corpus.chain(extra) {
+            let bound = bind_params(&parse_query(sql).expect("parses"), &params);
+            let plan = client.plan(sql, &params).expect("plans");
+            let fetches = fallback_fetches(&plan, &bound);
+            if fetches.is_empty() {
+                assert!(!is_shape, "{label}: no fallback for {sql}");
+                continue;
+            }
+            corpus_fallbacks += usize::from(!is_shape);
+            let whole = client_fallback_plan(&bound, &plain, &encryptor, &PlanOptions::default());
+            let (want, _) = client.execute_plan(&whole).expect("whole-table fallback");
+            let (got, _) = client.execute_plan(&plan).expect("narrowed plan");
+            assert_eq!(got.rows, want.rows, "{label}: {sql}");
+            let (expected, _) = plain.execute_sql(sql, &params).expect("plaintext");
+            assert!(
+                rows_match(&expected.rows, &got.rows),
+                "{label}: {sql}: plaintext {:?} vs MONOMI {:?}",
+                expected.rows,
+                got.rows
+            );
+        }
+        assert!(corpus_fallbacks > 0, "{label}: no corpus query falls back");
+        if config.space_budget.is_some() {
+            continue;
+        }
+        // Unconstrained, Q14's lineitem fetch ships the 4 columns Q14 reads
+        // and filters on the server; the range that keeps no row empties
+        // its fetch on the server.
+        let q14 = queries::query(14).expect("Q14 exists");
+        for (sql, params, rows) in [(q14.sql, q14.params, None), (shapes[5], vec![], Some(0))] {
+            let bound = bind_params(&parse_query(sql).expect("parses"), &params);
+            let plan = client.plan(sql, &params).expect("plans");
+            let (_, lineitem) = fallback_fetches(&plan, &bound)
+                .into_iter()
+                .find(|(table, _)| *table == "lineitem")
+                .expect("a lineitem fetch");
+            assert_eq!(lineitem.outputs.len(), 4, "{sql}");
+            assert!(lineitem.server_query.where_clause.is_some(), "{sql}");
+            if let Some(rows) = rows {
+                let fetch = SplitPlan::Remote(Box::new(lineitem.clone()));
+                let (rs, _) = client.execute_plan(&fetch).expect("fetch runs");
+                assert_eq!(rs.rows.len(), rows, "{sql}");
+            }
+        }
+        // The derived table named `orders` is a step of its own, and the
+        // fallback inside it is narrowed.
+        let plan = client.plan(shapes[2], &[]).expect("plans");
+        let SplitPlan::Client { children, .. } = &plan else {
+            panic!("{}: not a derived-table step", shapes[2]);
+        };
+        assert_eq!(children[0].0, "orders");
+        assert!(matches!(children[0].1, SplitPlan::Client { .. }));
     }
 }

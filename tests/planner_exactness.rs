@@ -3,12 +3,15 @@
 //! query once for every candidate, and builds the no-HOM candidate only when
 //! the query has a SUM or AVG. None of that may change a plan or a bit of its
 //! cost: this suite checks it against the reference procedure below, which
-//! builds all three candidates, prices each with `CostModel::plan_cost` and
-//! compares them in the same order.
+//! builds all three candidates, prices each with `CostModel::plan_cost`,
+//! compares them in the same order and narrows the winner's table fetches
+//! with the same pass. The fallback is priced in its whole-table form.
 
 use monomi_core::cost::{bind_params, CostBreakdown, CostModel, DecryptProfile};
 use monomi_core::designer::Designer;
-use monomi_core::plan::{client_fallback_plan, generate_query_plan, table_fetch_plan};
+use monomi_core::plan::{
+    client_fallback_plan, generate_query_plan, narrow_fetches, table_fetch_plan,
+};
 use monomi_core::{
     ClientConfig, Encryptor, MonomiClient, NetworkModel, PhysicalDesign, PlanOptions, Planner,
     SplitPlan,
@@ -77,7 +80,8 @@ fn cost_model<'a>(planner: &Planner<'a>) -> CostModel<'a> {
     }
 }
 
-/// Reference: every candidate built in full and priced by `plan_cost`.
+/// Reference: every candidate built in full and priced by `plan_cost`; the
+/// winner is then narrowed, its cost left as priced.
 fn reference_best_plan(
     planner: &Planner<'_>,
     query: &Query,
@@ -100,6 +104,13 @@ fn reference_best_plan(
     if fallback_cost.total() < best.1.total() {
         best = (fallback, fallback_cost);
     }
+    narrow_fetches(
+        &mut best.0,
+        query,
+        planner.plain,
+        encryptor,
+        &planner.options,
+    );
     best
 }
 
@@ -343,7 +354,7 @@ fn table_fetches_do_not_depend_on_plan_options() {
             let fetch = |options: PlanOptions| {
                 format!(
                     "{:?}",
-                    table_fetch_plan(&table, &setup.plain, &encryptor, &options)
+                    table_fetch_plan(&table, None, &[], &setup.plain, &encryptor, &options)
                 )
             };
             let default = fetch(PlanOptions::default());
