@@ -1,24 +1,42 @@
-//! AES-128 block cipher implemented from scratch (FIPS-197), table-driven.
+//! AES-128 block cipher implemented from scratch (FIPS-197), with two round
+//! implementations behind one type.
 //!
 //! MONOMI uses AES as the primitive behind its randomized (CBC), deterministic
 //! (CMC/FFX-style), and order-preserving (PRF) constructions, so one block is
 //! the unit every client-side decrypt pays for: a DET integer is ten blocks.
 //!
-//! Each round is sixteen lookups into four 256-entry `u32` tables that fold
-//! SubBytes, ShiftRows and MixColumns together (`TE` to encrypt, `TD` to
-//! decrypt), over a state of four big-endian column words. Decryption is the
-//! equivalent inverse cipher of FIPS-197 §5.3.5: the same round shape as
-//! encryption, over a key schedule whose middle round keys went through
-//! InvMixColumns once, at key expansion. The tables are built at compile
-//! time from the S-box.
+//! [`Aes128::new`] checks once whether the CPU has AES-NI (x86_64 only) and
+//! expands the key for the rounds it will run:
 //!
-//! Table lookups indexed by secret bytes are not constant-time; neither were
-//! the S-box lookups of the byte-wise rounds they replace. The cipher runs on
-//! the trusted client only, whose threat model (the paper's) is an untrusted
-//! *server*, not a co-resident attacker timing the client's cache.
+//! * **AES-NI** (module `ni`, the workspace's only `unsafe`): each round is
+//!   one `aesenc`/`aesdec` instruction, and the decryption schedule comes
+//!   from `aesimc`. The instructions make no secret-indexed table lookups, so
+//!   this path runs in constant time.
+//! * **Tables**, everywhere else: each round is sixteen lookups into four
+//!   256-entry `u32` tables that fold SubBytes, ShiftRows and MixColumns
+//!   together (`TE` to encrypt, `TD` to decrypt), over a state of four
+//!   big-endian column words. Decryption is the equivalent inverse cipher of
+//!   FIPS-197 §5.3.5: the same round shape as encryption, over a key schedule
+//!   whose middle round keys went through InvMixColumns once, at key
+//!   expansion. The tables are built at compile time from the S-box. Table
+//!   lookups indexed by secret bytes are not constant-time; neither were the
+//!   S-box lookups of the byte-wise rounds they replace. The cipher runs on
+//!   the trusted client only, whose threat model (the paper's) is an
+//!   untrusted *server*, not a co-resident attacker timing the client's cache.
 //!
-//! Verified against the FIPS-197 appendix vectors and, block for block,
-//! against the byte-wise rounds of the specification kept as a test oracle.
+//! FFX and OPE chain many dependent blocks per value. Each is written once, as
+//! a [`BlockJob`] generic over the [`BlockFn`], and [`Aes128::run`] runs the
+//! whole job inside one AES-NI frame, so no block pays for a call and a round
+//! key reload.
+//!
+//! Both paths give the same bits. Both are verified against the FIPS-197
+//! appendix vectors and, block for block, against the byte-wise rounds of the
+//! specification kept as a test oracle; the DET, RND and OPE tests assert
+//! known-answer ciphertexts on both.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni;
 
 /// AES S-box.
 const SBOX: [u8; 256] = [
@@ -154,18 +172,18 @@ fn store(block: &mut [u8; 16], words: [u32; 4]) {
     }
 }
 
-/// AES-128 cipher with an expanded key schedule.
+/// The round keys of the table path.
 #[derive(Clone)]
-pub struct Aes128 {
+struct TableKeys {
     /// Round keys as column words, in encryption order.
     enc_keys: [[u32; 4]; 11],
     /// Round keys of the equivalent inverse cipher, in decryption order.
     dec_keys: [[u32; 4]; 11],
 }
 
-impl Aes128 {
+impl TableKeys {
     /// Expands a 128-bit key into both round key schedules.
-    pub fn new(key: &[u8; 16]) -> Self {
+    fn new(key: &[u8; 16]) -> Self {
         let mut w = [0u32; 44];
         w[..4].copy_from_slice(&load(key));
         for i in 4..44 {
@@ -191,11 +209,10 @@ impl Aes128 {
                 })
             }
         });
-        Aes128 { enc_keys, dec_keys }
+        TableKeys { enc_keys, dec_keys }
     }
 
-    /// Encrypts a single 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    fn encrypt_block(&self, block: &mut [u8; 16]) {
         let [first, middle @ .., last] = &self.enc_keys;
         let [mut s0, mut s1, mut s2, mut s3] = load(block);
         s0 ^= first[0];
@@ -220,8 +237,7 @@ impl Aes128 {
         );
     }
 
-    /// Decrypts a single 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+    fn decrypt_block(&self, block: &mut [u8; 16]) {
         let [first, middle @ .., last] = &self.dec_keys;
         let [mut s0, mut s1, mut s2, mut s3] = load(block);
         s0 ^= first[0];
@@ -246,6 +262,92 @@ impl Aes128 {
             ],
         );
     }
+}
+
+impl BlockFn for TableKeys {
+    #[inline]
+    fn prf_u128(&self, input: u128) -> u128 {
+        let mut block = input.to_be_bytes();
+        self.encrypt_block(&mut block);
+        u128::from_be_bytes(block)
+    }
+}
+
+/// AES-128 encryption of one block as a PRF on `u128` (big-endian bytes in
+/// and out): the block function that FFX and OPE are written against.
+pub trait BlockFn {
+    fn prf_u128(&self, input: u128) -> u128;
+}
+
+/// A computation that encrypts many blocks, written once and generic over
+/// the block function, so that [`Aes128::run`] can run it with the rounds
+/// inlined (on the hardware path, inside one AES-NI frame).
+pub trait BlockJob {
+    type Output;
+    fn run<B: BlockFn>(self, aes: &B) -> Self::Output;
+}
+
+/// Which round implementation a key was expanded for.
+#[derive(Clone)]
+enum Rounds {
+    #[cfg(target_arch = "x86_64")]
+    Ni(ni::NiKeys),
+    Table(TableKeys),
+}
+
+/// AES-128 cipher with an expanded key schedule.
+#[derive(Clone)]
+pub struct Aes128 {
+    rounds: Rounds,
+}
+
+impl Aes128 {
+    /// Expands a 128-bit key for the AES-NI rounds where the CPU has them,
+    /// and for the table rounds otherwise.
+    pub fn new(key: &[u8; 16]) -> Self {
+        let table = TableKeys::new(key);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(keys) = ni::NiKeys::new(&table.enc_keys) {
+            return Aes128 {
+                rounds: Rounds::Ni(keys),
+            };
+        }
+        Aes128 {
+            rounds: Rounds::Table(table),
+        }
+    }
+
+    /// The key expanded for every round implementation this CPU can run:
+    /// the table rounds, then AES-NI when it is detected.
+    #[cfg(test)]
+    pub(crate) fn every_path(key: &[u8; 16]) -> Vec<Self> {
+        let mut paths = vec![Aes128 {
+            rounds: Rounds::Table(TableKeys::new(key)),
+        }];
+        let native = Self::new(key);
+        if !matches!(native.rounds, Rounds::Table(_)) {
+            paths.push(native);
+        }
+        paths
+    }
+
+    /// Encrypts a single 16-byte block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        match &self.rounds {
+            #[cfg(target_arch = "x86_64")]
+            Rounds::Ni(keys) => keys.encrypt_block(block),
+            Rounds::Table(keys) => keys.encrypt_block(block),
+        }
+    }
+
+    /// Decrypts a single 16-byte block in place.
+    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+        match &self.rounds {
+            #[cfg(target_arch = "x86_64")]
+            Rounds::Ni(keys) => keys.decrypt_block(block),
+            Rounds::Table(keys) => keys.decrypt_block(block),
+        }
+    }
 
     /// Encrypts a copy of the block and returns it.
     pub fn encrypt(&self, block: [u8; 16]) -> [u8; 16] {
@@ -264,8 +366,23 @@ impl Aes128 {
     /// Uses the cipher as a pseudorandom function on a 128-bit input, returning
     /// the 128-bit output as a `u128`.
     pub fn prf_u128(&self, input: u128) -> u128 {
-        let out = self.encrypt(input.to_be_bytes());
-        u128::from_be_bytes(out)
+        match &self.rounds {
+            #[cfg(target_arch = "x86_64")]
+            Rounds::Ni(keys) => keys.prf_u128(input),
+            Rounds::Table(keys) => keys.prf_u128(input),
+        }
+    }
+
+    /// Runs `job` against this key's block function. Every block the job
+    /// encrypts costs what a block costs inlined: the match on the round
+    /// implementation happens once, not once per block.
+    #[inline]
+    pub fn run<J: BlockJob>(&self, job: J) -> J::Output {
+        match &self.rounds {
+            #[cfg(target_arch = "x86_64")]
+            Rounds::Ni(keys) => keys.run(job),
+            Rounds::Table(keys) => job.run(keys),
+        }
     }
 }
 
@@ -422,9 +539,10 @@ mod tests {
             let key: [u8; 16] = hex(key).try_into().unwrap();
             let pt: [u8; 16] = hex(pt).try_into().unwrap();
             let ct: [u8; 16] = hex(ct).try_into().unwrap();
-            let aes = Aes128::new(&key);
-            assert_eq!(aes.encrypt(pt), ct);
-            assert_eq!(aes.decrypt(ct), pt);
+            for aes in Aes128::every_path(&key) {
+                assert_eq!(aes.encrypt(pt), ct);
+                assert_eq!(aes.decrypt(ct), pt);
+            }
             let oracle = oracle::Aes128::new(&key);
             assert_eq!(oracle.encrypt(pt), ct);
             assert_eq!(oracle.decrypt(ct), pt);
@@ -434,36 +552,78 @@ mod tests {
     #[test]
     fn fips197_appendix_a1_key_expansion() {
         let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.enc_keys[1][0], 0xa0fafe17);
-        assert_eq!(aes.enc_keys[10][3], 0xb6630ca6);
+        let keys = TableKeys::new(&key);
+        assert_eq!(keys.enc_keys[1][0], 0xa0fafe17);
+        assert_eq!(keys.enc_keys[10][3], 0xb6630ca6);
         // The outer round keys of the inverse schedule are the outer round
         // keys of the forward one, swapped and untransformed.
-        assert_eq!(aes.dec_keys[0], aes.enc_keys[10]);
-        assert_eq!(aes.dec_keys[10], aes.enc_keys[0]);
+        assert_eq!(keys.dec_keys[0], keys.enc_keys[10]);
+        assert_eq!(keys.dec_keys[10], keys.enc_keys[0]);
     }
 
+    /// A job that encrypts its blocks through [`Aes128::run`].
+    struct PrfAll<'a>(&'a [u128]);
+
+    impl BlockJob for PrfAll<'_> {
+        type Output = Vec<u128>;
+        fn run<B: BlockFn>(self, aes: &B) -> Vec<u128> {
+            self.0.iter().map(|&x| aes.prf_u128(x)).collect()
+        }
+    }
+
+    /// Both round implementations (the hardware one where the CPU has
+    /// AES-NI), in both directions, through every entry point, against the
+    /// byte-wise rounds. The decryption side covers each path's inverse key
+    /// schedule (`TD` folding on the table path, `aesimc` on AES-NI).
     #[test]
     fn table_rounds_match_the_bytewise_oracle() {
         let mut rng = StdRng::seed_from_u64(0xae5_7ab1e);
         for _ in 0..100 {
             let mut key = [0u8; 16];
             rng.fill(&mut key);
-            let aes = Aes128::new(&key);
             let oracle = oracle::Aes128::new(&key);
-            for _ in 0..100 {
-                let mut block = [0u8; 16];
-                rng.fill(&mut block);
-                let ct = aes.encrypt(block);
-                assert_eq!(ct, oracle.encrypt(block), "encrypt, key {key:02x?}");
-                assert_eq!(
-                    aes.decrypt(block),
-                    oracle.decrypt(block),
-                    "decrypt, key {key:02x?}"
-                );
-                assert_eq!(aes.decrypt(ct), block);
+            let blocks: Vec<[u8; 16]> = (0..100)
+                .map(|_| {
+                    let mut block = [0u8; 16];
+                    rng.fill(&mut block);
+                    block
+                })
+                .collect();
+            let inputs: Vec<u128> = blocks.iter().map(|b| u128::from_be_bytes(*b)).collect();
+            let expected: Vec<u128> = blocks
+                .iter()
+                .map(|b| u128::from_be_bytes(oracle.encrypt(*b)))
+                .collect();
+            for aes in Aes128::every_path(&key) {
+                for &block in &blocks {
+                    let ct = aes.encrypt(block);
+                    assert_eq!(ct, oracle.encrypt(block), "encrypt, key {key:02x?}");
+                    assert_eq!(
+                        aes.decrypt(block),
+                        oracle.decrypt(block),
+                        "decrypt, key {key:02x?}"
+                    );
+                    assert_eq!(aes.decrypt(ct), block);
+                }
+                let singly: Vec<u128> = inputs.iter().map(|&x| aes.prf_u128(x)).collect();
+                assert_eq!(singly, expected, "prf_u128, key {key:02x?}");
+                assert_eq!(aes.run(PrfAll(&inputs)), expected, "run, key {key:02x?}");
             }
         }
+    }
+
+    /// Where the CPU has AES-NI, `new` picks it: a silent fallback to the
+    /// tables would still pass every bit-identity test.
+    #[test]
+    fn new_uses_aes_ni_where_the_cpu_has_it() {
+        let aes = Aes128::new(&[7; 16]);
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("aes") {
+            assert!(matches!(aes.rounds, Rounds::Ni(_)));
+            assert_eq!(Aes128::every_path(&[7; 16]).len(), 2);
+            return;
+        }
+        assert!(matches!(aes.rounds, Rounds::Table(_)));
     }
 
     #[test]

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # monomi-crypto
 //!
 //! The encryption schemes used by MONOMI (Tu et al., VLDB 2013) to execute

@@ -13,7 +13,9 @@
 //!   thread count — no clocks, env reads, or hash-iteration order.
 //! * **I4 — panic freedom**: corrupt disk bytes fail the query with a typed
 //!   error, never the process.
-//! * **I5 — unsafe hygiene**: crates without unsafe code forbid it outright.
+//! * **I5 — unsafe hygiene**: `unsafe` lives in one allow-listed module (the
+//!   AES-NI rounds), each site under a `// SAFETY:` comment; every other
+//!   crate forbids it outright.
 //!
 //! This crate machine-checks those invariants on every CI run with a
 //! hand-rolled lexer (no `syn`/`dylint`: the build is offline) and a small

@@ -91,7 +91,9 @@ pub const RULES: &[RuleInfo] = &[
         id: UNSAFE_HYGIENE,
         invariant: "I5",
         severity: Severity::Deny,
-        summary: "every crate without unsafe code carries #![forbid(unsafe_code)] in its root \
+        summary: "`unsafe` appears only in the allow-listed AES-NI module \
+                  (crates/monomi-crypto/src/aes/ni.rs), each use under a `// SAFETY:` comment; \
+                  every crate without unsafe code carries #![forbid(unsafe_code)] in its root \
                   (shims excluded)",
     },
     RuleInfo {
@@ -144,6 +146,10 @@ const KEY_MATERIAL_IDENTS: &[&str] = &[
     "SearchScheme",
 ];
 
+/// The files that may contain `unsafe`. The AES-NI rounds need it: Rust has
+/// no safe way to enter a `#[target_feature]` function from ordinary code.
+const UNSAFE_FILES: &[&str] = &["crates/monomi-crypto/src/aes/ni.rs"];
+
 /// Crates where the Montgomery-residency convention applies.
 const MONT_CRATES: &[&str] = &["monomi-math", "monomi-crypto"];
 
@@ -172,9 +178,11 @@ const HASH_ITER_METHODS: &[&str] = &[
 ];
 
 /// Runs every per-file rule over `file`, appending findings to `out`.
-/// (The crate-level `unsafe-hygiene` rule lives in [`check_unsafe_hygiene`].)
+/// (The crate-level half of `unsafe-hygiene` lives in
+/// [`check_unsafe_hygiene`].)
 pub fn check_file(file: &SourceFile, out: &mut Vec<Violation>) {
     check_allow_markers(file, out);
+    check_unsafe_sites(file, out);
     if SERVER_CRATES.contains(&file.crate_name.as_str()) {
         check_trust_boundary(file, out);
     }
@@ -672,9 +680,65 @@ fn is_keyword(s: &str) -> bool {
     )
 }
 
-/// `unsafe-hygiene` (I5): a crate with no `unsafe` anywhere must carry
-/// `#![forbid(unsafe_code)]` in its root file. `files` are all sources of one
-/// crate; `root_file` is its `lib.rs`/`main.rs`.
+/// `unsafe-hygiene` (I5), per site: `unsafe` (test code included) only in
+/// [`UNSAFE_FILES`], and there only directly under a comment block that
+/// holds a `// SAFETY:` line stating why the site is sound.
+fn check_unsafe_sites(file: &SourceFile, out: &mut Vec<Violation>) {
+    let allowed_file = UNSAFE_FILES.contains(&file.rel_path.as_str());
+    for t in file.toks.iter().filter(|t| t.is_ident("unsafe")) {
+        if !allowed_file {
+            push(
+                file,
+                out,
+                UNSAFE_HYGIENE,
+                t.line,
+                format!(
+                    "`unsafe` outside the allow-listed module ({}): the workspace's only \
+                     unsafe code is the AES-NI rounds",
+                    UNSAFE_FILES.join(", ")
+                ),
+            );
+        } else if !has_safety_comment_above(file, t.line) {
+            push(
+                file,
+                out,
+                UNSAFE_HYGIENE,
+                t.line,
+                "`unsafe` without a `// SAFETY:` comment directly above it".to_string(),
+            );
+        }
+    }
+}
+
+/// True if the comment-only lines directly above `line` (no blank line or
+/// code between) include one that starts `// SAFETY:`.
+fn has_safety_comment_above(file: &SourceFile, line: usize) -> bool {
+    let mut above = line;
+    while above > 1 {
+        above -= 1;
+        let on_line: Vec<&Tok> = file.toks.iter().filter(|t| t.line == above).collect();
+        if on_line.is_empty() || on_line.iter().any(|t| t.is_code()) {
+            return false;
+        }
+        let safety = on_line.iter().any(|t| {
+            t.kind == TokKind::LineComment
+                && t.text
+                    .trim_start_matches('/')
+                    .trim_start()
+                    .starts_with("SAFETY:")
+        });
+        if safety {
+            return true;
+        }
+    }
+    false
+}
+
+/// `unsafe-hygiene` (I5), per crate: a crate with no `unsafe` anywhere must
+/// carry `#![forbid(unsafe_code)]` in its root file. `files` are all sources
+/// of one crate; `root_file` is its `lib.rs`/`main.rs`. A crate that does use
+/// `unsafe` cannot forbid it; where it may, and how, is the per-site half's
+/// business.
 pub fn check_unsafe_hygiene(
     crate_name: &str,
     files: &[SourceFile],

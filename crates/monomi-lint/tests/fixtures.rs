@@ -472,9 +472,9 @@ fn unsafe_hygiene_accepts_forbid_attribute() {
 
 #[test]
 fn unsafe_hygiene_skips_crates_that_use_unsafe() {
-    // A crate that genuinely contains unsafe code cannot forbid it; the rule
-    // must stay silent (the workspace-level `unsafe_code = "deny"` lint and
-    // review own that case).
+    // A crate that genuinely contains unsafe code cannot forbid it, so the
+    // crate-level half stays silent about the root. The `unsafe` itself is
+    // outside the allow-listed module, so the per-site half flags it.
     let vs = lint_crate(
         "monomi-core",
         &[
@@ -485,7 +485,60 @@ fn unsafe_hygiene_skips_crates_that_use_unsafe() {
             ),
         ],
     );
-    assert!(vs.is_empty());
+    assert_eq!(rules_of(&vs), ["unsafe-hygiene"]);
+    assert_eq!(vs[0].file, "crates/monomi-core/src/inner.rs");
+    assert!(vs[0].message.contains("outside the allow-listed module"));
+}
+
+const NI: &str = "crates/monomi-crypto/src/aes/ni.rs";
+
+#[test]
+fn unsafe_hygiene_denies_unsafe_outside_the_allowed_module() {
+    // Same crate, next file over, test code, a justification that is not a
+    // `SAFETY:` marker: all denied.
+    for (path, src) in [
+        (
+            "crates/monomi-crypto/src/aes.rs",
+            "// SAFETY: checked\nfn f() { unsafe { g() } }",
+        ),
+        (
+            "crates/monomi-store/src/lib.rs",
+            "#[cfg(test)]\nmod tests {\n    fn t() { unsafe { g() } }\n}",
+        ),
+        ("crates/monomi-math/src/x.rs", "unsafe fn f() {}"),
+    ] {
+        let crate_name = path.split('/').nth(1).unwrap();
+        let vs = lint_source(crate_name, path, src);
+        assert_eq!(rules_of(&vs), ["unsafe-hygiene"], "{path}");
+    }
+    // The word in comments, strings and lint names is not the keyword.
+    let src = "#![allow(unsafe_code)]\n// unsafe\nfn f() -> &'static str { \"unsafe\" }";
+    assert!(lint_source("monomi-core", "crates/monomi-core/src/x.rs", src).is_empty());
+}
+
+#[test]
+fn unsafe_hygiene_requires_a_safety_comment_in_the_allowed_module() {
+    let bare = "fn f() -> u8 {\n    unsafe { g() }\n}";
+    let vs = lint_source("monomi-crypto", NI, bare);
+    assert_eq!(rules_of(&vs), ["unsafe-hygiene"]);
+    assert_eq!(vs[0].line, 2);
+    assert!(vs[0].message.contains("SAFETY"));
+    // Directly above, possibly under other comment lines: accepted.
+    for src in [
+        "fn f() -> u8 {\n    // SAFETY: the feature was detected.\n    unsafe { g() }\n}",
+        "fn f() -> u8 {\n    // SAFETY: detected.\n    // More words.\n    let x = unsafe { g() };\n    x\n}",
+    ] {
+        assert!(lint_source("monomi-crypto", NI, src).is_empty(), "{src}");
+    }
+    // Separated by code or a blank line, or not a `SAFETY:` comment: flagged.
+    for src in [
+        "// SAFETY: detected.\nlet a = 1;\nlet b = unsafe { g() };",
+        "// SAFETY: detected.\n\nlet b = unsafe { g() };",
+        "// Safe because detected.\nlet b = unsafe { g() };",
+    ] {
+        let vs = lint_source("monomi-crypto", NI, src);
+        assert_eq!(rules_of(&vs), ["unsafe-hygiene"], "{src}");
+    }
 }
 
 // ---------------------------------------------------------------- cross-cutting
